@@ -10,7 +10,6 @@ exp(-i*k*alpha), which makes rotational alignment a 1D FFT over k.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import jn_zeros, jv
 
 __all__ = [
@@ -60,12 +59,7 @@ class BasisTables:
     ks: np.ndarray                   # angular frequency per column
     qs: np.ndarray                   # radial index per column (1-based)
     norms: np.ndarray                # normalization per column
-    # quadrature nodes on the Fourier disk
-    node_xi: np.ndarray              # radial coordinate per node (cycles/pixel)
-    node_theta: np.ndarray
-    node_w: np.ndarray               # weights incl. the xi measure
     # precomputed operators
-    psi_nodes: np.ndarray = field(repr=False, default=None)   # (n_nodes, n_coeff)
     grid_index: np.ndarray = field(repr=False, default=None)  # flat indices of in-disk grid freqs
     psi_grid: np.ndarray = field(repr=False, default=None)    # (n_inside, n_coeff)
     coeff_solver: np.ndarray = field(repr=False, default=None)  # pseudo-inverse of the full +-k grid basis
@@ -128,24 +122,6 @@ def build_basis(L, bandlimit, support_radius):
     # orthonormal under the measure xi dxi dtheta on the disk of radius kappa
     norms = 1.0 / (bandlimit * np.sqrt(np.pi) * np.abs(jv(ks + 1, zero_flat)))
 
-    # quadrature: Gauss-Legendre radial x uniform angular
-    n_r = int(np.ceil(c_max)) + 24
-    n_t = 4 * (k_max + 1)
-    gl_x, gl_w = leggauss(n_r)
-    xi_r = bandlimit * (gl_x + 1.0) / 2.0
-    w_r = gl_w * bandlimit / 2.0 * xi_r
-    theta_t = 2.0 * np.pi * np.arange(n_t) / n_t
-    w_t = 2.0 * np.pi / n_t
-
-    node_xi = np.repeat(xi_r, n_t)
-    node_theta = np.tile(theta_t, n_r)
-    node_w = np.repeat(w_r, n_t) * w_t
-
-    # basis evaluated at quadrature nodes
-    radial = jv(ks[None, :], zero_flat[None, :] * node_xi[:, None] / bandlimit)
-    phase = (1j ** ks)[None, :] * np.exp(1j * ks[None, :] * node_theta[:, None])
-    psi_nodes = norms[None, :] * radial * phase
-
     # Cartesian frequency grid points inside the disk, for expansion/reconstruction
     f = (np.arange(L) - (L - 1) / 2) / L
     f1, f2 = np.meshgrid(f, f, indexing="ij")
@@ -176,10 +152,6 @@ def build_basis(L, bandlimit, support_radius):
         ks=ks,
         qs=qs,
         norms=norms,
-        node_xi=node_xi,
-        node_theta=node_theta,
-        node_w=node_w,
-        psi_nodes=psi_nodes,
         grid_index=grid_index,
         psi_grid=psi_grid,
         coeff_solver=coeff_solver,
@@ -234,18 +206,20 @@ def expand_disk_function(func, basis):
 def reconstruct_grid(coeffs, basis):
     """Evaluate the coefficient sum on the centered Cartesian Fourier grid.
 
-    Includes the implied negative-k terms; for conjugate-symmetric coefficient
-    data the result is the transform of a real image.
+    Accepts one coefficient vector or an (n, n_coeffs) stack, giving an
+    (L, L) or (n, L, L) grid. Includes the implied negative-k terms; for
+    conjugate-symmetric coefficient data the result is the transform of a
+    real image.
     """
     coeffs = np.asarray(coeffs)
     pos = basis.ks > 0
-    vals = basis.psi_grid @ coeffs
+    vals = coeffs @ basis.psi_grid.T
     # sum over k<0: a_{-k,q} psi^{-k,q} = (-1)^k conj(a_{k,q} psi^{k,q})
     sign = np.where(basis.ks[pos] % 2 == 0, 1.0, -1.0)
-    vals = vals + np.conj((basis.psi_grid[:, pos] * sign[None, :]) @ coeffs[pos])
-    grid = np.zeros(basis.L * basis.L, dtype=complex)
-    grid[basis.grid_index] = vals
-    return grid.reshape(basis.L, basis.L)
+    vals = vals + np.conj(coeffs[..., pos] @ (basis.psi_grid[:, pos] * sign[None, :]).T)
+    grid = np.zeros(coeffs.shape[:-1] + (basis.L * basis.L,), dtype=complex)
+    grid[..., basis.grid_index] = vals
+    return grid.reshape(coeffs.shape[:-1] + (basis.L, basis.L))
 
 
 def reconstruct(coeffs, basis, atol_imag=1e-8):

@@ -114,13 +114,8 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt, *, seed=0):
 
 
 def reconstruct_denoised(denoised_coeffs, basis):
-    """Per-image reconstruction of the denoised stack, real L x L images."""
-    denoised_coeffs = np.asarray(denoised_coeffs)
-    out = np.empty((denoised_coeffs.shape[0], basis.L, basis.L))
-    for i in range(denoised_coeffs.shape[0]):
-        grid = reconstruct_grid(denoised_coeffs[i], basis)
-        out[i] = ift_grid(grid).real
-    return out
+    """Reconstruction of the denoised stack, real (n, L, L) images."""
+    return ift_grid(reconstruct_grid(denoised_coeffs, basis)).real
 
 
 def ctf_correct(image_ft_grid, ctf_grid, eps, *, regularized=True):
@@ -128,13 +123,15 @@ def ctf_correct(image_ft_grid, ctf_grid, eps, *, regularized=True):
 
     Regularized quotient C/(C^2 + eps) avoids blowup at CTF zero crossings;
     the unregularized division is available for fidelity checks away from
-    zeros.
+    zeros. Grids may be (L, L) or (n, L, L) stacks, with eps a scalar or one
+    value per image.
     """
     C = np.asarray(ctf_grid, dtype=float)
     if regularized:
-        if eps <= 0:
+        eps = np.asarray(eps, dtype=float)
+        if (eps <= 0).any():
             raise ValueError("regularizer eps must be > 0")
-        corrected = image_ft_grid * C / (C**2 + eps)
+        corrected = image_ft_grid * C / (C**2 + eps[..., None, None])
     else:
         corrected = image_ft_grid / C
     return ift_grid(corrected).real

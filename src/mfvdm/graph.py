@@ -13,6 +13,11 @@ import numpy as np
 
 from .basis import expand_stack
 
+# Byte budget for the temporaries of one row (or edge) block in the
+# all-pairs RID search, the affinity ranking and the edge alignment; it sets
+# all three block sizes, so peak memory does not grow with n^2.
+BLOCK_BYTES = 16 * 2**20
+
 __all__ = ["ViewGraph", "initial_nn_search", "coeff_noise_variance",
            "viewing_angle", "true_alignment", "write_graph_csv",
            "read_graph_csv"]
@@ -97,14 +102,29 @@ def coeff_noise_variance(basis, n_samples=256, seed=0):
     return (np.abs(a) ** 2).mean(axis=0)
 
 
+def block_rows(bytes_per_row):
+    """Rows per block so that one block's temporaries stay within
+    BLOCK_BYTES (at least one row)."""
+    return max(1, int(BLOCK_BYTES // max(bytes_per_row, 1)))
+
+
+def smallest_s(keys, s):
+    """Per row of keys, the column indices of the s smallest values, ties
+    broken by the smaller index (a stable sort)."""
+    return np.argsort(keys, axis=1, kind="stable")[:, :s]
+
+
 def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9,
-                      chunk=64, noise_var=None):
+                      chunk=None, noise_var=None):
     """Brute-force all-pairs RID ranking; s smallest distances per node.
 
     Ties broken by smaller index. Returns the symmetrized ViewGraph.
     When noise_var (per-column coefficient noise variance) is given, columns
     are shrunk by the Wiener factor sig/(sig + noise) before ranking, which
     suppresses the noise-dominated high frequencies at low SNR.
+
+    Rows are ranked chunk at a time; the default chunk keeps each chunk's
+    cross-spectra and correlations within BLOCK_BYTES.
     """
     coeffs = np.asarray(coeffs)
     n = coeffs.shape[0]
@@ -122,35 +142,41 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9,
     eps = np.where(ks == 0, 1.0, 2.0)
     sq = (np.abs(sub) ** 2) @ eps
 
-    kmax = int(ks.max()) if ks.size else 0
-    # per-frequency coefficient blocks for fast cross-spectra
-    blocks = [sub[:, ks == k] for k in range(kmax + 1)]
+    # per-frequency coefficient blocks and their conjugate transposes, for
+    # fast cross-spectra
+    blocks = [(k, sub[:, ks == k]) for k in np.unique(ks)]
+    blocks = [(k, b, np.conj(b).T) for k, b in blocks]
+    n_half = fft_size // 2 + 1
+    if chunk is None:
+        # per row: half spectrum (complex), correlations, sort indices
+        chunk = block_rows(n * (16 * n_half + 8 * fft_size + 32))
 
     nb_idx = np.empty((n, s), dtype=int)
     nb_alpha = np.empty((n, s))
     nb_dist = np.empty((n, s))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        b = stop - start
-        spec = np.zeros((b, n, fft_size), dtype=complex)
-        for k in range(kmax + 1):
-            if blocks[k].shape[1] == 0:
-                continue
-            c = blocks[k][start:stop] @ np.conj(blocks[k]).T
-            spec[:, :, k] = c if k == 0 else 2.0 * c
-        corr = fft_size * np.real(np.fft.ifft(spec, axis=-1))
+        # the spectrum vanishes above kmax < fft_size / 2, so the real
+        # correlation over rotations is the inverse real FFT of the
+        # non-negative half; the conjugate half doubles each k > 0 term
+        spec = np.zeros((stop - start, n, n_half), dtype=complex)
+        for k, b, bh in blocks:
+            spec[:, :, k] = b[start:stop] @ bh
+        corr = np.fft.irfft(spec, n=fft_size, axis=-1)
+        del spec
+        corr *= fft_size
         best_t = np.argmax(corr, axis=-1)
         best = np.take_along_axis(corr, best_t[..., None], axis=-1)[..., 0]
+        del corr
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * best
         np.maximum(d2, 0.0, out=d2)
-        for r in range(b):
-            i = start + r
-            d2[r, i] = np.inf
-            order = np.lexsort((np.arange(n), d2[r]))[:s]
-            nb_idx[i] = order
-            nb_dist[i] = np.sqrt(d2[r, order])
-            al = 2.0 * np.pi * best_t[r, order] / fft_size
-            nb_alpha[i] = np.where(al > np.pi, al - 2.0 * np.pi, al)
+        rows = np.arange(stop - start)
+        d2[rows, start + rows] = np.inf
+        order = smallest_s(d2, s)
+        nb_idx[start:stop] = order
+        nb_dist[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+        al = 2.0 * np.pi * np.take_along_axis(best_t, order, axis=1) / fft_size
+        nb_alpha[start:stop] = np.where(al > np.pi, al - 2.0 * np.pi, al)
     return _symmetrize(nb_idx, nb_alpha, nb_dist)
 
 

@@ -113,15 +113,9 @@ def denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config):
     filtered effective CTF. Returns (denoised images, effective CTF grids)."""
     filt = FilterSpec(kind=config.filter_kind, m=config.m)
     da, dc = denoise_stack(coeffs, ctf_coeffs, graph, basis, filt)
-    n = da.shape[0]
-    out = np.empty((n, basis.L, basis.L))
-    eff = np.empty((n, basis.L, basis.L))
-    for i in range(n):
-        C = reconstruct_grid(dc[i], basis).real
-        eps = config.eps if config.eps > 0 else 1e-2 * float(np.max(C**2))
-        out[i] = ctf_correct(reconstruct_grid(da[i], basis), C, eps)
-        eff[i] = C
-    return out, eff
+    C = reconstruct_grid(dc, basis).real.copy()
+    eps = config.eps if config.eps > 0 else 1e-2 * np.max(C**2, axis=(-2, -1))
+    return ctf_correct(reconstruct_grid(da, basis), C, eps), C
 
 
 def evaluate_stack(denoised, reference):

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graph import ViewGraph
+from .graph import ViewGraph, block_rows, smallest_s
 
 __all__ = [
     "FrequencyMatrix",
@@ -59,15 +59,10 @@ def build_frequency_matrix(graph, k):
     if (deg == 0).any():
         bad = int(np.flatnonzero(deg == 0)[0])
         raise ValueError(f"node {bad} is isolated (degree 0)")
-    rows, cols, vals = [], [], []
-    for i, nb in enumerate(graph.neighbors):
-        rows.append(np.full(nb.size, i))
-        cols.append(nb)
-        vals.append(np.exp(-1j * k * graph.angles[i]) / np.sqrt(deg[i] * deg[nb]))
-    m = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(graph.n, graph.n),
-    )
+    rows = np.repeat(np.arange(graph.n), deg)
+    cols = np.concatenate(graph.neighbors)
+    vals = np.exp(-1j * k * np.concatenate(graph.angles)) / np.sqrt(deg[rows] * deg[cols])
+    m = sp.csr_matrix((vals, (rows, cols)), shape=(graph.n, graph.n))
     return FrequencyMatrix(k=k, matrix=m, degrees=deg)
 
 
@@ -152,14 +147,33 @@ def embedding_dot(bundle, k, i, j):
     return float(np.abs(_pair_product(bundle, k, i, j)) ** 2)
 
 
-def _product_matrices(bundle):
-    """P_k as dense n x n matrices for every k in the bundle."""
-    out = []
-    for idx in range(bundle.k_list.size):
+def _affinity_factors(bundle):
+    """Per frequency k >= 1: (lambda^{2t}, U, usable-node mask, normalizer)
+    with the normalizer |P_k(i, i)| (1 where it vanishes); also returns the
+    number of dropped (node, frequency) pairs."""
+    factors, dropped = [], 0
+    for idx, k in enumerate(bundle.k_list):
+        if k == 0:
+            continue
         lam = bundle.eigenvalues[idx] ** (2 * bundle.t)
         U = bundle.eigenvectors[idx]
-        out.append((U * lam[None, :]) @ np.conj(U.T))
-    return out
+        self_p = np.abs((np.abs(U) ** 2) @ lam)
+        ok = self_p > 1e-300
+        dropped += int((~ok).sum())
+        factors.append((lam, U, ok, np.where(ok, self_p, 1.0)))
+    return factors, dropped
+
+
+def _affinity_rows(factors, n, start, stop):
+    """Rows start:stop of the affinity matrix, from the rank-m factors of
+    each P_k; only a (stop - start) x n block is ever formed."""
+    A = np.zeros((stop - start, n))
+    for lam, U, ok, norm in factors:
+        # conj(P_k[rows]); the conjugate keeps U^T a view and |P|^2 unchanged
+        P = (np.conj(U[start:stop]) * lam[None, :]) @ U.T
+        A += np.where(ok[start:stop, None] & ok[None, :],
+                      np.abs(P) ** 2 / (norm[start:stop, None] * norm[None, :]), 0.0)
+    return A
 
 
 def affinity_matrix(bundle):
@@ -168,22 +182,8 @@ def affinity_matrix(bundle):
     Frequencies with a vanishing self-product at a node are dropped for the
     pairs involving that node; returns (A, dropped_count).
     """
-    n = bundle.n
-    A = np.zeros((n, n))
-    dropped = 0
-    for idx, k in enumerate(bundle.k_list):
-        if k == 0:
-            continue
-        lam = bundle.eigenvalues[idx] ** (2 * bundle.t)
-        U = bundle.eigenvectors[idx]
-        P = (U * lam[None, :]) @ np.conj(U.T)
-        self_p = np.abs(np.diag(P).real)
-        ok = self_p > 1e-300
-        dropped += int((~ok).sum())
-        norm = np.where(ok, self_p, 1.0)
-        A += np.where(ok[:, None] & ok[None, :],
-                      np.abs(P) ** 2 / (norm[:, None] * norm[None, :]), 0.0)
-    return A, dropped
+    factors, dropped = _affinity_factors(bundle)
+    return _affinity_rows(factors, bundle.n, 0, bundle.n), dropped
 
 
 def affinity(bundle, i, j):
@@ -204,24 +204,28 @@ def affinity(bundle, i, j):
 
 def refine_neighbors(bundle, s):
     """Per node, the s largest-affinity other nodes; ties broken by smaller
-    index. Returns a symmetrized ViewGraph with angles unset."""
-    if s >= bundle.n:
-        raise ValueError(f"s={s} must be < n={bundle.n}")
-    A, _ = affinity_matrix(bundle)
+    index. Returns a symmetrized ViewGraph with angles unset.
+
+    Affinity rows are formed and ranked a block at a time, so no n x n
+    matrix is held."""
     n = bundle.n
-    np.fill_diagonal(A, -np.inf)
-    neighbors = []
-    for i in range(n):
-        order = np.lexsort((np.arange(n), -A[i]))[:s]
-        neighbors.append(order)
+    if s >= n:
+        raise ValueError(f"s={s} must be < n={n}")
+    factors, _ = _affinity_factors(bundle)
+    # per row: P (complex), |P|^2 and its quotient, the mask, A, sort keys
+    rows = block_rows(64 * n)
+    nb = np.empty((n, s), dtype=int)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        A = _affinity_rows(factors, n, start, stop)
+        r = np.arange(stop - start)
+        A[r, start + r] = -np.inf
+        nb[start:stop] = smallest_s(-A, s)
     # symmetrize by union
-    adj = [set() for _ in range(n)]
-    for i, nb in enumerate(neighbors):
-        for j in nb:
-            adj[i].add(int(j))
-            adj[int(j)].add(i)
-    nbs = [np.array(sorted(a), dtype=int) for a in adj]
-    return ViewGraph(neighbors=nbs, angles=None, dists=None)
+    src, dst = np.repeat(np.arange(n), s), nb.ravel()
+    keys = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+    split = np.cumsum(np.bincount(keys // n, minlength=n))[:-1]
+    return ViewGraph(neighbors=np.split(keys % n, split), angles=None, dists=None)
 
 
 def _alignment_spectrum(bundle, i, j, k_max=None):
@@ -252,31 +256,32 @@ def estimate_alignment(bundle, i, j, fft_size=1024):
 def align_graph(bundle, graph, fft_size=1024):
     """Estimate alignment angles for every edge of a refined graph.
 
-    Vectorized over edges; fills the graph's angle arrays in place with
-    alpha_ij = -alpha_ji enforced by estimating each undirected edge once.
+    Vectorized over blocks of edges; fills the graph's angle arrays in place
+    with alpha_ij = -alpha_ji enforced by estimating each undirected edge once.
     """
-    pairs = [(i, j) for i, nb in enumerate(graph.neighbors) for j in nb if i < j]
-    if not pairs:
-        graph.angles = [np.zeros(0) for _ in range(graph.n)]
-        return graph
-    ii = np.array([p[0] for p in pairs])
-    jj = np.array([p[1] for p in pairs])
+    n = graph.n
+    src = np.repeat(np.arange(n), graph.degrees)
+    dst = np.concatenate(graph.neighbors)
+    if not np.array_equal(src * n + dst, np.sort(dst * n + src)):
+        raise ValueError("graph is not symmetric")
+    upper = src < dst
+    ii, jj = src[upper], dst[upper]
     kmax = int(bundle.k_list.max())
-    Z = np.zeros((len(pairs), kmax + 1), dtype=complex)
-    for idx, k in enumerate(bundle.k_list):
-        if k == 0:
-            continue
-        lam = bundle.eigenvalues[idx] ** (2 * bundle.t)
-        U = bundle.eigenvectors[idx]
-        Z[:, int(k)] = np.sum(lam[None, :] * U[ii] * np.conj(U[jj]), axis=1)
-    obj = np.real(np.fft.fft(np.conj(Z), n=fft_size, axis=1))
-    tbest = np.argmax(obj, axis=1)
-    alpha = 2.0 * np.pi * tbest / fft_size
+    factors = [(int(k), bundle.eigenvalues[idx] ** (2 * bundle.t), bundle.eigenvectors[idx])
+               for idx, k in enumerate(bundle.k_list) if k != 0]
+    alpha = np.empty(ii.size)
+    # per edge: the zero-padded spectrum, its FFT and real part, gathered rows
+    step = block_rows(40 * fft_size + 48 * bundle.m)
+    for start in range(0, ii.size, step):
+        a, b = ii[start:start + step], jj[start:start + step]
+        Z = np.zeros((a.size, kmax + 1), dtype=complex)
+        for k, lam, U in factors:
+            Z[:, k] = np.sum(lam[None, :] * U[a] * np.conj(U[b]), axis=1)
+        obj = np.real(np.fft.fft(np.conj(Z), n=fft_size, axis=1))
+        alpha[start:start + step] = 2.0 * np.pi * np.argmax(obj, axis=1) / fft_size
     alpha = np.where(alpha > np.pi, alpha - 2.0 * np.pi, alpha)
-    lut = {(int(a), int(b)): al for a, b, al in zip(ii, jj, alpha)}
-    angles = []
-    for i, nb in enumerate(graph.neighbors):
-        al = np.array([lut[(i, int(j))] if i < j else -lut[(int(j), i)] for j in nb])
-        angles.append(al)
-    graph.angles = angles
+    # directed edge (i, j) reads the estimate of (min, max), negated if i > j
+    pos = np.searchsorted(ii * n + jj, np.minimum(src, dst) * n + np.maximum(src, dst))
+    directed = np.where(upper, alpha[pos], -alpha[pos])
+    graph.angles = np.split(directed, np.cumsum(graph.degrees)[:-1])
     return graph

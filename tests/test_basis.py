@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import jv
 
 from mfvdm.basis import (
     BasisError,
@@ -44,10 +46,30 @@ def test_admissibility_cutoff(basis17):
     assert jn_zeros(basis17.k_max + 1, 1)[0] > c_max
 
 
+def _quadrature(basis):
+    """Basis functions at Gauss-Legendre radial x uniform angular nodes on
+    the Fourier disk, and the node weights including the xi measure."""
+    c_max = 2.0 * np.pi * basis.bandlimit * basis.support_radius
+    n_r = int(np.ceil(c_max)) + 24
+    n_t = 4 * (basis.k_max + 1)
+    gl_x, gl_w = leggauss(n_r)
+    xi_r = basis.bandlimit * (gl_x + 1.0) / 2.0
+    w_r = gl_w * basis.bandlimit / 2.0 * xi_r
+    theta_t = 2.0 * np.pi * np.arange(n_t) / n_t
+    node_xi = np.repeat(xi_r, n_t)
+    node_theta = np.tile(theta_t, n_r)
+    node_w = np.repeat(w_r, n_t) * (2.0 * np.pi / n_t)
+    ks = basis.ks
+    zeros = np.concatenate(basis.bessel_zeros)
+    radial = jv(ks[None, :], zeros[None, :] * node_xi[:, None] / basis.bandlimit)
+    phase = (1j ** ks)[None, :] * np.exp(1j * ks[None, :] * node_theta[:, None])
+    return basis.norms[None, :] * radial * phase, node_w
+
+
 def test_orthonormality_quadrature(basis17):
     """Gram matrix of the k >= 0 functions under the disk measure."""
-    psi = basis17.psi_nodes
-    gram = np.conj(psi.T) @ (basis17.node_w[:, None] * psi)
+    psi, node_w = _quadrature(basis17)
+    gram = np.conj(psi.T) @ (node_w[:, None] * psi)
     err = np.abs(gram - np.eye(basis17.n_coeffs)).max()
     assert err < 1e-6
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mfvdm.basis import ft_grid, reconstruct_grid
+from mfvdm import RunConfig
+from mfvdm.basis import expand_stack, ft_grid, ift_grid
 from mfvdm.denoise import (
     FilterSpec,
     apply_spectral_filter,
@@ -11,6 +12,7 @@ from mfvdm.denoise import (
     denoise_stack,
     reconstruct_denoised,
 )
+from mfvdm.pipeline import absolute_ctf_coeffs, denoise_and_correct
 from mfvdm.spectral import build_frequency_matrix, top_eigs
 
 
@@ -129,3 +131,34 @@ def test_ctf_correct_regularized_bounded():
     assert np.isfinite(out).all()
     with pytest.raises(ValueError):
         ctf_correct(ft_grid(img), C, eps=0.0)
+    with pytest.raises(ValueError):
+        ctf_correct(ft_grid(np.stack([img, img])), np.stack([C, C]), eps=np.array([1e-2, 0.0]))
+
+
+def _grid_reference(a, basis):
+    """One image's Fourier grid: psi a plus the implied negative-k terms."""
+    pos = basis.ks > 0
+    sign = np.where(basis.ks[pos] % 2 == 0, 1.0, -1.0)
+    vals = basis.psi_grid @ a + np.conj((basis.psi_grid[:, pos] * sign) @ a[pos])
+    grid = np.zeros(basis.L * basis.L, dtype=complex)
+    grid[basis.grid_index] = vals
+    return grid.reshape(basis.L, basis.L)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_denoise_and_correct_matches_per_image_loop(eps, tiny_dataset, demo_graph, basis17):
+    """The stacked reconstruction and CTF correction equal a loop that
+    reconstructs and deconvolves one image at a time."""
+    ds = tiny_dataset
+    config = RunConfig(n=60, L=17, support_radius=8.0, s=8, m=20,
+                       n_defocus_groups=4, eps=eps)
+    coeffs = expand_stack(ds["noisy"], basis17)
+    ctf = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, config)
+    out, eff = denoise_and_correct(coeffs, ctf, demo_graph, basis17, config)
+    da, dc = denoise_stack(coeffs, ctf, demo_graph, basis17, FilterSpec(kind=2, m=20))
+    for i in range(coeffs.shape[0]):
+        C = _grid_reference(dc[i], basis17).real
+        e = eps if eps > 0 else 1e-2 * np.max(C**2)
+        ref = ift_grid(_grid_reference(da[i], basis17) * C / (C**2 + e)).real
+        assert np.abs(eff[i] - C).max() <= 1e-12 * np.abs(C).max()
+        assert np.abs(out[i] - ref).max() <= 1e-12 * np.abs(ref).max()

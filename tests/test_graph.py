@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mfvdm.basis import expand_stack
 from mfvdm.graph import (
     ViewGraph,
     coeff_noise_variance,
@@ -31,6 +32,20 @@ def test_search_finds_rotated_copies(rotated_copies, basis17):
             expected = truth.angle(i, int(j))
             diff = abs((alpha - expected + np.pi) % (2 * np.pi) - np.pi)
             assert diff < 1e-9
+
+
+def test_search_chunk_invariant(tiny_dataset, basis17):
+    """Ranking one row, a few rows or every row at a time gives the same
+    graph."""
+    coeffs = expand_stack(tiny_dataset["noisy"], basis17)
+    n = coeffs.shape[0]
+    whole = initial_nn_search(coeffs, basis17, s=8, chunk=n)
+    for chunk in (1, 7):
+        g = initial_nn_search(coeffs, basis17, s=8, chunk=chunk)
+        for i in range(n):
+            np.testing.assert_array_equal(g.neighbors[i], whole.neighbors[i])
+            np.testing.assert_array_equal(g.angles[i], whole.angles[i])
+            np.testing.assert_allclose(g.dists[i], whole.dists[i], rtol=1e-12)
 
 
 def test_graph_angle_antisymmetry(demo_graph):

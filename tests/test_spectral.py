@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mfvdm.graph
 from mfvdm.graph import ViewGraph
 from mfvdm.spectral import (
     SpectralBundle,
@@ -137,6 +138,73 @@ def test_refine_neighbors_recovers_clusters(rotated_copies):
                                      (cluster + 1) * rotated_copies["n_copy"])
                     if j != i}
         assert set(refined.neighbors[i].tolist()) == expected
+
+
+def _dense_refine(bundle, s):
+    """Reference refinement: the full matrix of scalar pairwise affinities,
+    a per-row lexsort (ties to the smaller index), then the union."""
+    n = bundle.n
+    A = np.array([[affinity(bundle, i, j) if i != j else -np.inf for j in range(n)]
+                  for i in range(n)])
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for j in np.lexsort((np.arange(n), -A[i]))[:s]:
+            adj[i].add(int(j))
+            adj[int(j)].add(i)
+    return A, [np.array(sorted(a), dtype=int) for a in adj]
+
+
+def _integer_bundle(n, m, seed):
+    """Bundle with Gaussian-integer eigenvectors and unit eigenvalues: every
+    affinity is computed without rounding-order effects, so equal values
+    are exact ties. Node j + n/2 repeats node j, so every node's ranking is
+    full of ties; node 7 has no k=1 component."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    vecs = []
+    for _ in range(2):
+        V = rng.integers(-1, 2, (n // 2, m)) + 1j * rng.integers(-1, 2, (n // 2, m))
+        vecs.append(np.concatenate([V, V]))
+    vecs[0][7] = 0.0
+    return SpectralBundle(k_list=np.array([1, 2]), eigenvalues=(np.ones(m), np.ones(m)),
+                          eigenvectors=tuple(vecs), degrees=np.ones(n), t=1, m=m)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 64 * 5 * 24, 2**30])
+def test_refine_blocks_match_dense_reference(block_bytes, monkeypatch):
+    bundle = _integer_bundle(24, 3, seed=3)
+    s = 5
+    A, expected = _dense_refine(bundle, s)
+    # the reference selection cuts through a tie in some row, so the
+    # smaller-index rule decides the result
+    ranked = -np.sort(-A, axis=1)
+    assert (ranked[:, s - 1] == ranked[:, s]).any()
+    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", block_bytes)
+    got = refine_neighbors(bundle, s)
+    for i in range(bundle.n):
+        np.testing.assert_array_equal(got.neighbors[i], expected[i])
+
+
+def test_refine_matches_dense_reference(demo_graph, monkeypatch):
+    bundle = _full_bundle(demo_graph, 4)
+    _, expected = _dense_refine(bundle, 6)
+    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", 64 * demo_graph.n * 7)
+    got = refine_neighbors(bundle, 6)
+    for i in range(bundle.n):
+        np.testing.assert_array_equal(got.neighbors[i], expected[i])
+
+
+def test_align_graph_blocks_match_estimate_alignment(demo_graph, monkeypatch):
+    bundle = _full_bundle(demo_graph, 5)
+    g = refine_neighbors(bundle, 6)
+    fft_size = 1024
+    # a few dozen edges per block
+    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", 40 * (40 * fft_size + 48 * bundle.m))
+    align_graph(bundle, g, fft_size=fft_size)
+    for i, j, alpha in g.edges():
+        if i < j:
+            assert alpha == estimate_alignment(bundle, i, j, fft_size=fft_size)
+        else:
+            assert alpha == -g.angle(j, i)
 
 
 def test_refine_validation(demo_graph):
