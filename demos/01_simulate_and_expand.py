@@ -12,9 +12,9 @@ import numpy as np
 
 from mfvdm import (
     build_basis,
-    expand,
+    expand_stack,
+    initial_nn_search,
     reconstruct,
-    rid_align,
     rotate_coeffs,
     simulate_dataset,
 )
@@ -29,18 +29,20 @@ print(f"clean stack variance {clean.var():.4g}, noisy {noisy.var():.4g}")
 basis = build_basis(L, bandlimit=0.5, support_radius=16.0)
 print(f"basis: k_max={basis.k_max}, {basis.n_coeffs} coefficients")
 
-# Round trip: reconstruct(expand(img)) reproduces the band-limited content.
-a = expand(clean[0], basis)
-img2 = reconstruct(a, basis)
-a2 = expand(img2, basis)
+# Round trip: reconstruct(expand_stack(imgs)) reproduces the band-limited
+# content.
+a = expand_stack(clean, basis)
+a2 = expand_stack(reconstruct(a, basis), basis)
 print(f"coefficient round-trip error {np.abs(a - a2).max():.3e}")
 
 # Rotation in coefficient space: multiply a_{k,q} by exp(-ik alpha). The
 # rotationally invariant distance between an image and its rotated copy is
 # small (limited by the rotation grid resolution) and the recovered angle
-# matches.
+# matches. The search over a two-image stack links the pair: edge 0 -> 1
+# carries the distance and the angle that rotates the copy back.
 alpha = np.deg2rad(40.0)
-b = rotate_coeffs(a, basis, alpha)
-d, ahat = rid_align(a, b, basis, fft_size=1024)
+pair = np.stack([a[0], rotate_coeffs(a[0], basis, alpha)])
+graph = initial_nn_search(pair, basis, s=1, fft_size=1024, energy_fraction=1.0)
+d, ahat = graph.dists[0], graph.angles[0]
 print(f"rotated copy: RID = {d:.3e}, recovered angle {np.rad2deg(-ahat):.2f} deg "
       f"(expected 40.00)")

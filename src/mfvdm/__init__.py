@@ -7,22 +7,21 @@ tomographic projection images, plus a synthetic simulator with ground truth.
 from .basis import (
     BasisTables,
     build_basis,
-    expand,
     expand_disk_function,
     expand_stack,
     ft_grid,
     ift_grid,
     reconstruct,
     reconstruct_grid,
-    rid_align,
     rotate_coeffs,
 )
-from .denoise import FilterSpec, apply_spectral_filter, ctf_correct, denoise_stack, reconstruct_denoised
+from .denoise import FilterSpec, apply_spectral_filter, ctf_correct, denoise_stack
 from .graph import (
     ViewGraph,
     coeff_noise_variance,
     initial_nn_search,
     read_graph_csv,
+    symmetrize,
     true_alignment,
     viewing_angle,
     write_graph_csv,
@@ -55,13 +54,10 @@ from .simulate import (
 )
 from .spectral import (
     SpectralBundle,
-    affinity,
     affinity_matrix,
     align_graph,
     build_frequency_matrix,
     compute_bundle,
-    embedding_dot,
-    estimate_alignment,
     refine_neighbors,
     top_eigs,
 )

@@ -15,13 +15,11 @@ from scipy.special import jn_zeros, jv
 __all__ = [
     "BasisTables",
     "build_basis",
-    "expand",
     "expand_stack",
     "expand_disk_function",
     "reconstruct",
     "reconstruct_grid",
     "rotate_coeffs",
-    "rid_align",
     "ft_grid",
     "ift_grid",
 ]
@@ -72,12 +70,6 @@ class BasisTables:
         """Column slice holding the radial coefficients of frequency k."""
         start = int(np.sum(self.radial_counts[:k]))
         return slice(start, start + int(self.radial_counts[k]))
-
-    def full_sq_norm(self, coeffs):
-        """Squared norm counting implied negative frequencies: k>0 columns twice."""
-        w = np.where(self.ks == 0, 1.0, 2.0)
-        mag = np.abs(coeffs) ** 2
-        return mag @ w if coeffs.ndim == 1 else mag @ w
 
 
 def build_basis(L, bandlimit, support_radius):
@@ -172,16 +164,6 @@ def _solve_coeffs(basis, grid_values):
     return a
 
 
-def expand(image, basis):
-    """Project an L x L real image onto the basis; returns complex coefficients
-    for k >= 0 (negative k implied by conjugation)."""
-    image = np.asarray(image, dtype=float)
-    if image.shape != (basis.L, basis.L):
-        raise BasisError(f"image shape {image.shape} does not match basis L={basis.L}")
-    spectrum = ft_grid(image).reshape(-1)[basis.grid_index]
-    return _solve_coeffs(basis, spectrum)
-
-
 def expand_stack(images, basis):
     """Expand a stack (n, L, L) -> coefficient matrix (n, n_coeffs)."""
     images = np.asarray(images, dtype=float)
@@ -236,34 +218,3 @@ def reconstruct(coeffs, basis, atol_imag=1e-8):
 def rotate_coeffs(coeffs, basis, alpha):
     """Coefficient action of rotating the image counter-clockwise by alpha."""
     return coeffs * np.exp(-1j * basis.ks * alpha)
-
-
-def _cross_spectrum(basis, coeffs_i, coeffs_j):
-    """c(k) = sum_q a_i conj(a_j), k = 0..k_max."""
-    prod = coeffs_i * np.conj(coeffs_j)
-    c = np.zeros(basis.k_max + 1, dtype=complex)
-    np.add.at(c, basis.ks, prod)
-    return c
-
-
-def rid_align(coeffs_i, coeffs_j, basis, fft_size=256):
-    """Rotationally invariant distance and optimal alignment angle.
-
-    Returns (d, alpha) with alpha the grid angle by which image j is rotated
-    counter-clockwise to best match image i, minimizing the coefficient-space
-    L2 distance over the fft_size-point rotation grid.
-    """
-    if coeffs_i.shape != coeffs_j.shape or coeffs_i.size != basis.n_coeffs:
-        raise BasisError("coefficient vectors do not share this basis")
-    if fft_size < 2 * basis.k_max + 1:
-        raise BasisError(f"fft_size must be >= {2 * basis.k_max + 1}")
-    c = _cross_spectrum(basis, coeffs_i, coeffs_j)
-    z = c.copy()
-    z[1:] *= 2.0  # fold in negative frequencies (conjugate pairs)
-    corr = fft_size * np.real(np.fft.ifft(z, n=fft_size))
-    t = int(np.argmax(corr))
-    d2 = basis.full_sq_norm(coeffs_i) + basis.full_sq_norm(coeffs_j) - 2.0 * corr[t]
-    alpha = 2.0 * np.pi * t / fft_size
-    if alpha > np.pi:
-        alpha -= 2.0 * np.pi
-    return float(np.sqrt(max(d2, 0.0))), float(alpha)

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ift_grid, reconstruct_grid
+from .basis import ift_grid
 from .spectral import build_frequency_matrix, top_eigs
 
 __all__ = [
     "FilterSpec",
     "apply_spectral_filter",
     "denoise_stack",
-    "reconstruct_denoised",
     "ctf_correct",
 ]
 
@@ -74,14 +73,14 @@ def apply_spectral_filter(coeff_block, eigenvalues, eigenvectors, degrees, filt)
 def _averaging_filter(graph, coeff_block, k, order):
     """h(S_k) A for polynomial h without eigendecomposition; order 1 is the
     plain neighbor-transport average, order 2 the smooth-then-sharpen form."""
-    fm = build_frequency_matrix(graph, k)
-    sqrt_d = np.sqrt(fm.degrees)
+    W = build_frequency_matrix(graph, k)
+    sqrt_d = np.sqrt(graph.degrees)
     # S_k A = D^{-1/2} Wt_k D^{1/2} A
     y = sqrt_d[:, None] * coeff_block
-    s1 = fm.matrix @ y
+    s1 = W @ y
     if order == 1:
         return s1 / sqrt_d[:, None]
-    s2 = fm.matrix @ s1
+    s2 = W @ s1
     return (2.0 * s1 - s2) / sqrt_d[:, None]
 
 
@@ -102,20 +101,15 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt, *, seed=0):
     for k in range(basis.k_max + 1):
         sl = basis.k_slice(k)
         if filt.truncated:
-            fm = build_frequency_matrix(graph, k)
-            vals, vecs = top_eigs(fm, min(filt.m, n), seed=seed)
-            out_a[:, sl] = apply_spectral_filter(coeffs[:, sl], vals, vecs, fm.degrees, filt)
-            out_c[:, sl] = apply_spectral_filter(ctf_coeffs[:, sl], vals, vecs, fm.degrees, filt)
+            W = build_frequency_matrix(graph, k)
+            vals, vecs = top_eigs(W, min(filt.m, n), seed=seed)
+            out_a[:, sl] = apply_spectral_filter(coeffs[:, sl], vals, vecs, graph.degrees, filt)
+            out_c[:, sl] = apply_spectral_filter(ctf_coeffs[:, sl], vals, vecs, graph.degrees, filt)
         else:
             order = 1 if filt.kind == 4 else 2
             out_a[:, sl] = _averaging_filter(graph, coeffs[:, sl], k, order)
             out_c[:, sl] = _averaging_filter(graph, ctf_coeffs[:, sl], k, order)
     return out_a, out_c
-
-
-def reconstruct_denoised(denoised_coeffs, basis):
-    """Reconstruction of the denoised stack, real (n, L, L) images."""
-    return ift_grid(reconstruct_grid(denoised_coeffs, basis)).real
 
 
 def ctf_correct(image_ft_grid, ctf_grid, eps, *, regularized=True):

@@ -12,73 +12,71 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import expand_stack
+from .io import FormatError, atomic_open
 
 # Byte budget for the temporaries of one row (or edge) block in the
 # all-pairs RID search, the affinity ranking and the edge alignment; it sets
 # all three block sizes, so peak memory does not grow with n^2.
 BLOCK_BYTES = 16 * 2**20
 
-__all__ = ["ViewGraph", "initial_nn_search", "coeff_noise_variance",
+__all__ = ["ViewGraph", "symmetrize", "initial_nn_search", "coeff_noise_variance",
            "viewing_angle", "true_alignment", "write_graph_csv",
            "read_graph_csv"]
 
 
 @dataclass
 class ViewGraph:
-    """Symmetric neighbor lists with per-edge alignment angles."""
+    """Symmetric graph in CSR form with per-edge alignment angles.
 
-    neighbors: list          # per node: int array of neighbor ids, ascending
-    angles: list             # per node: float array, or None if not yet estimated
-    dists: list = None       # per node: float array, optional
+    Node i's neighbors are indices[indptr[i]:indptr[i + 1]], ascending;
+    angles and dists run parallel to indices.
+    """
+
+    indptr: np.ndarray       # (n + 1,) row offsets into indices
+    indices: np.ndarray      # (E,) neighbor ids, ascending within each row
+    angles: np.ndarray = None   # (E,) alpha_ij, or None if not yet estimated
+    dists: np.ndarray = None    # (E,) RID distances, optional
 
     @property
     def n(self):
-        return len(self.neighbors)
+        return self.indptr.size - 1
 
     @property
     def degrees(self):
-        return np.array([len(nb) for nb in self.neighbors])
+        return np.diff(self.indptr)
+
+    @property
+    def rows(self):
+        """Source node of each stored edge."""
+        return np.repeat(np.arange(self.n), self.degrees)
 
     def edges(self):
         """Iterate (i, j, alpha) over directed edges (alpha None if unset)."""
-        for i, nb in enumerate(self.neighbors):
-            al = self.angles[i] if self.angles is not None else None
-            for t, j in enumerate(nb):
-                yield i, int(j), (None if al is None else float(al[t]))
-
-    def angle(self, i, j):
-        idx = np.searchsorted(self.neighbors[i], j)
-        if idx >= len(self.neighbors[i]) or self.neighbors[i][idx] != j:
-            raise KeyError(f"({i}, {j}) is not an edge")
-        return float(self.angles[i][idx])
+        angles = [None] * self.indices.size if self.angles is None else self.angles.tolist()
+        return zip(self.rows.tolist(), self.indices.tolist(), angles)
 
 
-def _flip(entry):
-    return (-entry[0], entry[1])
-
-
-def _symmetrize(neighbor_idx, neighbor_alpha, neighbor_dist):
-    """Union of directed s-NN lists; reverse edges get the negated angle.
-    When both directions were found, the (i<j) direction's angle wins."""
-    n = len(neighbor_idx)
-    directed = {}
-    for i in range(n):
-        for j, al, d in zip(neighbor_idx[i], neighbor_alpha[i], neighbor_dist[i]):
-            directed[(i, int(j))] = (float(al), float(d))
-    adj = [dict() for _ in range(n)]
-    for (i, j) in list(directed):
-        lo, hi = min(i, j), max(i, j)
-        # the (lo -> hi) direction's estimate wins when both exist
-        al, d = directed.get((lo, hi), None) or _flip(directed[(hi, lo)])
-        adj[lo][hi] = (al, d)
-        adj[hi][lo] = (-al, d)
-    neighbors, angles, dists = [], [], []
-    for i in range(n):
-        js = np.array(sorted(adj[i]), dtype=int)
-        neighbors.append(js)
-        angles.append(np.array([adj[i][j][0] for j in js]))
-        dists.append(np.array([adj[i][j][1] for j in js]))
-    return ViewGraph(neighbors=neighbors, angles=angles, dists=dists)
+def symmetrize(n, src, dst, angles=None, dists=None):
+    """Union of the directed edges src -> dst and their reverses, as a
+    ViewGraph; a reverse edge gets the negated angle and the same distance.
+    When both directions are given, the (i < j) direction's values win."""
+    src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
+    flip = src > dst
+    lo, hi = np.where(flip, dst, src), np.where(flip, src, dst)
+    # one edge per undirected pair: sorted by pair, the i < j copy first
+    order = np.lexsort((flip, lo * n + hi))
+    pick = order[np.diff((lo * n + hi)[order], prepend=-1) != 0]
+    rows = np.concatenate([lo[pick], hi[pick]])
+    cols = np.concatenate([hi[pick], lo[pick]])
+    perm = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    if angles is not None:
+        a = np.where(flip, -np.asarray(angles), angles)[pick]
+        angles = np.concatenate([a, -a])[perm]
+    if dists is not None:
+        d = np.asarray(dists)[pick]
+        dists = np.concatenate([d, d])[perm]
+    return ViewGraph(indptr=indptr, indices=cols[perm], angles=angles, dists=dists)
 
 
 def _select_columns(basis, coeffs, energy_fraction):
@@ -177,7 +175,8 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9,
         nb_dist[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
         al = 2.0 * np.pi * np.take_along_axis(best_t, order, axis=1) / fft_size
         nb_alpha[start:stop] = np.where(al > np.pi, al - 2.0 * np.pi, al)
-    return _symmetrize(nb_idx, nb_alpha, nb_dist)
+    return symmetrize(n, np.repeat(np.arange(n), s), nb_idx.ravel(),
+                      nb_alpha.ravel(), nb_dist.ravel())
 
 
 def viewing_angle(v_i, v_j):
@@ -192,52 +191,69 @@ def true_alignment(R_i, R_j):
     Parallel-transports the tangent frame of j to i along the great circle
     between the viewing directions, then reads off the residual in-plane
     rotation. For identical views this is the angle gamma with
-    R_j = R_i @ Rz(gamma).
+    R_j = R_i @ Rz(gamma). Accepts batches of rotations (..., 3, 3).
     """
     R_i = np.asarray(R_i)
     R_j = np.asarray(R_j)
-    v_i, v_j = R_i[:, 2], R_j[:, 2]
+    v_i, v_j = R_i[..., :, 2], R_j[..., :, 2]
     axis = np.cross(v_j, v_i)
-    norm = np.linalg.norm(axis)
-    if norm < 1e-12:
-        T = np.eye(3)
-    else:
-        axis = axis / norm
-        ang = viewing_angle(v_i, v_j)
-        K = np.array([[0, -axis[2], axis[1]],
-                      [axis[2], 0, -axis[0]],
-                      [-axis[1], axis[0], 0]])
-        T = np.eye(3) + np.sin(ang) * K + (1 - np.cos(ang)) * (K @ K)
-    O = R_i[:, :2].T @ T @ R_j[:, :2]
-    return float(np.arctan2(O[1, 0] - O[0, 1], O[0, 0] + O[1, 1]))
+    norm = np.linalg.norm(axis, axis=-1, keepdims=True)
+    # (anti)parallel views: a zero axis makes the transport the identity
+    parallel = norm < 1e-12
+    axis = np.where(parallel, 0.0, axis / np.where(parallel, 1.0, norm))
+    ang = viewing_angle(v_i, v_j)[..., None, None]
+    K = np.zeros(axis.shape + (3,))
+    K[..., 0, 1], K[..., 0, 2] = -axis[..., 2], axis[..., 1]
+    K[..., 1, 0], K[..., 1, 2] = axis[..., 2], -axis[..., 0]
+    K[..., 2, 0], K[..., 2, 1] = -axis[..., 1], axis[..., 0]
+    T = np.eye(3) + np.sin(ang) * K + (1 - np.cos(ang)) * (K @ K)
+    O = np.swapaxes(R_i[..., :, :2], -1, -2) @ T @ R_j[..., :, :2]
+    return np.arctan2(O[..., 1, 0] - O[..., 0, 1], O[..., 0, 0] + O[..., 1, 1])
 
 
 def write_graph_csv(graph, path):
-    """Edge list CSV: i, j, alpha_ij_radians, d_rid."""
-    with open(path, "w", newline="") as fh:
+    """Edge list CSV: i, j, alpha_ij_radians, d_rid (nan where unset)."""
+    unset = [np.nan] * graph.indices.size
+    angles = unset if graph.angles is None else graph.angles.tolist()
+    dists = unset if graph.dists is None else graph.dists.tolist()
+    with atomic_open(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["i", "j", "alpha_ij_radians", "d_rid"])
-        for i, nb in enumerate(graph.neighbors):
-            for t, j in enumerate(nb):
-                al = graph.angles[i][t] if graph.angles is not None else np.nan
-                d = graph.dists[i][t] if graph.dists is not None else np.nan
-                w.writerow([i, int(j), repr(float(al)), repr(float(d))])
+        w.writerows([i, j, repr(al), repr(d)] for i, j, al, d in
+                    zip(graph.rows.tolist(), graph.indices.tolist(), angles, dists,
+                        strict=True))
 
 
 def read_graph_csv(path):
-    edges = {}
-    n = 0
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        for row in r:
-            i, j = int(row[0]), int(row[1])
-            edges.setdefault(i, []).append((j, float(row[2]), float(row[3])))
-            n = max(n, i + 1, j + 1)
-    neighbors, angles, dists = [], [], []
-    for i in range(n):
-        items = sorted(edges.get(i, []))
-        neighbors.append(np.array([j for j, _, _ in items], dtype=int))
-        angles.append(np.array([a for _, a, _ in items]))
-        dists.append(np.array([d for _, _, d in items]))
-    return ViewGraph(neighbors=neighbors, angles=angles, dists=dists)
+    """Graph from an edge-list CSV as written by write_graph_csv.
+
+    The file must hold each undirected edge in both directions with
+    alpha_ji = -alpha_ij, finite angles, non-negative node ids, no
+    self-loops and no repeated rows; d_rid may be nan. Raises FormatError
+    otherwise.
+    """
+    try:
+        edges = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1, dtype=[
+            ("i", int), ("j", int), ("alpha", float), ("d", float)])
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed row: {exc}") from None
+    if edges.size == 0:
+        raise FormatError(f"{path}: no edges")
+    i, j, alpha = edges["i"], edges["j"], edges["alpha"]
+    if (i < 0).any() or (j < 0).any():
+        raise FormatError(f"{path}: negative node id")
+    if (i == j).any():
+        raise FormatError(f"{path}: self-loop at node {i[i == j][0]}")
+    if not np.isfinite(alpha).all():
+        raise FormatError(f"{path}: non-finite angle")
+    n = int(max(i.max(), j.max())) + 1
+    order = np.argsort(i * n + j)
+    key = (i * n + j)[order]
+    if (key[1:] == key[:-1]).any():
+        raise FormatError(f"{path}: repeated edge rows")
+    rev = np.minimum(np.searchsorted(key, j * n + i), key.size - 1)
+    if (key[rev] != j * n + i).any():
+        raise FormatError(f"{path}: an edge has no reverse row")
+    if (alpha[order[rev]] != -alpha).any():
+        raise FormatError(f"{path}: alpha_ji != -alpha_ij")
+    return symmetrize(n, i, j, alpha, edges["d"])

@@ -7,8 +7,11 @@ CSV of per-image rows plus a JSON sidecar of scalar parameters. Configs are
 flat JSON; unknown keys are rejected.
 """
 
+import contextlib
+import csv
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -38,13 +41,30 @@ class FormatError(ValueError):
     """Malformed or unsupported on-disk artifact."""
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """Open a temporary file beside path for writing; when the block exits
+    normally it replaces path, otherwise it is deleted and path keeps its
+    previous contents. A crashed writer never leaves a partial artifact."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_stack(images, path):
     """Write an (n, L, L) stack as little-endian float32."""
     images = np.ascontiguousarray(images, dtype="<f4")
     if images.ndim != 3 or images.shape[1] != images.shape[2]:
         raise FormatError(f"expected (n, L, L) stack, got shape {images.shape}")
     n, L, _ = images.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(STACK_MAGIC, STACK_VERSION, n, L, _DTYPE_F32, b"\0" * 8))
         fh.write(images.tobytes())
 
@@ -71,10 +91,8 @@ def read_stack(path):
 def write_manifest(manifest, csv_path, json_path):
     """Per-image CSV (index, rotation entries row-major, defocus group) plus a
     JSON sidecar with the scalar generation parameters."""
-    import csv as _csv
-
-    with open(csv_path, "w", newline="") as fh:
-        w = _csv.writer(fh)
+    with atomic_open(csv_path, newline="") as fh:
+        w = csv.writer(fh)
         w.writerow(["index"] + [f"R{a}{b}" for a in range(3) for b in range(3)]
                    + ["defocus_group"])
         for i in range(manifest.n):
@@ -91,19 +109,17 @@ def write_manifest(manifest, csv_path, json_path):
         "n_defocus_groups": manifest.n_defocus_groups,
         "n": manifest.n,
     }
-    with open(json_path, "w") as fh:
+    with atomic_open(json_path) as fh:
         json.dump(scalars, fh, indent=2)
         fh.write("\n")
 
 
 def read_manifest(csv_path, json_path):
-    import csv as _csv
-
     with open(json_path) as fh:
         scalars = json.load(fh)
     rotations, groups = [], []
     with open(csv_path, newline="") as fh:
-        r = _csv.reader(fh)
+        r = csv.reader(fh)
         next(r)
         for row in r:
             rotations.append(np.array([float(x) for x in row[1:10]]).reshape(3, 3))
@@ -204,6 +220,6 @@ def load_config(path):
 
 
 def save_config(config, path):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(dataclasses.asdict(config), fh, indent=2)
         fh.write("\n")

@@ -96,15 +96,13 @@ def neighbor_histograms(graph, manifest, bins=36):
     """
     if manifest.rotations is None:
         raise ValueError("manifest carries no ground-truth rotations")
+    src, dst = graph.rows, graph.indices
     v = manifest.viewing_directions
-    thetas, errors = [], []
-    for i, j, alpha in graph.edges():
-        thetas.append(np.degrees(viewing_angle(v[i], v[j])))
-        if alpha is not None:
-            truth = true_alignment(manifest.rotations[i], manifest.rotations[j])
-            errors.append(wrap_degrees(np.degrees(alpha - truth)))
-    thetas = np.asarray(thetas)
-    errors = np.asarray(errors)
+    thetas = np.degrees(viewing_angle(v[src], v[dst]))
+    errors = np.empty(0)
+    if graph.angles is not None:
+        truth = true_alignment(manifest.rotations[src], manifest.rotations[dst])
+        errors = wrap_degrees(np.degrees(graph.angles - truth))
     th_hist, th_edges = np.histogram(thetas, bins=bins, range=(0.0, 180.0))
     if errors.size:
         al_hist, al_edges = np.histogram(errors, bins=bins, range=(-180.0, 180.0))

@@ -210,12 +210,12 @@ def run_evaluate(config, outdir):
     denoised = mfio.read_stack(_p(outdir, "denoised.stack")).astype(float)
     clean = mfio.read_stack(_p(outdir, "clean.stack")).astype(float)
     rows, summary = evaluate_stack(denoised, clean)
-    with open(_p(outdir, "eval_report.csv"), "w", newline="") as fh:
+    with mfio.atomic_open(_p(outdir, "eval_report.csv"), newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(["index", "mse", "psnr", "ssim"])
         for r in rows:
             w.writerow([r["index"], repr(r["mse"]), repr(r["psnr"]), repr(r["ssim"])])
-    with open(_p(outdir, "eval_summary.json"), "w") as fh:
+    with mfio.atomic_open(_p(outdir, "eval_summary.json")) as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return summary

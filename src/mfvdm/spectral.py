@@ -18,19 +18,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graph import ViewGraph, block_rows, smallest_s
+from .graph import block_rows, smallest_s, symmetrize
 
 __all__ = [
-    "FrequencyMatrix",
     "SpectralBundle",
     "build_frequency_matrix",
     "top_eigs",
     "compute_bundle",
-    "embedding_dot",
-    "affinity",
     "affinity_matrix",
     "refine_neighbors",
-    "estimate_alignment",
     "align_graph",
 ]
 
@@ -39,40 +35,25 @@ class EigsError(RuntimeError):
     """Eigensolver failed to converge; carries the achieved residual."""
 
 
-@dataclass(frozen=True)
-class FrequencyMatrix:
-    """Degree-normalized Hermitian matrix for one angular frequency."""
-
-    k: int
-    matrix: sp.csr_matrix      # n x n complex, entries 1/sqrt(deg_i deg_j) e^{-ik alpha}
-    degrees: np.ndarray
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-
 def build_frequency_matrix(graph, k):
-    """Entries e^{-ik alpha_ij}/sqrt(deg_i deg_j) on edges; Hermitian by the
-    angle antisymmetry of the graph."""
+    """n x n complex CSR matrix with entries e^{-ik alpha_ij}/sqrt(deg_i deg_j)
+    on the graph's edges; Hermitian by the angle antisymmetry of the graph."""
     deg = graph.degrees
     if (deg == 0).any():
         bad = int(np.flatnonzero(deg == 0)[0])
         raise ValueError(f"node {bad} is isolated (degree 0)")
-    rows = np.repeat(np.arange(graph.n), deg)
-    cols = np.concatenate(graph.neighbors)
-    vals = np.exp(-1j * k * np.concatenate(graph.angles)) / np.sqrt(deg[rows] * deg[cols])
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(graph.n, graph.n))
-    return FrequencyMatrix(k=k, matrix=m, degrees=deg)
+    norm = np.sqrt(np.repeat(deg, deg) * deg[graph.indices])
+    return sp.csr_matrix((np.exp(-1j * k * graph.angles) / norm, graph.indices, graph.indptr),
+                         shape=(graph.n, graph.n))
 
 
-def top_eigs(freq_matrix, m, *, seed=0, residual_tol=1e-8):
-    """Largest-m eigenpairs by algebraic value, descending.
+def top_eigs(W, m, *, seed=0, residual_tol=1e-8):
+    """Largest-m eigenpairs of the Hermitian matrix W by algebraic value,
+    descending.
 
     Dense Hermitian decomposition for small problems or large m; otherwise
     Lanczos with a deterministic seeded start vector.
     """
-    W = freq_matrix.matrix
     n = W.shape[0]
     if m > n:
         raise ValueError(f"m={m} exceeds matrix size n={n}")
@@ -113,38 +94,18 @@ class SpectralBundle:
     def n(self):
         return self.degrees.size
 
-    def index(self, k):
-        pos = np.flatnonzero(self.k_list == k)
-        if pos.size == 0:
-            raise KeyError(f"frequency {k} not in bundle (have {list(self.k_list)})")
-        return int(pos[0])
-
 
 def compute_bundle(graph, k_max, m, *, t=1, include_zero=False, seed=0):
     """Eigendecompositions for k = 1..k_max (0..k_max if include_zero)."""
     ks = np.arange(0 if include_zero else 1, k_max + 1)
     vals, vecs = [], []
     for k in ks:
-        fm = build_frequency_matrix(graph, int(k))
-        v, u = top_eigs(fm, min(m, fm.n), seed=seed)
+        W = build_frequency_matrix(graph, int(k))
+        v, u = top_eigs(W, min(m, graph.n), seed=seed)
         vals.append(v)
         vecs.append(u)
     return SpectralBundle(k_list=ks, eigenvalues=tuple(vals), eigenvectors=tuple(vecs),
                           degrees=graph.degrees, t=t, m=m)
-
-
-def _pair_product(bundle, k, i, j):
-    """P_k(i, j) = sum_l lambda_l^{2t} u_l(i) conj(u_l(j)), over retained l."""
-    idx = bundle.index(k)
-    lam = bundle.eigenvalues[idx] ** (2 * bundle.t)
-    U = bundle.eigenvectors[idx]
-    return np.sum(lam * U[i] * np.conj(U[j]))
-
-
-def embedding_dot(bundle, k, i, j):
-    """Inner product of truncated embeddings at frequency k:
-    |P_k(i, j)|^2, computed in rank-factorized form."""
-    return float(np.abs(_pair_product(bundle, k, i, j)) ** 2)
 
 
 def _affinity_factors(bundle):
@@ -186,22 +147,6 @@ def affinity_matrix(bundle):
     return _affinity_rows(factors, bundle.n, 0, bundle.n), dropped
 
 
-def affinity(bundle, i, j):
-    """Multi-frequency affinity between two nodes (self-affinity = number of
-    usable frequencies)."""
-    total = 0.0
-    for k in bundle.k_list:
-        if k == 0:
-            continue
-        pij = np.abs(_pair_product(bundle, int(k), i, j)) ** 2
-        pii = np.abs(_pair_product(bundle, int(k), i, i))
-        pjj = np.abs(_pair_product(bundle, int(k), j, j))
-        if pii <= 1e-300 or pjj <= 1e-300:
-            continue
-        total += pij / (pii * pjj)
-    return float(total)
-
-
 def refine_neighbors(bundle, s):
     """Per node, the s largest-affinity other nodes; ties broken by smaller
     index. Returns a symmetrized ViewGraph with angles unset.
@@ -221,51 +166,23 @@ def refine_neighbors(bundle, s):
         r = np.arange(stop - start)
         A[r, start + r] = -np.inf
         nb[start:stop] = smallest_s(-A, s)
-    # symmetrize by union
-    src, dst = np.repeat(np.arange(n), s), nb.ravel()
-    keys = np.unique(np.concatenate([src * n + dst, dst * n + src]))
-    split = np.cumsum(np.bincount(keys // n, minlength=n))[:-1]
-    return ViewGraph(neighbors=np.split(keys % n, split), angles=None, dists=None)
-
-
-def _alignment_spectrum(bundle, i, j, k_max=None):
-    """z(k) = P_k(i, j) for the bundle frequencies k >= 1."""
-    ks = [int(k) for k in bundle.k_list if k >= 1 and (k_max is None or k <= k_max)]
-    z = np.zeros(max(ks) + 1, dtype=complex)
-    for k in ks:
-        z[k] = _pair_product(bundle, k, i, j)
-    return z
-
-
-def estimate_alignment(bundle, i, j, fft_size=1024):
-    """Alignment angle from the eigenvector phase relation: the grid argmax of
-    Re sum_k z(k) e^{ik alpha} with z(k) = P_k(i, j), zero-padded. For a
-    transport-consistent graph P_k(i, j) has phase e^{-ik alpha_ij}, so the
-    maximizer recovers the stored angle convention."""
-    if fft_size <= bundle.k_list.max():
-        raise ValueError("fft_size must exceed the largest frequency")
-    z = _alignment_spectrum(bundle, i, j)
-    obj = np.real(np.fft.fft(np.conj(z), n=fft_size))
-    t = int(np.argmax(obj))
-    alpha = 2.0 * np.pi * t / fft_size
-    if alpha > np.pi:
-        alpha -= 2.0 * np.pi
-    return float(alpha)
+    return symmetrize(n, np.repeat(np.arange(n), s), nb.ravel())
 
 
 def align_graph(bundle, graph, fft_size=1024):
     """Estimate alignment angles for every edge of a refined graph.
 
-    Vectorized over blocks of edges; fills the graph's angle arrays in place
-    with alpha_ij = -alpha_ji enforced by estimating each undirected edge once.
+    Each undirected edge (i < j) takes the grid argmax of
+    Re sum_k z(k) e^{ik alpha}, with z(k) = P_k(i, j) zero-padded to
+    fft_size. For a transport-consistent graph P_k(i, j) has phase
+    e^{-ik alpha_ij}, so the maximizer recovers the stored angle convention.
+    Vectorized over blocks of edges; fills graph.angles in place, with
+    alpha_ji = -alpha_ij.
     """
-    n = graph.n
-    src = np.repeat(np.arange(n), graph.degrees)
-    dst = np.concatenate(graph.neighbors)
-    if not np.array_equal(src * n + dst, np.sort(dst * n + src)):
-        raise ValueError("graph is not symmetric")
-    upper = src < dst
-    ii, jj = src[upper], dst[upper]
+    if fft_size <= bundle.k_list.max():
+        raise ValueError("fft_size must exceed the largest frequency")
+    src, dst = graph.rows, graph.indices
+    ii, jj = src[src < dst], dst[src < dst]
     kmax = int(bundle.k_list.max())
     factors = [(int(k), bundle.eigenvalues[idx] ** (2 * bundle.t), bundle.eigenvectors[idx])
                for idx, k in enumerate(bundle.k_list) if k != 0]
@@ -279,9 +196,9 @@ def align_graph(bundle, graph, fft_size=1024):
             Z[:, k] = np.sum(lam[None, :] * U[a] * np.conj(U[b]), axis=1)
         obj = np.real(np.fft.fft(np.conj(Z), n=fft_size, axis=1))
         alpha[start:start + step] = 2.0 * np.pi * np.argmax(obj, axis=1) / fft_size
-    alpha = np.where(alpha > np.pi, alpha - 2.0 * np.pi, alpha)
-    # directed edge (i, j) reads the estimate of (min, max), negated if i > j
-    pos = np.searchsorted(ii * n + jj, np.minimum(src, dst) * n + np.maximum(src, dst))
-    directed = np.where(upper, alpha[pos], -alpha[pos])
-    graph.angles = np.split(directed, np.cumsum(graph.degrees)[:-1])
+    aligned = symmetrize(graph.n, ii, jj, np.where(alpha > np.pi, alpha - 2.0 * np.pi, alpha))
+    if not (np.array_equal(aligned.indptr, graph.indptr)
+            and np.array_equal(aligned.indices, graph.indices)):
+        raise ValueError("graph is not symmetric")
+    graph.angles = aligned.angles
     return graph

@@ -59,16 +59,13 @@ def rotated_copies(basis17):
     # exact graph: copies of the same base image are mutual neighbors, and
     # image j (a rotation of the base by angles[j]) must be rotated by
     # angles[i] - angles[j] to match image i
-    neighbors, edge_angles = [], []
-    for i in range(coeffs.shape[0]):
-        cluster = i // n_copy
-        nb = np.array([j for j in range(cluster * n_copy, (cluster + 1) * n_copy)
-                       if j != i])
-        neighbors.append(nb)
-        al = angles[i] - angles[nb]
-        al = np.mod(al + np.pi, 2 * np.pi) - np.pi
-        edge_angles.append(np.where(al == -np.pi, np.pi, al))
-    graph = ViewGraph(neighbors=neighbors, angles=edge_angles, dists=None)
+    n = coeffs.shape[0]
+    src, dst = np.divmod(np.arange(n * n_copy), n_copy)
+    dst += src // n_copy * n_copy
+    src, dst = src[src != dst], dst[src != dst]
+    al = np.mod(angles[src] - angles[dst] + np.pi, 2 * np.pi) - np.pi
+    graph = ViewGraph(indptr=np.arange(0, src.size + 1, n_copy - 1), indices=dst,
+                      angles=np.where(al == -np.pi, np.pi, al))
     return {"coeffs": coeffs, "angles": angles, "graph": graph,
             "n_copy": n_copy, "n_base": 8}
 

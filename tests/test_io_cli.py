@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from mfvdm.cli import main
+from mfvdm.graph import ViewGraph, write_graph_csv
 from mfvdm.io import (
     FormatError,
     RunConfig,
+    atomic_open,
     load_config,
     read_manifest,
     read_stack,
@@ -65,6 +67,32 @@ def test_manifest_round_trip(tmp_path, tiny_dataset):
     np.testing.assert_array_equal(back.defocus_group, man.defocus_group)
     assert back.snr == man.snr and back.L == man.L
     assert back.support_radius == man.support_radius
+
+
+def test_writes_are_atomic(tmp_path, tiny_dataset, demo_graph):
+    """A writer that raises part way through leaves the previous file byte
+    for byte, and no temporary file behind."""
+    import dataclasses
+
+    man = tiny_dataset["manifest"]
+    csv_p, json_p, graph_p = tmp_path / "m.csv", tmp_path / "m.json", tmp_path / "g.csv"
+    write_manifest(man, csv_p, json_p)
+    write_graph_csv(demo_graph, graph_p)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # the rows run out of defocus groups after five images
+    short = dataclasses.replace(man, defocus_group=man.defocus_group[:5])
+    with pytest.raises(IndexError):
+        write_manifest(short, csv_p, json_p)
+    # one angle short of the edges
+    bad = ViewGraph(indptr=demo_graph.indptr, indices=demo_graph.indices,
+                    angles=demo_graph.angles[:-1], dists=demo_graph.dists)
+    with pytest.raises(ValueError):
+        write_graph_csv(bad, graph_p)
+    with pytest.raises(RuntimeError):
+        with atomic_open(json_p) as fh:
+            fh.write("{")
+            raise RuntimeError("interrupted")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_config_round_trip(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mfvdm.graph import ViewGraph
+from mfvdm.graph import viewing_angle
 from mfvdm.metrics import (
     fit_to_reference,
     mse,
@@ -12,6 +12,7 @@ from mfvdm.metrics import (
     ssim,
     wrap_degrees,
 )
+from reference import true_alignment
 
 
 def test_mse_basic():
@@ -93,6 +94,20 @@ def test_neighbor_histograms(tiny_dataset, demo_graph):
     assert h["theta_hist"].sum() == n_edges
     assert np.all(h["theta_deg"] >= 0) and np.all(h["theta_deg"] <= 180)
     assert np.all(np.abs(h["align_err_deg"]) <= 180)
+
+
+def test_neighbor_histograms_match_edge_loop(tiny_dataset, demo_graph):
+    """The edge-array histograms equal a loop over edges with the scalar
+    ground-truth alignment: viewing angles bitwise, errors to 1e-12 deg."""
+    man = tiny_dataset["manifest"]
+    v, R = man.viewing_directions, man.rotations
+    h = neighbor_histograms(demo_graph, man)
+    thetas, errors = [], []
+    for i, j, alpha in demo_graph.edges():
+        thetas.append(np.degrees(viewing_angle(v[i], v[j])))
+        errors.append(wrap_degrees(np.degrees(alpha - true_alignment(R[i], R[j]))))
+    np.testing.assert_array_equal(h["theta_deg"], thetas)
+    assert np.abs(wrap_degrees(h["align_err_deg"] - np.array(errors))).max() < 1e-12
 
 
 def test_neighbor_histograms_requires_truth(demo_graph, tiny_dataset):
