@@ -27,7 +27,7 @@ from .graph import (
     write_graph_csv,
 )
 from .io import RunConfig, load_config, read_manifest, read_stack, save_config, write_manifest, write_stack
-from .metrics import fit_to_reference, mse, neighbor_histograms, psnr, ssim, wrap_degrees
+from .metrics import fit_to_reference, mse, neighbor_histograms, psnr, ssim, ssim_stack, wrap_degrees
 from .pipeline import (
     absolute_ctf_coeffs,
     classify,

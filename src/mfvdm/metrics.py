@@ -9,6 +9,7 @@ __all__ = [
     "mse",
     "psnr",
     "ssim",
+    "ssim_stack",
     "fit_to_reference",
     "neighbor_histograms",
     "wrap_degrees",
@@ -47,26 +48,44 @@ def _gaussian_kernel(size=11, sigma=1.5):
 def ssim(x, ref, *, data_range=None):
     """Windowed structural similarity, Gaussian 11x11 sigma=1.5 window,
     K1=0.01, K2=0.03; dynamic range defaults to the reference's."""
+    x, ref = np.asarray(x, dtype=float), np.asarray(ref, dtype=float)
+    return float(ssim_stack(x[None], ref[None], data_range=data_range)[0])
+
+
+# images per FFT batch in ssim_stack: the transient stays a few MB at L=33
+SSIM_BLOCK = 128
+
+
+def ssim_stack(x, ref, *, data_range=None):
+    """ssim of each image of an (n, h, w) stack against the matching
+    reference image, SSIM_BLOCK images per batched convolution; the dynamic
+    range defaults to each reference image's."""
     x = np.asarray(x, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if x.shape != ref.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {ref.shape}")
-    if min(x.shape) < 11:
+    if min(x.shape[1:]) < 11:
         raise ValueError("images must be at least 11x11")
     if data_range is None:
-        data_range = ref.max() - ref.min()
-    kernel = _gaussian_kernel()
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
-    win = lambda im: fftconvolve(im, kernel, mode="valid")
-    mu_x = win(x)
-    mu_r = win(ref)
-    var_x = win(x * x) - mu_x**2
-    var_r = win(ref * ref) - mu_r**2
-    cov = win(x * ref) - mu_x * mu_r
-    num = (2 * mu_x * mu_r + c1) * (2 * cov + c2)
-    den = (mu_x**2 + mu_r**2 + c1) * (var_x + var_r + c2)
-    return float(np.mean(num / den))
+        data_range = ref.max(axis=(1, 2)) - ref.min(axis=(1, 2))
+    data_range = np.broadcast_to(np.asarray(data_range, dtype=float), x.shape[:1])
+    kernel = _gaussian_kernel()[None]
+    win = lambda im: fftconvolve(im, kernel, mode="valid", axes=(1, 2))
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], SSIM_BLOCK):
+        sl = slice(start, start + SSIM_BLOCK)
+        xb, rb = x[sl], ref[sl]
+        c1 = ((0.01 * data_range[sl]) ** 2)[:, None, None]
+        c2 = ((0.03 * data_range[sl]) ** 2)[:, None, None]
+        mu_x = win(xb)
+        mu_r = win(rb)
+        var_x = win(xb * xb) - mu_x**2
+        var_r = win(rb * rb) - mu_r**2
+        cov = win(xb * rb) - mu_x * mu_r
+        num = (2 * mu_x * mu_r + c1) * (2 * cov + c2)
+        den = (mu_x**2 + mu_r**2 + c1) * (var_x + var_r + c2)
+        out[sl] = np.mean(num / den, axis=(1, 2))
+    return out
 
 
 def fit_to_reference(x, ref):

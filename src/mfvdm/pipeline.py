@@ -5,8 +5,10 @@ writing checkpoint artifacts, so a pipeline can be resumed from any stage.
 In-memory variants are exposed for library use.
 """
 
+import functools
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -14,7 +16,7 @@ from . import io as mfio
 from .basis import build_basis, expand_disk_function, expand_stack, reconstruct_grid
 from .denoise import FilterSpec, ctf_correct, denoise_stack
 from .graph import coeff_noise_variance, initial_nn_search, read_graph_csv, write_graph_csv
-from .metrics import fit_to_reference, mse, psnr, ssim
+from .metrics import fit_to_reference, mse, psnr, ssim_stack
 from .simulate import ctf_value, preprocess, simulate_dataset
 from .spectral import align_graph, compute_bundle, refine_neighbors
 
@@ -34,14 +36,22 @@ __all__ = [
 
 def limit_threads(n_threads):
     """Cap BLAS/FFT worker threads when a positive cap is given. Returns the
-    controller (or None when uncapped or threadpoolctl is unavailable)."""
+    controller (or None when uncapped or threadpoolctl is unavailable; a cap
+    that cannot be applied is reported once on stderr)."""
     if not n_threads:
         return None
     try:
         import threadpoolctl
     except ImportError:
+        _warn_uncapped(n_threads)
         return None
     return threadpoolctl.threadpool_limits(limits=n_threads)
+
+
+@functools.cache
+def _warn_uncapped(n_threads):
+    print(f"--threads {n_threads} ignored: threadpoolctl not installed; "
+          "set OPENBLAS_NUM_THREADS before start", file=sys.stderr)
 
 
 def _basis_for(config):
@@ -124,15 +134,9 @@ def evaluate_stack(denoised, reference):
     The affine fit removes the arbitrary scale and offset introduced by
     standardization; without it MSE comparisons are meaningless.
     """
-    rows = []
-    for i in range(denoised.shape[0]):
-        fitted = fit_to_reference(denoised[i], reference[i])
-        rows.append({
-            "index": i,
-            "mse": mse(fitted, reference[i]),
-            "psnr": psnr(fitted, reference[i]),
-            "ssim": ssim(fitted, reference[i]),
-        })
+    fitted = np.stack([fit_to_reference(d, r) for d, r in zip(denoised, reference, strict=True)])
+    rows = [{"index": i, "mse": mse(f, r), "psnr": psnr(f, r), "ssim": float(s)}
+            for i, (f, r, s) in enumerate(zip(fitted, reference, ssim_stack(fitted, reference)))]
     summary = {
         "n": len(rows),
         "mean_mse": float(np.mean([r["mse"] for r in rows])),

@@ -263,9 +263,13 @@ def preprocess(images, support_radius, *, standardize=True, whiten=False,
 
     Whitening divides each image's Fourier transform by the square root of
     the radial noise PSD estimated from the corner pixels. Phase flipping
-    multiplies by sign(CTF) of the image's defocus group.
+    multiplies by sign(CTF) of the image's defocus group. Raises
+    ValueError naming the first image with a non-finite pixel.
     """
     images = np.asarray(images, dtype=float).copy()
+    finite = np.isfinite(images).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError(f"image {int(np.flatnonzero(~finite)[0])} has non-finite pixels")
     L = images.shape[-1]
     if whiten:
         psd, bins = estimate_noise_psd(images, support_radius)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .graph import block_rows, smallest_s, symmetrize
 
@@ -34,6 +33,19 @@ __all__ = [
 class EigsError(RuntimeError):
     """Eigensolver failed to converge; carries the achieved residual."""
 
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
+
+
+# Thick-restart Lanczos (Wu & Simon 2000): the basis holds at most
+# max(2m, 20) vectors, a restart keeps the top m + (cap - m) // 2 Ritz
+# vectors, and the top m Ritz pairs have converged when every residual bound
+# |beta * s_last| is at most LANCZOS_TOL times the largest |Ritz value|.
+LANCZOS_TOL = 1e-13
+# the solver gives up after MATVECS_PER_ROW * n matrix-vector products
+MATVECS_PER_ROW = 10
+
 
 def build_frequency_matrix(graph, k):
     """n x n complex CSR matrix with entries e^{-ik alpha_ij}/sqrt(deg_i deg_j)
@@ -47,12 +59,72 @@ def build_frequency_matrix(graph, k):
                          shape=(graph.n, graph.n))
 
 
+def _orthogonalize(B, w):
+    """Classical Gram-Schmidt of w against the orthonormal rows of B,
+    applied twice (CGS2); returns (w, summed coefficients B^* w). Conjugates
+    the vector, never the basis, so B is not copied."""
+    h = np.conj(B @ np.conj(w))
+    w = w - h @ B
+    h2 = np.conj(B @ np.conj(w))
+    return w - h2 @ B, h + h2
+
+
+def _lanczos(W, m, rng):
+    """Top-m eigenpairs of the Hermitian W, descending, by thick-restart
+    Lanczos with full reorthogonalization and a random start from rng."""
+    n = W.shape[0]
+    cap = max(2 * m, 20)
+    keep = m + (cap - m) // 2
+    V = np.empty((cap + 1, n), dtype=complex)   # orthonormal basis rows
+    # lower triangle of the projection conj(V) W V^T, which is real for a
+    # Hermitian W: alphas on the diagonal, betas below it, and after a
+    # restart the coupling row of the kept Ritz vectors
+    T = np.zeros((cap + 1, cap))
+    draw = lambda: rng.normal(size=n) + 1j * rng.normal(size=n)
+    v = draw()
+    V[0] = v / np.linalg.norm(v)
+    start, matvecs = 0, 0
+    while True:
+        for j in range(start, cap):
+            Wv = W @ V[j]
+            w, h = _orthogonalize(V[:j + 1], Wv)
+            T[j, j] = h[j].real
+            beta = np.linalg.norm(w)
+            if beta > np.finfo(float).eps * np.linalg.norm(Wv):
+                T[j + 1, j] = beta
+            else:
+                # the basis spans an invariant subspace: go on from a fresh
+                # random direction, uncoupled (T[j + 1, j] stays 0)
+                w, _ = _orthogonalize(V[:j + 1], draw())
+                beta = np.linalg.norm(w)
+            V[j + 1] = w / beta
+        matvecs += cap - start
+        theta, S = np.linalg.eigh(T[:cap], UPLO="L")
+        theta, S = theta[::-1], S[:, ::-1]
+        coupling = T[cap, cap - 1] * S[cap - 1, :keep]
+        bound = np.abs(coupling[:m]).max()
+        if bound <= LANCZOS_TOL * np.abs(theta).max():
+            return theta[:m], V[:cap].T @ S[:, :m]
+        if matvecs >= MATVECS_PER_ROW * n:
+            raise EigsError(f"Lanczos did not converge in {matvecs} matrix-vector products "
+                            f"(residual {bound:.3e})", bound)
+        # restart from the kept Ritz vectors and the residual direction;
+        # their projection is diag(theta) bordered by the coupling row (S is
+        # real, so the basis is combined as real and imaginary parts)
+        V[:keep] = (S[:, :keep].T @ V[:cap].view(float)).view(complex)
+        V[keep] = V[cap]
+        T[:] = 0.0
+        T[np.arange(keep), np.arange(keep)] = theta[:keep]
+        T[keep, :keep] = coupling
+        start = keep
+
+
 def top_eigs(W, m, *, seed=0, residual_tol=1e-8):
     """Largest-m eigenpairs of the Hermitian matrix W by algebraic value,
     descending.
 
     Dense Hermitian decomposition for small problems or large m; otherwise
-    Lanczos with a deterministic seeded start vector.
+    thick-restart Lanczos from a deterministic seeded start vector.
     """
     n = W.shape[0]
     if m > n:
@@ -61,21 +133,11 @@ def top_eigs(W, m, *, seed=0, residual_tol=1e-8):
         vals, vecs = np.linalg.eigh(W.toarray())
         vals, vecs = vals[::-1][:m], vecs[:, ::-1][:, :m]
     else:
-        rng = np.random.Generator(np.random.Philox(seed))
-        v0 = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(W.dtype)
-        try:
-            vals, vecs = spla.eigsh(W, k=m, which="LA", v0=v0, tol=0)
-        except spla.ArpackNoConvergence as exc:
-            res = np.nan
-            if exc.eigenvalues is not None and exc.eigenvalues.size:
-                v = exc.eigenvectors[:, 0]
-                res = float(np.linalg.norm(W @ v - exc.eigenvalues[0] * v))
-            raise EigsError(f"eigensolver did not converge (residual {res:.3e})") from exc
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _lanczos(W, m, np.random.Generator(np.random.Philox(seed)))
     resid = np.linalg.norm(W @ vecs - vecs * vals[None, :], axis=0)
     if resid.max() > residual_tol:
-        raise EigsError(f"eigenpair residual {resid.max():.3e} exceeds {residual_tol:.1e}")
+        raise EigsError(f"eigenpair residual {resid.max():.3e} exceeds {residual_tol:.1e}",
+                        resid.max())
     return vals.real, vecs
 
 

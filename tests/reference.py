@@ -3,9 +3,11 @@ vectorised paths in ``mfvdm``: one pair of images, nodes or edges at a time,
 written for clarity rather than speed."""
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from mfvdm.basis import BasisError, _solve_coeffs, ft_grid, ift_grid, reconstruct_grid
 from mfvdm.graph import viewing_angle
+from mfvdm.metrics import _gaussian_kernel
 
 
 # --------------------------------------------------------------------------
@@ -155,3 +157,24 @@ def estimate_alignment(bundle, i, j, fft_size=1024):
     if alpha > np.pi:
         alpha -= 2.0 * np.pi
     return float(alpha)
+
+
+# --------------------------------------------------------------------------
+# metrics
+
+def ssim(x, ref):
+    """Windowed SSIM of one image pair by 2-D convolutions (11x11 Gaussian
+    window, sigma 1.5, K1=0.01, K2=0.03, the reference's dynamic range)."""
+    kernel = _gaussian_kernel()
+    data_range = ref.max() - ref.min()
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
+    win = lambda im: fftconvolve(im, kernel, mode="valid")
+    mu_x = win(x)
+    mu_r = win(ref)
+    var_x = win(x * x) - mu_x**2
+    var_r = win(ref * ref) - mu_r**2
+    cov = win(x * ref) - mu_x * mu_r
+    num = (2 * mu_x * mu_r + c1) * (2 * cov + c2)
+    den = (mu_x**2 + mu_r**2 + c1) * (var_x + var_r + c2)
+    return float(np.mean(num / den))

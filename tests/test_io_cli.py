@@ -3,10 +3,12 @@
 import json
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+from mfvdm import pipeline
 from mfvdm.cli import main
 from mfvdm.graph import ViewGraph, write_graph_csv
 from mfvdm.io import (
@@ -208,3 +210,14 @@ def test_cli_threads_env(cli_run, monkeypatch, tmp_path):
     monkeypatch.setenv("MFVDM_THREADS", "1")
     d = str(tmp_path / "threaded")
     assert main(["--config", cfg_path, "simulate", d]) == 0
+
+
+def test_threads_without_threadpoolctl_warns_once(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)   # import fails
+    pipeline._warn_uncapped.cache_clear()
+    assert pipeline.limit_threads(0) is None
+    assert capsys.readouterr().err == ""
+    assert pipeline.limit_threads(3) is None
+    assert pipeline.limit_threads(3) is None
+    err = capsys.readouterr().err
+    assert err.count("--threads 3 ignored: threadpoolctl not installed") == 1

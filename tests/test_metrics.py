@@ -10,8 +10,10 @@ from mfvdm.metrics import (
     neighbor_histograms,
     psnr,
     ssim,
+    ssim_stack,
     wrap_degrees,
 )
+from reference import ssim as ssim_single
 from reference import true_alignment
 
 
@@ -68,6 +70,17 @@ def test_ssim_validation():
         ssim(np.zeros((8, 8)), np.zeros((8, 8)))
     with pytest.raises(ValueError):
         ssim(np.zeros((33, 33)), np.zeros((17, 17)))
+
+
+def test_ssim_stack_matches_per_image():
+    """Batched SSIM over 300 images (three blocks, the last one partial)
+    equals the per-image 2-D computation bitwise."""
+    rng = np.random.Generator(np.random.Philox(5))
+    ref = rng.normal(size=(300, 17, 17)) * rng.uniform(0.5, 3.0, size=(300, 1, 1))
+    x = ref + rng.uniform(0.1, 2.0, size=(300, 1, 1)) * rng.normal(size=ref.shape)
+    got = ssim_stack(x, ref)
+    assert np.array_equal(got, [ssim_single(a, b) for a, b in zip(x, ref)])
+    assert np.array_equal(got, [ssim(a, b) for a, b in zip(x, ref)])
 
 
 def test_fit_to_reference_recovers_affine():

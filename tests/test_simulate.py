@@ -172,6 +172,17 @@ def test_preprocess_phase_flip(tiny_dataset):
         preprocess(tiny_dataset["noisy"], 8.0, phase_flip=True)
 
 
+def test_preprocess_rejects_non_finite(tiny_dataset):
+    images = tiny_dataset["noisy"].copy()
+    images[23, 4, 9] = np.nan
+    with pytest.raises(ValueError, match="image 23 "):
+        preprocess(images, 8.0)
+    images[23, 4, 9] = 0.0
+    images[41, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="image 41 "):
+        preprocess(images, 8.0)
+
+
 def test_simulate_deterministic():
     kw = dict(support_radius=8.0, n_defocus_groups=4, n_blobs=10)
     out1 = simulate_dataset(10, 17, seed=20, snr=0.2, **kw)

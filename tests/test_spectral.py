@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mfvdm.graph
-from mfvdm.graph import ViewGraph
+import mfvdm.spectral
+from mfvdm import expand_stack, simulate_dataset
+from mfvdm.graph import ViewGraph, initial_nn_search
 from mfvdm.spectral import (
+    EigsError,
     SpectralBundle,
     affinity_matrix,
     align_graph,
@@ -47,6 +51,73 @@ def test_eigs_residual(demo_graph):
     res = np.linalg.norm(W @ vecs - vecs * vals[None, :], axis=0)
     assert res.max() < 1e-8
     assert np.all(np.diff(vals) <= 1e-12)
+
+
+@pytest.fixture(scope="module")
+def graph600(basis17):
+    """RID graph of 600 noisy views: its frequency matrices are large enough
+    (n > 400, m <= n/4) for the Lanczos branch of top_eigs."""
+    _, _, noisy, _, _ = simulate_dataset(600, 17, seed=7, snr=1.0, support_radius=8.0,
+                                         n_blobs=10, with_ctf=False)
+    return initial_nn_search(expand_stack(noisy, basis17), basis17, s=10)
+
+
+def _dense_top(W, m):
+    vals, vecs = np.linalg.eigh(W.toarray())
+    return vals[::-1][:m], vecs[:, ::-1][:, :m]
+
+
+def _projector(U):
+    return U @ np.conj(U.T)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_lanczos_matches_dense(graph600, k):
+    W = build_frequency_matrix(graph600, k)
+    vals, vecs = top_eigs(W, 40)
+    ref_vals, ref_vecs = _dense_top(W, 40)
+    assert np.abs(vals - ref_vals).max() < 1e-12
+    # the rank-m projector does not depend on each eigenvector's phase
+    assert np.abs(_projector(vecs) - _projector(ref_vecs)).max() < 1e-10
+    assert np.abs(np.conj(vecs.T) @ vecs - np.eye(40)).max() < 1e-12
+
+
+def test_lanczos_finds_doubled_eigenvalues(graph600):
+    """block_diag(W, W) has every eigenvalue of W twice; a single Krylov
+    sequence must still return both copies."""
+    W = build_frequency_matrix(graph600, 2)
+    vals, vecs = top_eigs(sp.block_diag([W, W], format="csr"), 60)
+    ref_vals, ref_vecs = _dense_top(W, 30)
+    assert np.abs(vals - np.repeat(ref_vals, 2)).max() < 1e-12
+    P = _projector(ref_vecs)
+    n = graph600.n
+    expected = np.zeros((2 * n, 2 * n), dtype=complex)
+    expected[:n, :n] = expected[n:, n:] = P
+    assert np.abs(_projector(vecs) - expected).max() < 1e-10
+
+
+def test_lanczos_deterministic(graph600):
+    W = build_frequency_matrix(graph600, 5)
+    vals1, vecs1 = top_eigs(W, 40, seed=3)
+    vals2, vecs2 = top_eigs(W, 40, seed=3)
+    assert np.array_equal(vals1, vals2) and np.array_equal(vecs1, vecs2)
+
+
+def test_lanczos_invariant_subspace():
+    """Matrices whose Krylov sequence breaks down after a few steps: the
+    identity and 150 copies of a rank-one 4 x 4 block (eigenvalue 1 150 times)."""
+    for W, m in [(sp.identity(600, dtype=complex, format="csr"), 20),
+                 (sp.block_diag([np.full((4, 4), 0.25 + 0j)] * 150, format="csr"), 100)]:
+        vals, vecs = top_eigs(W, m)
+        assert np.abs(vals - 1.0).max() < 1e-12
+        assert np.abs(np.conj(vecs.T) @ vecs - np.eye(m)).max() < 1e-12
+
+
+def test_lanczos_budget_exhausted(graph600, monkeypatch):
+    monkeypatch.setattr(mfvdm.spectral, "MATVECS_PER_ROW", 0)
+    with pytest.raises(EigsError, match="did not converge") as info:
+        top_eigs(build_frequency_matrix(graph600, 1), 40)
+    assert info.value.residual > mfvdm.spectral.LANCZOS_TOL
 
 
 def test_isolated_node_rejected():
