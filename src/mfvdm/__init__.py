@@ -39,7 +39,6 @@ from .simulate import (
     CTFProfile,
     DatasetManifest,
     add_noise,
-    apply_ctf,
     ctf_grid,
     ctf_value,
     default_defocus_groups,
@@ -47,14 +46,12 @@ from .simulate import (
     preprocess,
     project,
     project_stack,
-    rotate_image,
     sample_rotations,
     shift_image,
     simulate_dataset,
 )
 from .spectral import (
     SpectralBundle,
-    affinity_matrix,
     align_graph,
     build_frequency_matrix,
     compute_bundle,

@@ -26,7 +26,8 @@ def build_parser():
     )
     p.add_argument("--config", metavar="PATH", help="JSON run configuration")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS worker threads (default: MFVDM_THREADS or unlimited)")
+                   help="cap eigensolver worker processes and BLAS threads "
+                        "(default: MFVDM_THREADS or unlimited)")
     p.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     sub = p.add_subparsers(dest="command", required=True)
     for name, desc in [

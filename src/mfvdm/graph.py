@@ -107,9 +107,21 @@ def block_rows(bytes_per_row):
 
 
 def smallest_s(keys, s):
-    """Per row of keys, the column indices of the s smallest values, ties
-    broken by the smaller index (a stable sort)."""
-    return np.argsort(keys, axis=1, kind="stable")[:, :s]
+    """Per row of keys, the column indices of the s smallest values in
+    ascending order, ties broken by the smaller index: the first s columns
+    of a stable argsort, found by a partition instead of a full sort."""
+    cols = np.sort(np.argpartition(keys, s - 1, axis=1)[:, :s], axis=1)
+    kth = np.take_along_axis(keys, cols, axis=1).max(axis=1, keepdims=True)
+    # rows whose s-th value is tied across the cut keep every smaller value
+    # and, of the tied ones, those of smallest index
+    split = np.flatnonzero((keys <= kth).sum(axis=1) > s)
+    if split.size:
+        k, v = keys[split], kth[split]
+        below, tied = k < v, k == v
+        fill = s - below.sum(axis=1, keepdims=True)
+        cols[split] = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= fill)))[1].reshape(-1, s)
+    order = np.argsort(np.take_along_axis(keys, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9,

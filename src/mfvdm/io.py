@@ -172,7 +172,7 @@ class RunConfig:
     # denoising
     filter_kind: int = 2
     eps: float = 0.0            # 0 means the default 1e-2 * max(C^2)
-    threads: int = 0            # 0 means leave BLAS threading alone
+    threads: int = 0            # cap on BLAS threads and solver processes; 0: none
 
     def __post_init__(self):
         if self.L < 3 or self.L % 2 == 0:

@@ -1,7 +1,7 @@
 """Image-quality metrics and neighbor/alignment evaluation histograms."""
 
 import numpy as np
-from scipy.signal import fftconvolve
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import true_alignment, viewing_angle
 
@@ -37,12 +37,17 @@ def psnr(x, ref):
     return float(10.0 * np.log10(peak**2 / err))
 
 
-def _gaussian_kernel(size=11, sigma=1.5):
+def _window_mean(images, size=11, sigma=1.5):
+    """'valid' correlation of an (n, h, w) stack with the normalized
+    size x size Gaussian window, which is separable: one 1-D pass along each
+    image axis."""
     r = size // 2
     x = np.arange(-r, r + 1)
     g = np.exp(-(x**2) / (2 * sigma**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    g /= g.sum()
+    for axis in (1, 2):
+        images = sliding_window_view(images, size, axis=axis) @ g
+    return images
 
 
 def ssim(x, ref, *, data_range=None):
@@ -52,14 +57,14 @@ def ssim(x, ref, *, data_range=None):
     return float(ssim_stack(x[None], ref[None], data_range=data_range)[0])
 
 
-# images per FFT batch in ssim_stack: the transient stays a few MB at L=33
+# images per batch in ssim_stack: the transient stays a few MB at L=33
 SSIM_BLOCK = 128
 
 
 def ssim_stack(x, ref, *, data_range=None):
     """ssim of each image of an (n, h, w) stack against the matching
-    reference image, SSIM_BLOCK images per batched convolution; the dynamic
-    range defaults to each reference image's."""
+    reference image, SSIM_BLOCK images per batch; the dynamic range defaults
+    to each reference image's."""
     x = np.asarray(x, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if x.shape != ref.shape:
@@ -69,8 +74,7 @@ def ssim_stack(x, ref, *, data_range=None):
     if data_range is None:
         data_range = ref.max(axis=(1, 2)) - ref.min(axis=(1, 2))
     data_range = np.broadcast_to(np.asarray(data_range, dtype=float), x.shape[:1])
-    kernel = _gaussian_kernel()[None]
-    win = lambda im: fftconvolve(im, kernel, mode="valid", axes=(1, 2))
+    win = _window_mean
     out = np.empty(x.shape[0])
     for start in range(0, x.shape[0], SSIM_BLOCK):
         sl = slice(start, start + SSIM_BLOCK)

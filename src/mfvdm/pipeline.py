@@ -37,7 +37,9 @@ __all__ = [
 def limit_threads(n_threads):
     """Cap BLAS/FFT worker threads when a positive cap is given. Returns the
     controller (or None when uncapped or threadpoolctl is unavailable; a cap
-    that cannot be applied is reported once on stderr)."""
+    that cannot be applied is reported once on stderr). The same cap bounds
+    the eigensolver's worker processes through config.threads, which needs
+    no threadpoolctl."""
     if not n_threads:
         return None
     try:
@@ -50,7 +52,7 @@ def limit_threads(n_threads):
 
 @functools.cache
 def _warn_uncapped(n_threads):
-    print(f"--threads {n_threads} ignored: threadpoolctl not installed; "
+    print(f"BLAS thread cap of {n_threads} not applied: threadpoolctl not installed; "
           "set OPENBLAS_NUM_THREADS before start", file=sys.stderr)
 
 
@@ -95,7 +97,8 @@ def classify(coeffs, basis, config, noise_var=None):
         energy_fraction=config.energy_fraction,
         noise_var=noise_var,
     )
-    bundle = compute_bundle(initial, config.k_tilde, config.m, t=config.t)
+    bundle = compute_bundle(initial, config.k_tilde, config.m, t=config.t,
+                            threads=config.threads)
     refined = refine_neighbors(bundle, config.s)
     align_graph(bundle, refined, fft_size=config.fft_size)
     return initial, bundle, refined
@@ -122,7 +125,7 @@ def denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config):
     """Graph-filter the coefficients, then deconvolve each image by its
     filtered effective CTF. Returns (denoised images, effective CTF grids)."""
     filt = FilterSpec(kind=config.filter_kind, m=config.m)
-    da, dc = denoise_stack(coeffs, ctf_coeffs, graph, basis, filt)
+    da, dc = denoise_stack(coeffs, ctf_coeffs, graph, basis, filt, threads=config.threads)
     C = reconstruct_grid(dc, basis).real.copy()
     eps = config.eps if config.eps > 0 else 1e-2 * np.max(C**2, axis=(-2, -1))
     return ctf_correct(reconstruct_grid(da, basis), C, eps), C

@@ -22,9 +22,7 @@ __all__ = [
     "sample_rotations",
     "ctf_value",
     "ctf_grid",
-    "apply_ctf",
     "add_noise",
-    "rotate_image",
     "shift_image",
     "preprocess",
     "default_defocus_groups",
@@ -74,12 +72,6 @@ def ctf_grid(profile, L):
     f1, f2 = np.meshgrid(f, f, indexing="ij")
     s = np.hypot(f1, f2) / profile.pixel_size_A
     return ctf_value(profile, s)
-
-
-def apply_ctf(image, profile):
-    """Pointwise Fourier-domain CTF modulation; output is real."""
-    grid = ctf_grid(profile, image.shape[-1])
-    return ift_grid(ft_grid(image) * grid).real
 
 
 def default_defocus_groups(n_groups=20, defocus_min_um=1.0, defocus_max_um=4.0, **kwargs):
@@ -166,21 +158,6 @@ def project(volume, rotation):
 
 def project_stack(volume, rotations):
     return np.stack([project(volume, R) for R in rotations])
-
-
-def rotate_image(image, alpha):
-    """Counter-clockwise real-space rotation by bilinear interpolation
-    (test oracle; production code rotates in coefficient space)."""
-    L = image.shape[0]
-    c = (L - 1) / 2
-    x = np.arange(L) - c
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    # output(x) = I(Rot(-alpha) x)
-    xs = ca * X + sa * Y
-    ys = -sa * X + ca * Y
-    return map_coordinates(image, np.stack([xs + c, ys + c]).reshape(2, -1),
-                           order=1, mode="constant", cval=0.0).reshape(L, L)
 
 
 def shift_image(image, shift):

@@ -3,11 +3,13 @@ vectorised paths in ``mfvdm``: one pair of images, nodes or edges at a time,
 written for clarity rather than speed."""
 
 import numpy as np
+from scipy.ndimage import map_coordinates
 from scipy.signal import fftconvolve
 
 from mfvdm.basis import BasisError, _solve_coeffs, ft_grid, ift_grid, reconstruct_grid
 from mfvdm.graph import viewing_angle
-from mfvdm.metrics import _gaussian_kernel
+from mfvdm.simulate import ctf_grid
+from mfvdm.spectral import _affinity_factors, _affinity_rows
 
 
 # --------------------------------------------------------------------------
@@ -60,6 +62,30 @@ def rid_align(coeffs_i, coeffs_j, basis, fft_size=256):
     if alpha > np.pi:
         alpha -= 2.0 * np.pi
     return float(np.sqrt(max(d2, 0.0))), float(alpha)
+
+
+# --------------------------------------------------------------------------
+# simulate
+
+def apply_ctf(image, profile):
+    """Pointwise Fourier-domain CTF modulation; output is real."""
+    grid = ctf_grid(profile, image.shape[-1])
+    return ift_grid(ft_grid(image) * grid).real
+
+
+def rotate_image(image, alpha):
+    """Counter-clockwise real-space rotation by bilinear interpolation
+    (production code rotates in coefficient space)."""
+    L = image.shape[0]
+    c = (L - 1) / 2
+    x = np.arange(L) - c
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    # output(x) = I(Rot(-alpha) x)
+    xs = ca * X + sa * Y
+    ys = -sa * X + ca * Y
+    return map_coordinates(image, np.stack([xs + c, ys + c]).reshape(2, -1),
+                           order=1, mode="constant", cval=0.0).reshape(L, L)
 
 
 # --------------------------------------------------------------------------
@@ -137,6 +163,14 @@ def affinity(bundle, i, j):
     return float(total)
 
 
+def affinity_matrix(bundle):
+    """Normalized multi-frequency affinity A (n x n), summed over k >= 1, from
+    the row-block routine of ``refine_neighbors`` run over all rows; returns
+    (A, dropped_count)."""
+    factors, dropped = _affinity_factors(bundle)
+    return _affinity_rows(factors, bundle.n, 0, bundle.n), dropped
+
+
 def alignment_spectrum(bundle, i, j):
     """z(k) = P_k(i, j) for the bundle frequencies k >= 1."""
     ks = [int(k) for k in bundle.k_list if k >= 1]
@@ -162,10 +196,19 @@ def estimate_alignment(bundle, i, j, fft_size=1024):
 # --------------------------------------------------------------------------
 # metrics
 
+def gaussian_kernel(size=11, sigma=1.5):
+    """Normalized 2-D Gaussian SSIM window."""
+    r = size // 2
+    x = np.arange(-r, r + 1)
+    g = np.exp(-(x**2) / (2 * sigma**2))
+    k = np.outer(g, g)
+    return k / k.sum()
+
+
 def ssim(x, ref):
     """Windowed SSIM of one image pair by 2-D convolutions (11x11 Gaussian
     window, sigma 1.5, K1=0.01, K2=0.03, the reference's dynamic range)."""
-    kernel = _gaussian_kernel()
+    kernel = gaussian_kernel()
     data_range = ref.max() - ref.min()
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2

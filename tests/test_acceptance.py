@@ -24,14 +24,19 @@ from mfvdm.pipeline import (
     prepare_coeffs,
 )
 from mfvdm.spectral import (
-    affinity_matrix,
     align_graph,
     build_frequency_matrix,
     compute_bundle,
     refine_neighbors,
     top_eigs,
 )
-from reference import alignment_spectrum, embedding_dot, estimate_alignment, rid_align
+from reference import (
+    affinity_matrix,
+    alignment_spectrum,
+    embedding_dot,
+    estimate_alignment,
+    rid_align,
+)
 
 SEED = 0
 ANGLE_BOUND_DEG = 4.0 * (360.0 / 1024.0)

@@ -14,8 +14,8 @@ from mfvdm.basis import (
     reconstruct,
     rotate_coeffs,
 )
-from mfvdm.simulate import rotate_image, simulate_dataset
-from reference import expand, full_sq_norm, rid_align
+from mfvdm.simulate import simulate_dataset
+from reference import expand, full_sq_norm, rid_align, rotate_image
 
 
 def test_build_validation():

@@ -9,6 +9,7 @@ from mfvdm.graph import (
     coeff_noise_variance,
     initial_nn_search,
     read_graph_csv,
+    smallest_s,
     symmetrize,
     true_alignment,
     viewing_angle,
@@ -48,6 +49,23 @@ def test_search_chunk_invariant(tiny_dataset, basis17):
         np.testing.assert_array_equal(g.indices, whole.indices)
         np.testing.assert_array_equal(g.angles, whole.angles)
         np.testing.assert_allclose(g.dists, whole.dists, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [int, float])
+def test_smallest_s_matches_stable_argsort(dtype):
+    """Integer keys with heavy ties, so that in most rows the s-th value is
+    tied across the cut: the smaller indices must win, as in a stable sort."""
+    rng = np.random.Generator(np.random.Philox(11))
+    keys = rng.integers(0, 6, size=(300, 97)).astype(dtype)
+    for s in (1, 10, 50, 96):
+        ranked = np.sort(keys, axis=1)
+        assert (ranked[:, s - 1] == ranked[:, s]).mean() > 0.5
+        want = np.argsort(keys, axis=1, kind="stable")[:, :s]
+        np.testing.assert_array_equal(smallest_s(keys, s), want)
+    # continuous keys: no ties at all
+    keys = rng.normal(size=(50, 97))
+    np.testing.assert_array_equal(smallest_s(keys, 20),
+                                  np.argsort(keys, axis=1, kind="stable")[:, :20])
 
 
 def test_graph_angle_antisymmetry(demo_graph):

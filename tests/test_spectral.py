@@ -1,5 +1,15 @@
 """Frequency matrices, embeddings, affinity, refinement, alignment."""
 
+import ctypes
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,15 +21,16 @@ from mfvdm.graph import ViewGraph, initial_nn_search
 from mfvdm.spectral import (
     EigsError,
     SpectralBundle,
-    affinity_matrix,
     align_graph,
     build_frequency_matrix,
     compute_bundle,
+    frequency_eigs,
     refine_neighbors,
     top_eigs,
 )
 from reference import (
     affinity,
+    affinity_matrix,
     alignment_spectrum,
     angle,
     embedding_dot,
@@ -118,6 +129,133 @@ def test_lanczos_budget_exhausted(graph600, monkeypatch):
     with pytest.raises(EigsError, match="did not converge") as info:
         top_eigs(build_frequency_matrix(graph600, 1), 40)
     assert info.value.residual > mfvdm.spectral.LANCZOS_TOL
+
+
+def _two_cpus(monkeypatch):
+    """frequency_eigs sizes its pool from the usable CPUs; pretend there are
+    two, so that the pool runs on a single-CPU host too."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_pooled_eigs_match_serial(graph600, monkeypatch):
+    """The pooled solves run in child processes and return the serial
+    loop's eigenpairs bitwise, in k order."""
+    _two_cpus(monkeypatch)
+    ks = range(6)
+    serial = list(frequency_eigs(graph600, ks, 40, seed=3, threads=1))
+
+    def solve_with_pid(W, m, seed):
+        return top_eigs(W, m, seed=seed), os.getpid()
+
+    pooled = list(frequency_eigs(graph600, ks, 40, seed=3, solve=solve_with_pid))
+    assert os.getpid() not in {pid for _, pid in pooled}
+    for (vals, vecs), ((pvals, pvecs), _) in zip(serial, pooled, strict=True):
+        assert np.array_equal(vals, pvals) and np.array_equal(vecs, pvecs)
+
+
+def _openblas_threads():
+    """Thread count of each OpenBLAS loaded in this process."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    names = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+             "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+    libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    return [getattr(lib, name)() for lib in libs for name in names if hasattr(lib, name)]
+
+
+def test_pool_workers_run_blas_on_one_thread(demo_graph, monkeypatch):
+    """Each worker pins OpenBLAS to one thread, so that the pool does not
+    oversubscribe the CPUs it was sized for."""
+    if not _openblas_threads():
+        pytest.skip("numpy is not linked against OpenBLAS")
+    _two_cpus(monkeypatch)
+
+    def solve_counting_threads(W, m, seed):
+        return _openblas_threads()
+
+    counts = list(frequency_eigs(demo_graph, range(4), 10, solve=solve_counting_threads))
+    assert all(c and set(c) == {1} for c in counts)
+
+
+def test_eigs_error_reaches_caller_from_pool(graph600, monkeypatch):
+    err = pickle.loads(pickle.dumps(EigsError("no convergence", 0.25)))
+    assert isinstance(err, EigsError) and err.residual == 0.25
+    assert str(err) == "no convergence"
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(mfvdm.spectral, "MATVECS_PER_ROW", 0)
+    with pytest.raises(EigsError, match="did not converge") as info:
+        compute_bundle(graph600, 4, 40)
+    assert info.value.residual > mfvdm.spectral.LANCZOS_TOL
+
+
+def test_pool_worker_death_raises(demo_graph, monkeypatch):
+    """A worker killed part way (here by os._exit) fails the call instead of
+    hanging it."""
+    _two_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def die(W, m, seed=0):
+        if os.getpid() == parent:
+            raise AssertionError("solve ran in the calling process")
+        os._exit(3)
+
+    monkeypatch.setattr(mfvdm.spectral, "top_eigs", die)
+    raised = []
+
+    def run():
+        try:
+            compute_bundle(demo_graph, 4, 10)
+        except Exception as exc:  # noqa: BLE001 - recorded for the assertion below
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive(), "compute_bundle hung after a worker died"
+    assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool)
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_pool_workers_die_with_caller():
+    """Killing the caller mid-solve ends its workers too, instead of leaving
+    them blocked on the task queue."""
+    script = "\n".join([
+        "import os, time",
+        "import numpy as np",
+        "from mfvdm.graph import ViewGraph",
+        "from mfvdm.spectral import frequency_eigs",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "def hang(W, m, seed):",
+        "    os.write(1, f'{os.getpid()}\\n'.encode())",
+        "    time.sleep(600)",
+        "g = ViewGraph(indptr=np.array([0, 1, 2]), indices=np.array([1, 0]),",
+        "              angles=np.array([0.1, -0.1]))",
+        "list(frequency_eigs(g, range(2), 1, solve=hang))",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    caller = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+    try:
+        workers = [int(caller.stdout.readline()) for _ in range(2)]
+    finally:
+        caller.kill()
+        caller.wait(timeout=60)
+        caller.stdout.close()
+    deadline = time.monotonic() + 60
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    orphans = [pid for pid in workers if _running(pid)]
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    assert not orphans
 
 
 def test_isolated_node_rejected():
