@@ -20,6 +20,7 @@ __all__ = [
     "reconstruct",
     "reconstruct_grid",
     "rotate_coeffs",
+    "freq_grid",
     "ft_grid",
     "ift_grid",
 ]
@@ -27,6 +28,18 @@ __all__ = [
 
 class BasisError(ValueError):
     """Invalid basis construction parameters or mismatched operands."""
+
+
+# reconstruct raises BasisError when the imaginary part of the image exceeds
+# this times max(|image|, 1)
+IMAG_TOL = 1e-8
+
+
+def freq_grid(L):
+    """Frequencies (cycles/pixel) of the centered L x L Fourier grid that
+    ft_grid samples, as two (L, L) arrays (f1 along rows, f2 along columns)."""
+    f = (np.arange(L) - (L - 1) / 2) / L
+    return np.meshgrid(f, f, indexing="ij")
 
 
 def ft_grid(image):
@@ -52,10 +65,8 @@ class BasisTables:
     support_radius: float
     k_max: int
     radial_counts: np.ndarray        # p_k for k = 0..k_max
-    bessel_zeros: tuple              # tuple of arrays, zeros[k][q-1] = R_{k,q}
-    # flattened column indexing (k >= 0 only)
+    # flattened column indexing (k >= 0 only; k ascending, then q)
     ks: np.ndarray                   # angular frequency per column
-    qs: np.ndarray                   # radial index per column (1-based)
     norms: np.ndarray                # normalization per column
     # precomputed operators
     grid_index: np.ndarray = field(repr=False, default=None)  # flat indices of in-disk grid freqs
@@ -92,31 +103,25 @@ def build_basis(L, bandlimit, support_radius):
     if jn_zeros(0, 1)[0] > c_max:
         raise BasisError("no admissible basis functions; enlarge bandlimit or radius")
 
+    # per k, a generous batch of zeros trimmed to the admissibility cutoff
+    n_guess = max(4, int(c_max / np.pi) + 4)
     zeros = []
-    counts = []
-    k = 0
     while True:
-        # generous batch, trimmed to the admissibility cutoff
-        n_guess = max(4, int(c_max / np.pi) + 4)
-        zk = jn_zeros(k, n_guess)
+        zk = jn_zeros(len(zeros), n_guess)
         zk = zk[zk <= c_max]
         if zk.size == 0:
             break
         zeros.append(zk)
-        counts.append(zk.size)
-        k += 1
-    k_max = len(counts) - 1
-    radial_counts = np.array(counts)
+    k_max = len(zeros) - 1
+    radial_counts = np.array([zk.size for zk in zeros])
 
     ks = np.repeat(np.arange(k_max + 1), radial_counts)
-    qs = np.concatenate([np.arange(1, p + 1) for p in radial_counts])
     zero_flat = np.concatenate(zeros)
     # orthonormal under the measure xi dxi dtheta on the disk of radius kappa
     norms = 1.0 / (bandlimit * np.sqrt(np.pi) * np.abs(jv(ks + 1, zero_flat)))
 
     # Cartesian frequency grid points inside the disk, for expansion/reconstruction
-    f = (np.arange(L) - (L - 1) / 2) / L
-    f1, f2 = np.meshgrid(f, f, indexing="ij")
+    f1, f2 = freq_grid(L)
     rad = np.hypot(f1, f2)
     inside = rad.ravel() <= bandlimit + 1e-12
     grid_index = np.flatnonzero(inside)
@@ -140,9 +145,7 @@ def build_basis(L, bandlimit, support_radius):
         support_radius=float(support_radius),
         k_max=k_max,
         radial_counts=radial_counts,
-        bessel_zeros=tuple(zeros),
         ks=ks,
-        qs=qs,
         norms=norms,
         grid_index=grid_index,
         psi_grid=psi_grid,
@@ -177,8 +180,7 @@ def expand_disk_function(func, basis):
     """Expand a function of Fourier-domain polar coordinates (xi, theta); used
     for radial profiles such as absolute CTFs. Evaluated on the in-disk grid
     points so that reconstruction reproduces the sampled values."""
-    f = (np.arange(basis.L) - (basis.L - 1) / 2) / basis.L
-    f1, f2 = np.meshgrid(f, f, indexing="ij")
+    f1, f2 = freq_grid(basis.L)
     xi = np.hypot(f1, f2).reshape(-1)[basis.grid_index]
     theta = np.arctan2(f2, f1).reshape(-1)[basis.grid_index]
     vals = np.asarray(func(xi, theta), dtype=complex)
@@ -204,13 +206,13 @@ def reconstruct_grid(coeffs, basis):
     return grid.reshape(coeffs.shape[:-1] + (basis.L, basis.L))
 
 
-def reconstruct(coeffs, basis, atol_imag=1e-8):
+def reconstruct(coeffs, basis):
     """Evaluate coefficients on the Cartesian Fourier grid and inverse
     transform; output is real (imaginary residue checked then discarded)."""
     grid = reconstruct_grid(coeffs, basis)
     img = ift_grid(grid)
     scale = max(np.abs(img).max(), 1.0)
-    if np.abs(img.imag).max() > atol_imag * scale:
+    if np.abs(img.imag).max() > IMAG_TOL * scale:
         raise BasisError("reconstruction has non-negligible imaginary part")
     return img.real
 

@@ -8,11 +8,11 @@ nonzero with a machine-readable JSON object on stderr.
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from .io import RunConfig, load_config
-from .pipeline import limit_threads, run_classify, run_denoise, run_evaluate, run_simulate
+from .pipeline import run_classify, run_denoise, run_evaluate, run_simulate
+from .spectral import set_blas_threads
 
 __all__ = ["main", "build_parser"]
 
@@ -26,8 +26,8 @@ def build_parser():
     )
     p.add_argument("--config", metavar="PATH", help="JSON run configuration")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap eigensolver worker processes and BLAS threads "
-                        "(default: MFVDM_THREADS or unlimited)")
+                   help="cap eigensolver worker processes and OpenBLAS threads "
+                        "(default: the config's threads; 0 is unlimited)")
     p.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     sub = p.add_subparsers(dest="command", required=True)
     for name, desc in [
@@ -43,12 +43,8 @@ def build_parser():
 
 def _resolve_config(args):
     config = load_config(args.config) if args.config else RunConfig()
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("MFVDM_THREADS")
-        threads = int(env) if env else 0
-    if threads:
-        config = dataclasses.replace(config, threads=threads)
+    if args.threads:
+        config = dataclasses.replace(config, threads=args.threads)
     return config
 
 
@@ -64,7 +60,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-        limit_threads(config.threads)
+        if config.threads and not set_blas_threads(config.threads):
+            print(f"BLAS thread cap of {config.threads} not applied: no OpenBLAS loaded; "
+                  "set the BLAS library's thread variable before start", file=sys.stderr)
         if args.verbose:
             print(f"mfvdm {args.command}: outdir={args.outdir}", file=sys.stderr)
         result = _STAGES[args.command](config, args.outdir)

@@ -5,7 +5,7 @@ normalized frequency matrices: A_hat = D^{-1/2} U h(L) U* D^{1/2} A. The five
 filter kinds pair h(lambda) in {lambda, 2*lambda - lambda^2,
 lambda^3 - 3*lambda^2 + 3*lambda} with truncated or full spectra. The same
 filter applied to absolute-CTF coefficients yields per-image effective CTFs
-used for regularized deconvolution.
+used for deconvolution.
 """
 
 from dataclasses import dataclass
@@ -119,20 +119,15 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt, *, seed=0, threads=0):
     return out_a, out_c
 
 
-def ctf_correct(image_ft_grid, ctf_grid, eps, *, regularized=True):
+def ctf_correct(image_ft_grid, ctf_grid, eps):
     """Deconvolve by the effective CTF on the Fourier grid.
 
-    Regularized quotient C/(C^2 + eps) avoids blowup at CTF zero crossings;
-    the unregularized division is available for fidelity checks away from
-    zeros. Grids may be (L, L) or (n, L, L) stacks, with eps a scalar or one
-    value per image.
+    The quotient C/(C^2 + eps) avoids blowup at CTF zero crossings. Grids
+    may be (L, L) or (n, L, L) stacks, with eps a scalar or one value per
+    image.
     """
     C = np.asarray(ctf_grid, dtype=float)
-    if regularized:
-        eps = np.asarray(eps, dtype=float)
-        if (eps <= 0).any():
-            raise ValueError("regularizer eps must be > 0")
-        corrected = image_ft_grid * C / (C**2 + eps[..., None, None])
-    else:
-        corrected = image_ft_grid / C
-    return ift_grid(corrected).real
+    eps = np.asarray(eps, dtype=float)
+    if (eps <= 0).any():
+        raise ValueError("regularizer eps must be > 0")
+    return ift_grid(image_ft_grid * C / (C**2 + eps[..., None, None])).real

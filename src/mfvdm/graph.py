@@ -90,12 +90,13 @@ def _select_columns(basis, coeffs, energy_fraction):
     return np.sort(keep)
 
 
-def coeff_noise_variance(basis, n_samples=256, seed=0):
+def coeff_noise_variance(basis):
     """Per-column coefficient variance induced by unit-variance white pixel
-    noise, estimated by expanding a seeded Gaussian stack. Scale by the pixel
-    noise variance for other noise levels (expansion is linear)."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    noise = rng.normal(size=(n_samples, basis.L, basis.L))
+    noise, estimated by expanding 256 Gaussian images drawn from Philox(0).
+    Scale by the pixel noise variance for other noise levels (expansion is
+    linear)."""
+    rng = np.random.Generator(np.random.Philox(0))
+    noise = rng.normal(size=(256, basis.L, basis.L))
     a = expand_stack(noise, basis)
     return (np.abs(a) ** 2).mean(axis=0)
 
@@ -124,8 +125,7 @@ def smallest_s(keys, s):
     return np.take_along_axis(cols, order, axis=1)
 
 
-def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9,
-                      chunk=None, noise_var=None):
+def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise_var=None):
     """Brute-force all-pairs RID ranking; s smallest distances per node.
 
     Ties broken by smaller index. Returns the symmetrized ViewGraph.
@@ -133,8 +133,8 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9,
     are shrunk by the Wiener factor sig/(sig + noise) before ranking, which
     suppresses the noise-dominated high frequencies at low SNR.
 
-    Rows are ranked chunk at a time; the default chunk keeps each chunk's
-    cross-spectra and correlations within BLOCK_BYTES.
+    Rows are ranked a block at a time; each block's cross-spectra and
+    correlations stay within BLOCK_BYTES.
     """
     coeffs = np.asarray(coeffs)
     n = coeffs.shape[0]
@@ -157,9 +157,8 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9,
     blocks = [(k, sub[:, ks == k]) for k in np.unique(ks)]
     blocks = [(k, b, np.conj(b).T) for k, b in blocks]
     n_half = fft_size // 2 + 1
-    if chunk is None:
-        # per row: half spectrum (complex), correlations, sort indices
-        chunk = block_rows(n * (16 * n_half + 8 * fft_size + 32))
+    # per row: half spectrum (complex), correlations, sort indices
+    chunk = block_rows(n * (16 * n_half + 8 * fft_size + 32))
 
     nb_idx = np.empty((n, s), dtype=int)
     nb_alpha = np.empty((n, s))

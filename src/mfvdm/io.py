@@ -41,6 +41,11 @@ class FormatError(ValueError):
     """Malformed or unsupported on-disk artifact."""
 
 
+class ConfigMismatchError(ValueError):
+    """A stage's config disagrees with the one its run directory's dataset
+    was simulated with."""
+
+
 @contextlib.contextmanager
 def atomic_open(path, mode="w", **kwargs):
     """Open a temporary file beside path for writing; when the block exits
@@ -172,7 +177,7 @@ class RunConfig:
     # denoising
     filter_kind: int = 2
     eps: float = 0.0            # 0 means the default 1e-2 * max(C^2)
-    threads: int = 0            # cap on BLAS threads and solver processes; 0: none
+    threads: int = 0            # cap on OpenBLAS threads and solver processes; 0: none
 
     def __post_init__(self):
         if self.L < 3 or self.L % 2 == 0:
@@ -183,7 +188,7 @@ class RunConfig:
             raise ValueError("bandlimit must be in (0, 0.5]")
         if not (0.0 < self.support_radius <= (self.L - 1) / 2):
             raise ValueError("support_radius must be in (0, (L-1)/2]")
-        if self.snr <= 0 and np.isfinite(self.snr):
+        if not self.snr > 0:
             raise ValueError("snr must be > 0 (or inf for noise-free)")
         if self.noise_model not in ("white", "colored"):
             raise ValueError("noise_model must be 'white' or 'colored'")
@@ -217,6 +222,23 @@ def load_config(path):
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return RunConfig(**data)
+
+
+# the RunConfig fields run_simulate passes to simulate_dataset: later stages
+# on a run directory must agree with its config.json on each of them
+SIMULATE_FIELDS = ("n", "L", "seed", "snr", "support_radius", "bandlimit", "n_blobs",
+                   "n_defocus_groups", "noise_model", "with_ctf", "shift_px")
+
+
+def check_run_config(config, path):
+    """Raise ConfigMismatchError naming the first of SIMULATE_FIELDS on which
+    config differs from the config saved at path."""
+    saved = load_config(path)
+    for name in SIMULATE_FIELDS:
+        given, made = getattr(config, name), getattr(saved, name)
+        if given != made:
+            raise ConfigMismatchError(f"{name} is {given!r} but the dataset in {path} "
+                                      f"was simulated with {made!r}")
 
 
 def save_config(config, path):

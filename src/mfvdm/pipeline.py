@@ -5,10 +5,8 @@ writing checkpoint artifacts, so a pipeline can be resumed from any stage.
 In-memory variants are exposed for library use.
 """
 
-import functools
 import json
 import os
-import sys
 
 import numpy as np
 
@@ -30,30 +28,7 @@ __all__ = [
     "run_classify",
     "run_denoise",
     "run_evaluate",
-    "limit_threads",
 ]
-
-
-def limit_threads(n_threads):
-    """Cap BLAS/FFT worker threads when a positive cap is given. Returns the
-    controller (or None when uncapped or threadpoolctl is unavailable; a cap
-    that cannot be applied is reported once on stderr). The same cap bounds
-    the eigensolver's worker processes through config.threads, which needs
-    no threadpoolctl."""
-    if not n_threads:
-        return None
-    try:
-        import threadpoolctl
-    except ImportError:
-        _warn_uncapped(n_threads)
-        return None
-    return threadpoolctl.threadpool_limits(limits=n_threads)
-
-
-@functools.cache
-def _warn_uncapped(n_threads):
-    print(f"BLAS thread cap of {n_threads} not applied: threadpoolctl not installed; "
-          "set OPENBLAS_NUM_THREADS before start", file=sys.stderr)
 
 
 def _basis_for(config):
@@ -180,6 +155,7 @@ def run_simulate(config, outdir):
 def _load_dataset(config, outdir):
     from .simulate import default_defocus_groups
 
+    mfio.check_run_config(config, _p(outdir, "config.json"))
     noisy = mfio.read_stack(_p(outdir, "noisy.stack")).astype(float)
     manifest = mfio.read_manifest(_p(outdir, "manifest.csv"), _p(outdir, "manifest.json"))
     profiles = default_defocus_groups(manifest.n_defocus_groups)
@@ -187,7 +163,9 @@ def _load_dataset(config, outdir):
 
 
 def run_classify(config, outdir):
-    """Initial and refined neighbor graphs (with angles) from the noisy stack."""
+    """Initial and refined neighbor graphs (with angles) from the noisy stack.
+    Raises io.ConfigMismatchError if config disagrees with the run
+    directory's config.json on a simulation field."""
     noisy, manifest, profiles = _load_dataset(config, outdir)
     basis = _basis_for(config)
     coeffs, noise_var = prepare_coeffs(noisy, manifest, profiles, basis, config)
@@ -198,7 +176,8 @@ def run_classify(config, outdir):
 
 
 def run_denoise(config, outdir):
-    """Denoised stack and effective CTF grids from the refined graph."""
+    """Denoised stack and effective CTF grids from the refined graph; checks
+    config like run_classify."""
     noisy, manifest, profiles = _load_dataset(config, outdir)
     basis = _basis_for(config)
     coeffs, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .basis import ft_grid, ift_grid
+from .basis import freq_grid, ft_grid, ift_grid
 
 __all__ = [
     "CTFProfile",
@@ -68,8 +68,7 @@ def ctf_value(profile, spatial_freq):
 def ctf_grid(profile, L):
     """CTF evaluated on the centered L x L Fourier grid (cycles/pixel over
     pixel size -> 1/Angstrom)."""
-    f = (np.arange(L) - (L - 1) / 2) / L
-    f1, f2 = np.meshgrid(f, f, indexing="ij")
+    f1, f2 = freq_grid(L)
     s = np.hypot(f1, f2) / profile.pixel_size_A
     return ctf_value(profile, s)
 
@@ -163,8 +162,7 @@ def project_stack(volume, rotations):
 def shift_image(image, shift):
     """Subpixel translation via Fourier phase ramp (periodic, exact)."""
     L = image.shape[-1]
-    f = (np.arange(L) - (L - 1) / 2) / L
-    f1, f2 = np.meshgrid(f, f, indexing="ij")
+    f1, f2 = freq_grid(L)
     phase = np.exp(-2j * np.pi * (f1 * shift[0] + f2 * shift[1]))
     return ift_grid(ft_grid(image) * phase).real
 
@@ -188,8 +186,7 @@ def add_noise(images, snr, seed, model="white", signal_var=None, psd=None):
         if psd is None:
             psd = lambda xi: 1.0 / (1.0 + (xi / 0.1) ** 2)
         L = images.shape[-1]
-        f = (np.arange(L) - (L - 1) / 2) / L
-        f1, f2 = np.meshgrid(f, f, indexing="ij")
+        f1, f2 = freq_grid(L)
         filt = np.sqrt(psd(np.hypot(f1, f2)))
         noise = ift_grid(ft_grid(noise) * filt).real
         noise *= np.sqrt(sigma2 / noise.var())
@@ -224,8 +221,7 @@ def estimate_noise_psd(images, support_radius):
     masked *= mask
     periodogram = np.abs(ft_grid(masked)) ** 2 / (L * L * frac)
     mean_p = periodogram.mean(axis=0) if periodogram.ndim == 3 else periodogram
-    f = (np.arange(L) - (L - 1) / 2) / L
-    f1, f2 = np.meshgrid(f, f, indexing="ij")
+    f1, f2 = freq_grid(L)
     rad = np.hypot(f1, f2)
     nbin = L // 2 + 1
     bins = np.minimum((rad * 2 * (nbin - 1)).astype(int), nbin - 1)

@@ -30,6 +30,7 @@ __all__ = [
     "build_frequency_matrix",
     "top_eigs",
     "frequency_eigs",
+    "set_blas_threads",
     "compute_bundle",
     "refine_neighbors",
     "align_graph",
@@ -55,6 +56,9 @@ class EigsError(RuntimeError):
 LANCZOS_TOL = 1e-13
 # the solver gives up after MATVECS_PER_ROW * n matrix-vector products
 MATVECS_PER_ROW = 10
+# top_eigs raises EigsError when an explicit residual |W u - lambda u|
+# exceeds this, whichever branch solved
+RESIDUAL_TOL = 1e-8
 
 
 def build_frequency_matrix(graph, k):
@@ -129,7 +133,7 @@ def _lanczos(W, m, rng):
         start = keep
 
 
-def top_eigs(W, m, *, seed=0, residual_tol=1e-8):
+def top_eigs(W, m, *, seed=0):
     """Largest-m eigenpairs of the Hermitian matrix W by algebraic value,
     descending.
 
@@ -145,8 +149,8 @@ def top_eigs(W, m, *, seed=0, residual_tol=1e-8):
     else:
         vals, vecs = _lanczos(W, m, np.random.Generator(np.random.Philox(seed)))
     resid = np.linalg.norm(W @ vecs - vecs * vals[None, :], axis=0)
-    if resid.max() > residual_tol:
-        raise EigsError(f"eigenpair residual {resid.max():.3e} exceeds {residual_tol:.1e}",
+    if resid.max() > RESIDUAL_TOL:
+        raise EigsError(f"eigenpair residual {resid.max():.3e} exceeds {RESIDUAL_TOL:.1e}",
                         resid.max())
     return vals.real, vecs
 
@@ -203,21 +207,24 @@ def _start_worker(parent, *job):
     if os.getppid() != parent:
         os._exit(1)
     _worker_job = job
-    _single_blas_thread()
+    # the pool already gives each CPU a worker; BLAS threads on top of that
+    # made the 44 denoise solves 3.5x slower than the serial loop on 2 CPUs
+    set_blas_threads(1)
 
 
-def _single_blas_thread():
-    """Run every OpenBLAS loaded in this process on one thread. The pool
-    already gives each CPU a worker; BLAS threads on top of that made the 44
-    denoise solves 3.5x slower than the serial loop on 2 CPUs. Other BLAS
-    libraries keep their thread count."""
+def set_blas_threads(n):
+    """Run every OpenBLAS loaded in this process on n threads; returns the
+    number of libraries set. Other BLAS libraries keep their thread count."""
     with open("/proc/self/maps") as fh:
         paths = {line.split()[-1] for line in fh if "openblas" in line}
+    count = 0
     for path in paths:
         lib = ctypes.CDLL(path)
-        for name in _OPENBLAS_SETTERS:
-            if hasattr(lib, name):
-                getattr(lib, name)(1)
+        setters = [getattr(lib, name) for name in _OPENBLAS_SETTERS if hasattr(lib, name)]
+        for setter in setters:
+            setter(n)
+        count += bool(setters)
+    return count
 
 
 def _solve_in_worker(k):
@@ -241,10 +248,10 @@ class SpectralBundle:
         return self.degrees.size
 
 
-def compute_bundle(graph, k_max, m, *, t=1, include_zero=False, seed=0, threads=0):
-    """Eigendecompositions for k = 1..k_max (0..k_max if include_zero),
-    solved by frequency_eigs on at most `threads` processes (0: no cap)."""
-    ks = np.arange(0 if include_zero else 1, k_max + 1)
+def compute_bundle(graph, k_max, m, *, t=1, seed=0, threads=0):
+    """Eigendecompositions for k = 1..k_max, solved by frequency_eigs on at
+    most `threads` processes (0: no cap)."""
+    ks = np.arange(1, k_max + 1)
     pairs = list(frequency_eigs(graph, ks, min(m, graph.n), seed=seed, threads=threads))
     return SpectralBundle(k_list=ks, eigenvalues=tuple(v for v, _ in pairs),
                           eigenvectors=tuple(u for _, u in pairs), degrees=graph.degrees,
@@ -252,15 +259,12 @@ def compute_bundle(graph, k_max, m, *, t=1, include_zero=False, seed=0, threads=
 
 
 def _affinity_factors(bundle):
-    """Per frequency k >= 1: (lambda^{2t}, U, usable-node mask, normalizer)
-    with the normalizer |P_k(i, i)| (1 where it vanishes); also returns the
+    """Per frequency k: (lambda^{2t}, U, usable-node mask, normalizer) with
+    the normalizer |P_k(i, i)| (1 where it vanishes); also returns the
     number of dropped (node, frequency) pairs."""
     factors, dropped = [], 0
-    for idx, k in enumerate(bundle.k_list):
-        if k == 0:
-            continue
-        lam = bundle.eigenvalues[idx] ** (2 * bundle.t)
-        U = bundle.eigenvectors[idx]
+    for lam, U in zip(bundle.eigenvalues, bundle.eigenvectors):
+        lam = lam ** (2 * bundle.t)
         self_p = np.abs((np.abs(U) ** 2) @ lam)
         ok = self_p > 1e-300
         dropped += int((~ok).sum())
@@ -317,8 +321,8 @@ def align_graph(bundle, graph, fft_size=1024):
     src, dst = graph.rows, graph.indices
     ii, jj = src[src < dst], dst[src < dst]
     kmax = int(bundle.k_list.max())
-    factors = [(int(k), bundle.eigenvalues[idx] ** (2 * bundle.t), bundle.eigenvectors[idx])
-               for idx, k in enumerate(bundle.k_list) if k != 0]
+    factors = [(int(k), lam ** (2 * bundle.t), U)
+               for k, lam, U in zip(bundle.k_list, bundle.eigenvalues, bundle.eigenvectors)]
     alpha = np.empty(ii.size)
     # per edge: the zero-padded spectrum, its FFT and real part, gathered rows
     step = block_rows(40 * fft_size + 48 * bundle.m)

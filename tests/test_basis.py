@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy.special import jv
+from scipy.special import jn_zeros, jv
 
 from mfvdm.basis import (
     BasisError,
@@ -31,12 +31,16 @@ def test_build_validation():
         build_basis(3, 0.01, 1.0)      # no admissible functions
 
 
-def test_admissibility_cutoff(basis17):
-    from scipy.special import jn_zeros
+def _radial_zeros(basis, k):
+    """R_{k,q} for q = 1..p_k, the zeros that set frequency k's radial
+    functions."""
+    return jn_zeros(k, basis.radial_counts[k])
 
+
+def test_admissibility_cutoff(basis17):
     c_max = 2.0 * np.pi * basis17.bandlimit * basis17.support_radius
     for k in range(basis17.k_max + 1):
-        zk = basis17.bessel_zeros[k]
+        zk = _radial_zeros(basis17, k)
         assert np.all(zk <= c_max)
         # the next zero would violate the cutoff
         nxt = jn_zeros(k, zk.size + 1)[-1]
@@ -59,7 +63,7 @@ def _quadrature(basis):
     node_theta = np.tile(theta_t, n_r)
     node_w = np.repeat(w_r, n_t) * (2.0 * np.pi / n_t)
     ks = basis.ks
-    zeros = np.concatenate(basis.bessel_zeros)
+    zeros = np.concatenate([_radial_zeros(basis, k) for k in range(basis.k_max + 1)])
     radial = jv(ks[None, :], zeros[None, :] * node_xi[:, None] / basis.bandlimit)
     phase = (1j ** ks)[None, :] * np.exp(1j * ks[None, :] * node_theta[:, None])
     return basis.norms[None, :] * radial * phase, node_w

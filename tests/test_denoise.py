@@ -109,7 +109,8 @@ def test_ctf_correct_exact_inverse():
     img = rng.normal(size=(17, 17))
     C = 0.5 + 0.4 * np.cos(np.linspace(0, 3, 17))[:, None] * np.ones((1, 17))
     modulated = ft_grid(img) * C
-    back = ctf_correct(modulated, C, eps=0.0, regularized=False)
+    # C >= 0.1, so C / (C^2 + eps) is 1 / C to a relative 1e-12
+    back = ctf_correct(modulated, C, eps=1e-14)
     np.testing.assert_allclose(back, img, atol=1e-10)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mfvdm.graph
 from mfvdm.basis import expand_stack
 from mfvdm.graph import (
     ViewGraph,
@@ -37,14 +38,19 @@ def test_search_finds_rotated_copies(rotated_copies, basis17):
     assert diff.max() < 1e-9
 
 
-def test_search_chunk_invariant(tiny_dataset, basis17):
+def test_search_chunk_invariant(tiny_dataset, basis17, monkeypatch):
     """Ranking one row, a few rows or every row at a time gives the same
     graph."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
     n = coeffs.shape[0]
-    whole = initial_nn_search(coeffs, basis17, s=8, chunk=n)
-    for chunk in (1, 7):
-        g = initial_nn_search(coeffs, basis17, s=8, chunk=chunk)
+    # the search's temporaries per row at its default fft_size of 256
+    row_bytes = n * (16 * 129 + 8 * 256 + 32)
+    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", n * row_bytes)
+    whole = initial_nn_search(coeffs, basis17, s=8)
+    for rows in (1, 7):
+        monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", rows * row_bytes)
+        assert mfvdm.graph.block_rows(row_bytes) == rows
+        g = initial_nn_search(coeffs, basis17, s=8)
         np.testing.assert_array_equal(g.indptr, whole.indptr)
         np.testing.assert_array_equal(g.indices, whole.indices)
         np.testing.assert_array_equal(g.angles, whole.angles)
@@ -135,7 +141,7 @@ def test_graph_csv_round_trip(demo_graph, tmp_path):
 
 
 def test_coeff_noise_variance_positive(basis17):
-    v = coeff_noise_variance(basis17, n_samples=64)
+    v = coeff_noise_variance(basis17)
     assert v.shape == (basis17.n_coeffs,)
     assert np.all(v > 0)
 

@@ -1,17 +1,24 @@
 """File formats, run configuration, and the command-line pipeline."""
 
+import dataclasses
+import inspect
 import json
 import os
+import re
+import shutil
 import struct
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mfvdm import pipeline
+import mfvdm
+from mfvdm import cli
 from mfvdm.cli import main
 from mfvdm.graph import ViewGraph, write_graph_csv
 from mfvdm.io import (
+    SIMULATE_FIELDS,
     FormatError,
     RunConfig,
     atomic_open,
@@ -22,6 +29,9 @@ from mfvdm.io import (
     write_manifest,
     write_stack,
 )
+from mfvdm.simulate import simulate_dataset
+from mfvdm.spectral import set_blas_threads
+from test_spectral import _openblas_threads
 
 
 def test_stack_round_trip(tmp_path):
@@ -74,8 +84,6 @@ def test_manifest_round_trip(tmp_path, tiny_dataset):
 def test_writes_are_atomic(tmp_path, tiny_dataset, demo_graph):
     """A writer that raises part way through leaves the previous file byte
     for byte, and no temporary file behind."""
-    import dataclasses
-
     man = tiny_dataset["manifest"]
     csv_p, json_p, graph_p = tmp_path / "m.csv", tmp_path / "m.json", tmp_path / "g.csv"
     write_manifest(man, csv_p, json_p)
@@ -114,8 +122,10 @@ def test_config_unknown_key(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(L=32)
-    with pytest.raises(ValueError):
-        RunConfig(snr=-1.0)
+    for snr in (-1.0, float("nan"), -float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig(snr=snr)
+    assert RunConfig(snr=float("inf")).snr == float("inf")
     with pytest.raises(ValueError):
         RunConfig(s=2000, n=1000)
     with pytest.raises(ValueError):
@@ -184,8 +194,6 @@ def test_cli_eval_report(cli_run):
 
 def test_cli_evaluate_clean_vs_clean(cli_run, tmp_path):
     outdir, cfg, cfg_path = cli_run
-    import shutil
-
     d = str(tmp_path / "selfcheck")
     os.makedirs(d)
     shutil.copy(os.path.join(outdir, "clean.stack"), os.path.join(d, "clean.stack"))
@@ -205,28 +213,88 @@ def test_cli_error_is_json(tmp_path, capsys):
     assert "error" in err and "message" in err
 
 
-def test_cli_threads_env(cli_run, monkeypatch, tmp_path):
+def test_cli_threads_caps_openblas(cli_run, tmp_path):
+    """--threads 1 leaves every OpenBLAS in the CLI process on one thread,
+    from a start of two."""
     _, _, cfg_path = cli_run
-    monkeypatch.setenv("MFVDM_THREADS", "1")
-    d = str(tmp_path / "threaded")
-    assert main(["--config", cfg_path, "simulate", d]) == 0
+    script = (
+        "import json; from mfvdm.cli import main; from test_spectral import _openblas_threads\n"
+        "before = _openblas_threads()\n"
+        f"assert main(['--threads', '1', '--config', {cfg_path!r}, 'simulate', "
+        f"{str(tmp_path / 'threaded')!r}]) == 0\n"
+        "print(json.dumps([before, _openblas_threads()]))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(mfvdm.__file__)), os.path.dirname(__file__)]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    before, after = json.loads(out)
+    if not before:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert set(before) == {2}
+    assert set(after) == {1}
 
 
-def test_threads_without_threadpoolctl_warns_once(monkeypatch, capsys):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)   # import fails
-    pipeline._warn_uncapped.cache_clear()
-    assert pipeline.limit_threads(0) is None
+def test_threads_not_applied_warns_once(cli_run, monkeypatch, tmp_path, capsys):
+    """Without an OpenBLAS to set, a thread cap is reported once on stderr;
+    with no cap nothing is printed."""
+    _, _, cfg_path = cli_run
+    monkeypatch.setattr(cli, "set_blas_threads", lambda n: 0)
+    assert main(["--config", cfg_path, "simulate", str(tmp_path / "a")]) == 0
     assert capsys.readouterr().err == ""
-    assert pipeline.limit_threads(3) is None
-    assert pipeline.limit_threads(3) is None
-    err = capsys.readouterr().err
-    assert err.count("BLAS thread cap of 3 not applied: threadpoolctl not installed") == 1
-    assert "ignored" not in err
+    assert main(["--threads", "3", "--config", cfg_path, "simulate", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err.count("BLAS thread cap of 3 not applied") == 1
 
 
-def test_threads_one_is_serial_and_identical(cli_run, monkeypatch, tmp_path):
+def test_config_mismatch_is_named(cli_run, tmp_path, capsys):
+    """Later stages refuse a config that disagrees with the run directory's
+    on a field the dataset was simulated with, and accept other changes."""
+    outdir, cfg, _ = cli_run
+    assert set(SIMULATE_FIELDS) == set(inspect.signature(simulate_dataset).parameters)
+    d = tmp_path / "run"
+    d.mkdir()
+    for name in ["config.json", "noisy.stack", "manifest.csv", "manifest.json",
+                 "refined_graph.csv"]:
+        shutil.copy(os.path.join(outdir, name), d / name)
+    for stage in ["classify", "denoise"]:
+        path = tmp_path / "seed.json"
+        save_config(dataclasses.replace(cfg, seed=cfg.seed + 1), path)
+        assert main(["--config", str(path), stage, str(d)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigMismatchError"
+        assert err["message"].startswith("seed ")
+    path = tmp_path / "s.json"
+    save_config(dataclasses.replace(cfg, s=cfg.s + 1), path)
+    assert main(["--config", str(path), "classify", str(d)]) == 0
+
+
+def test_every_config_field_is_read():
+    """Each RunConfig field is read as config.<field> somewhere in the
+    package: a field nothing reads is a setting that does nothing."""
+    package = os.path.dirname(mfvdm.__file__)
+    text = "".join(open(os.path.join(package, name)).read()
+                   for name in sorted(os.listdir(package)) if name.endswith(".py"))
+    unread = [f.name for f in dataclasses.fields(RunConfig)
+              if not re.search(rf"\bconfig\.{f.name}\b", text)]
+    assert unread == []
+
+
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS on one thread in this process for the test, as --threads 1
+    leaves it, and back to its previous count after."""
+    before = _openblas_threads()
+    set_blas_threads(1)
+    yield
+    if before:
+        set_blas_threads(max(before))
+
+
+def test_threads_one_is_serial_and_identical(cli_run, monkeypatch, tmp_path, one_blas_thread):
     """The default run solves its eigenproblems on a process pool; --threads 1
-    starts no child process, and both write the same graphs and stacks."""
+    starts no child process, and both write the same graphs and stacks. Both
+    run OpenBLAS on one thread: the expansion's last bits depend on the BLAS
+    thread count, which --threads also sets."""
     _, _, cfg_path = cli_run
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     real_fork, forks = os.fork, []
