@@ -127,7 +127,10 @@ def build_basis(L, bandlimit, support_radius):
     grid_index = np.flatnonzero(inside)
     g_xi = rad.ravel()[grid_index]
     g_th = np.arctan2(f2.ravel()[grid_index], f1.ravel()[grid_index])
-    radial_g = jv(ks[None, :], zero_flat[None, :] * g_xi[:, None] / bandlimit)
+    # the grid holds few distinct radii: evaluate the Bessel functions once
+    # per radius and gather
+    radii, at = np.unique(g_xi, return_inverse=True)
+    radial_g = jv(ks[None, :], zero_flat[None, :] * radii[:, None] / bandlimit)[at]
     phase_g = (1j ** ks)[None, :] * np.exp(1j * ks[None, :] * g_th[:, None])
     psi_grid = norms[None, :] * radial_g * phase_g
 

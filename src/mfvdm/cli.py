@@ -12,7 +12,7 @@ import sys
 
 from .io import RunConfig, load_config
 from .pipeline import run_classify, run_denoise, run_evaluate, run_simulate
-from .spectral import set_blas_threads
+from .pool import set_blas_threads
 
 __all__ = ["main", "build_parser"]
 
@@ -26,7 +26,8 @@ def build_parser():
     )
     p.add_argument("--config", metavar="PATH", help="JSON run configuration")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap eigensolver worker processes and OpenBLAS threads "
+                   help="cap the worker processes of the projections, the RID search "
+                        "and the eigensolves, and the OpenBLAS threads "
                         "(default: the config's threads; 0 is unlimited)")
     p.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     sub = p.add_subparsers(dest="command", required=True)

@@ -13,11 +13,15 @@ import numpy as np
 
 from .basis import expand_stack
 from .io import FormatError, atomic_open
+from .pool import fork_map
 
 # Byte budget for the temporaries of one row (or edge) block in the
 # all-pairs RID search, the affinity ranking and the edge alignment; it sets
 # all three block sizes, so peak memory does not grow with n^2.
 BLOCK_BYTES = 16 * 2**20
+# rows per task of the pooled RID search, rounded down to whole row blocks
+# (at least one), so that the pooled search ranks the serial search's blocks
+SEARCH_TASK_ROWS = 128
 
 __all__ = ["ViewGraph", "symmetrize", "initial_nn_search", "coeff_noise_variance",
            "viewing_angle", "true_alignment", "write_graph_csv",
@@ -125,7 +129,8 @@ def smallest_s(keys, s):
     return np.take_along_axis(cols, order, axis=1)
 
 
-def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise_var=None):
+def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise_var=None,
+                      threads=0):
     """Brute-force all-pairs RID ranking; s smallest distances per node.
 
     Ties broken by smaller index. Returns the symmetrized ViewGraph.
@@ -134,7 +139,9 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise
     suppresses the noise-dominated high frequencies at low SNR.
 
     Rows are ranked a block at a time; each block's cross-spectra and
-    correlations stay within BLOCK_BYTES.
+    correlations stay within BLOCK_BYTES. Ranges of about SEARCH_TASK_ROWS
+    rows run on pool.fork_map with at most `threads` processes (0: no cap);
+    the graph does not depend on it.
     """
     coeffs = np.asarray(coeffs)
     n = coeffs.shape[0]
@@ -159,35 +166,48 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise
     n_half = fft_size // 2 + 1
     # per row: half spectrum (complex), correlations, sort indices
     chunk = block_rows(n * (16 * n_half + 8 * fft_size + 32))
+    task = chunk * max(1, SEARCH_TASK_ROWS // chunk)
+    ranges = [(start, min(start + task, n)) for start in range(0, n, task)]
+    parts = fork_map(_rank_rows, ranges, shared=(blocks, sq, s, fft_size, chunk),
+                     threads=threads)
+    nb_idx, nb_alpha, nb_dist = (np.concatenate(p) for p in zip(*parts))
+    return symmetrize(n, np.repeat(np.arange(n), s), nb_idx.ravel(),
+                      nb_alpha.ravel(), nb_dist.ravel())
 
-    nb_idx = np.empty((n, s), dtype=int)
-    nb_alpha = np.empty((n, s))
-    nb_dist = np.empty((n, s))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+
+def _rank_rows(blocks, sq, s, fft_size, chunk, rows):
+    """(indices, angles, distances), each (stop - start, s), of the s
+    nearest neighbors of rows start:stop, ranked chunk rows at a time."""
+    start, stop = rows
+    n = sq.size
+    nb_idx = np.empty((stop - start, s), dtype=int)
+    nb_alpha = np.empty((stop - start, s))
+    nb_dist = np.empty((stop - start, s))
+    for lo in range(start, stop, chunk):
+        hi = min(lo + chunk, stop)
         # the spectrum vanishes above kmax < fft_size / 2, so the real
         # correlation over rotations is the inverse real FFT of the
         # non-negative half; the conjugate half doubles each k > 0 term
-        spec = np.zeros((stop - start, n, n_half), dtype=complex)
+        spec = np.zeros((hi - lo, n, fft_size // 2 + 1), dtype=complex)
         for k, b, bh in blocks:
-            spec[:, :, k] = b[start:stop] @ bh
+            spec[:, :, k] = b[lo:hi] @ bh
         corr = np.fft.irfft(spec, n=fft_size, axis=-1)
         del spec
         corr *= fft_size
         best_t = np.argmax(corr, axis=-1)
         best = np.take_along_axis(corr, best_t[..., None], axis=-1)[..., 0]
         del corr
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * best
+        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * best
         np.maximum(d2, 0.0, out=d2)
-        rows = np.arange(stop - start)
-        d2[rows, start + rows] = np.inf
+        r = np.arange(hi - lo)
+        d2[r, lo + r] = np.inf
         order = smallest_s(d2, s)
-        nb_idx[start:stop] = order
-        nb_dist[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+        out = slice(lo - start, hi - start)
+        nb_idx[out] = order
+        nb_dist[out] = np.sqrt(np.take_along_axis(d2, order, axis=1))
         al = 2.0 * np.pi * np.take_along_axis(best_t, order, axis=1) / fft_size
-        nb_alpha[start:stop] = np.where(al > np.pi, al - 2.0 * np.pi, al)
-    return symmetrize(n, np.repeat(np.arange(n), s), nb_idx.ravel(),
-                      nb_alpha.ravel(), nb_dist.ravel())
+        nb_alpha[out] = np.where(al > np.pi, al - 2.0 * np.pi, al)
+    return nb_idx, nb_alpha, nb_dist
 
 
 def viewing_angle(v_i, v_j):

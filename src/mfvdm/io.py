@@ -177,7 +177,9 @@ class RunConfig:
     # denoising
     filter_kind: int = 2
     eps: float = 0.0            # 0 means the default 1e-2 * max(C^2)
-    threads: int = 0            # cap on OpenBLAS threads and solver processes; 0: none
+    # cap on OpenBLAS threads and on the simulate, search and eigensolve
+    # worker processes; 0: none
+    threads: int = 0
 
     def __post_init__(self):
         if self.L < 3 or self.L % 2 == 0:

@@ -71,6 +71,7 @@ def classify(coeffs, basis, config, noise_var=None):
         fft_size=config.initial_fft_size,
         energy_fraction=config.energy_fraction,
         noise_var=noise_var,
+        threads=config.threads,
     )
     bundle = compute_bundle(initial, config.k_tilde, config.m, t=config.t,
                             threads=config.threads)
@@ -143,6 +144,7 @@ def run_simulate(config, outdir):
         noise_model=config.noise_model,
         with_ctf=config.with_ctf,
         shift_px=config.shift_px,
+        threads=config.threads,
     )
     mfio.write_stack(clean, _p(outdir, "clean.stack"))
     mfio.write_stack(ctf_clean, _p(outdir, "ctf_clean.stack"))

@@ -6,12 +6,13 @@ SNR, and the standard preprocessing chain (standardization, whitening, phase
 flipping). Everything is deterministic in the seed (Philox counter-based RNG).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .basis import freq_grid, ft_grid, ift_grid
+from .pool import fork_map
 
 __all__ = [
     "CTFProfile",
@@ -143,20 +144,29 @@ def project(volume, rotation):
         raise ValueError("volume must be cubic")
     c = (L - 1) / 2
     x = np.arange(L) - c
-    X, Y, Z = np.meshgrid(x, x, x, indexing="ij")  # (x, y, z-sample)
-    R = np.asarray(rotation)
-    pts = (
-        X[..., None] * R[:, 0]
-        + Y[..., None] * R[:, 1]
-        + Z[..., None] * R[:, 2]
-    )  # (L, L, L, 3)
-    coords = (pts + c).transpose(3, 0, 1, 2).reshape(3, -1)
+    R = np.asarray(rotation)[:, :, None, None, None]
+    # coordinate d of sample (x, y, z) is x R[d, 0] + y R[d, 1] + z R[d, 2]
+    coords = R[:, 0] * x[:, None, None] + R[:, 1] * x[None, :, None] + R[:, 2] * x + c
     vals = map_coordinates(volume, coords, order=1, mode="constant", cval=0.0)
-    return vals.reshape(L, L, L).sum(axis=2)
+    return vals.sum(axis=2)
 
 
-def project_stack(volume, rotations):
+# views per task of project_stack's fork pool
+PROJECT_BLOCK = 64
+
+
+def _project_block(volume, rotations):
     return np.stack([project(volume, R) for R in rotations])
+
+
+def project_stack(volume, rotations, *, threads=0):
+    """Projections of volume at each rotation, (n, L, L), computed in blocks
+    of PROJECT_BLOCK views by pool.fork_map on at most `threads` processes
+    (0: no cap); a stack of one block is projected in this process."""
+    rotations = np.asarray(rotations)
+    blocks = [rotations[i:i + PROJECT_BLOCK] for i in range(0, len(rotations), PROJECT_BLOCK)]
+    return np.concatenate(list(fork_map(_project_block, blocks, shared=(volume,),
+                                        threads=threads)))
 
 
 def shift_image(image, shift):
@@ -292,18 +302,20 @@ class DatasetManifest:
 
 def simulate_dataset(n, L, seed, snr, *, support_radius=None, bandlimit=0.5,
                      n_blobs=30, n_defocus_groups=20, noise_model="white",
-                     with_ctf=True, shift_px=0.0):
+                     with_ctf=True, shift_px=0.0, threads=0):
     """Full generation chain. Returns (clean, ctf_clean, noisy, profiles, manifest).
 
     clean: projections without CTF (the evaluation reference);
     ctf_clean: CTF-modulated but noise-free; noisy: with additive noise.
     Optional shift_px injects uniform per-image translations in [-shift_px, shift_px].
+    The projections run on at most `threads` processes (0: no cap); the
+    outputs do not depend on it.
     """
     if support_radius is None:
         support_radius = (L - 1) / 2
     vol = make_phantom(L, seed, n_blobs=n_blobs, support_radius=support_radius)
     rotations = sample_rotations(n, seed + 1)
-    clean = project_stack(vol, rotations)
+    clean = project_stack(vol, rotations, threads=threads)
     if shift_px:
         rng = _rng(seed + 4)
         shifts = rng.uniform(-shift_px, shift_px, size=(n, 2))

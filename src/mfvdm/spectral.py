@@ -12,25 +12,19 @@ the consistency of transporting in-plane rotations along length-2t paths;
 inconsistent shortcut edges score low and are pruned.
 """
 
-import ctypes
-import multiprocessing
-import os
-import signal
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import block_rows, smallest_s, symmetrize
+from .pool import fork_map
 
 __all__ = [
     "SpectralBundle",
     "build_frequency_matrix",
     "top_eigs",
     "frequency_eigs",
-    "set_blas_threads",
     "compute_bundle",
     "refine_neighbors",
     "align_graph",
@@ -159,76 +153,16 @@ def frequency_eigs(graph, ks, m, *, seed=0, threads=0, solve=None):
     """Yield solve(build_frequency_matrix(graph, k), m, seed=seed) for each k
     in ks, in order; solve is top_eigs unless given.
 
-    The solves are independent, so they run on a fork pool of
-    min(usable CPUs, len(ks), threads) worker processes (threads 0: no cap)
-    that inherit the graph, run OpenBLAS on one thread and die with the
-    caller. With one worker the solves run in this process, and no child is
-    started. Every k seeds its own start vector, so the eigenpairs are the
-    same bits either way. At most two results per worker wait to be
-    consumed; a worker's error, or its death, raises here.
+    The solves are independent, so they run on pool.fork_map with at most
+    `threads` processes (0: no cap), which inherit the graph. Every k seeds
+    its own start vector, so the eigenpairs are the same bits whether the
+    solves run pooled or in this process.
     """
-    solve = solve or top_eigs
-    ks = [int(k) for k in ks]
-    workers = min(len(os.sched_getaffinity(0)), len(ks), threads or len(ks))
-    if workers <= 1:
-        for k in ks:
-            yield solve(build_frequency_matrix(graph, k), m, seed=seed)
-        return
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker,
-                               initargs=(os.getpid(), graph, m, seed, solve))
-    try:
-        pending = deque()
-        for k in ks:
-            pending.append(pool.submit(_solve_in_worker, k))
-            if len(pending) > 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return fork_map(_solve_frequency, [int(k) for k in ks],
+                    shared=(graph, m, seed, solve or top_eigs), threads=threads)
 
 
-# set in each pool worker by _start_worker: (graph, m, seed, solve), handed
-# over by fork rather than pickled
-_worker_job = None
-_PR_SET_PDEATHSIG = 1   # linux/prctl.h
-# OpenBLAS names its thread setter with or without the scipy wheels' prefix
-# and the 64-bit-integer suffix
-_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
-
-
-def _start_worker(parent, *job):
-    global _worker_job
-    # die with the caller: a worker orphaned by a killed caller would wait
-    # on its task queue forever
-    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:
-        os._exit(1)
-    _worker_job = job
-    # the pool already gives each CPU a worker; BLAS threads on top of that
-    # made the 44 denoise solves 3.5x slower than the serial loop on 2 CPUs
-    set_blas_threads(1)
-
-
-def set_blas_threads(n):
-    """Run every OpenBLAS loaded in this process on n threads; returns the
-    number of libraries set. Other BLAS libraries keep their thread count."""
-    with open("/proc/self/maps") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line}
-    count = 0
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        setters = [getattr(lib, name) for name in _OPENBLAS_SETTERS if hasattr(lib, name)]
-        for setter in setters:
-            setter(n)
-        count += bool(setters)
-    return count
-
-
-def _solve_in_worker(k):
-    graph, m, seed, solve = _worker_job
+def _solve_frequency(graph, m, seed, solve, k):
     return solve(build_frequency_matrix(graph, k), m, seed=seed)
 
 

@@ -15,8 +15,10 @@ PEAK_BOUND_MB = 40
 
 def test_classify_peak_allocation_bounded(basis17):
     n = 200
+    # threads=1: the search and the solves run in this process, where
+    # tracemalloc sees them, not in untraced pool workers
     config = RunConfig(n=n, L=17, support_radius=8.0, s=10, m=20,
-                       n_defocus_groups=4, n_blobs=10)
+                       n_defocus_groups=4, n_blobs=10, threads=1)
     _, _, noisy, _, _ = simulate_dataset(n, 17, seed=5, snr=0.3, support_radius=8.0,
                                          n_defocus_groups=4, n_blobs=10)
     coeffs = expand_stack(noisy, basis17)
