@@ -12,7 +12,7 @@ import sys
 
 from .io import RunConfig, load_config
 from .pipeline import run_classify, run_denoise, run_evaluate, run_simulate
-from .pool import set_blas_threads
+from .pool import set_threads
 
 __all__ = ["main", "build_parser"]
 
@@ -27,8 +27,8 @@ def build_parser():
     p.add_argument("--config", metavar="PATH", help="JSON run configuration")
     p.add_argument("--threads", type=int, default=None,
                    help="cap the worker processes of the projections, the RID search "
-                        "and the eigensolves, and the OpenBLAS threads "
-                        "(default: the config's threads; 0 is unlimited)")
+                        "and the eigensolves, and the OpenBLAS threads, for the whole "
+                        "process (default: the config's threads; 0 is unlimited)")
     p.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     sub = p.add_subparsers(dest="command", required=True)
     for name, desc in [
@@ -44,7 +44,7 @@ def build_parser():
 
 def _resolve_config(args):
     config = load_config(args.config) if args.config else RunConfig()
-    if args.threads:
+    if args.threads is not None:
         config = dataclasses.replace(config, threads=args.threads)
     return config
 
@@ -61,7 +61,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-        if config.threads and not set_blas_threads(config.threads):
+        if not set_threads(config.threads) and config.threads:
             print(f"BLAS thread cap of {config.threads} not applied: no OpenBLAS loaded; "
                   "set the BLAS library's thread variable before start", file=sys.stderr)
         if args.verbose:

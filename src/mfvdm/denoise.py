@@ -84,14 +84,13 @@ def _averaging_filter(graph, coeff_block, k, order):
     return (2.0 * s1 - s2) / sqrt_d[:, None]
 
 
-def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt, *, seed=0, threads=0):
+def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
     """Filter image and absolute-CTF coefficients for every basis frequency.
 
     Loops k = 0..k_max of the basis (denoising touches every coefficient
     block, not just the frequencies used for neighbor search). The truncated
-    kinds filter each block as its eigenpairs arrive from frequency_eigs, on
-    at most `threads` processes (0: no cap). Returns (denoised coeffs,
-    effective-CTF coeffs) as (n, n_coeffs) arrays.
+    kinds filter each block as its eigenpairs arrive from frequency_eigs.
+    Returns (denoised coeffs, effective-CTF coeffs) as (n, n_coeffs) arrays.
     """
     coeffs = np.asarray(coeffs)
     ctf_coeffs = np.asarray(ctf_coeffs)
@@ -104,8 +103,7 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt, *, seed=0, threads=0):
     if filt.truncated:
         # this module's own top_eigs binding, so that a wrapper installed
         # here (perfbench/tracing.py) sees the solves made in this process
-        spectra = frequency_eigs(graph, ks, min(filt.m, n), seed=seed, threads=threads,
-                                 solve=top_eigs)
+        spectra = frequency_eigs(graph, ks, min(filt.m, n), solve=top_eigs)
         for k, (vals, vecs) in zip(ks, spectra):
             sl = basis.k_slice(k)
             out_a[:, sl] = apply_spectral_filter(coeffs[:, sl], vals, vecs, graph.degrees, filt)

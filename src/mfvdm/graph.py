@@ -129,8 +129,7 @@ def smallest_s(keys, s):
     return np.take_along_axis(cols, order, axis=1)
 
 
-def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise_var=None,
-                      threads=0):
+def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise_var=None):
     """Brute-force all-pairs RID ranking; s smallest distances per node.
 
     Ties broken by smaller index. Returns the symmetrized ViewGraph.
@@ -140,8 +139,8 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise
 
     Rows are ranked a block at a time; each block's cross-spectra and
     correlations stay within BLOCK_BYTES. Ranges of about SEARCH_TASK_ROWS
-    rows run on pool.fork_map with at most `threads` processes (0: no cap);
-    the graph does not depend on it.
+    rows run on pool.fork_map; the graph does not depend on the number of
+    workers.
     """
     coeffs = np.asarray(coeffs)
     n = coeffs.shape[0]
@@ -168,8 +167,7 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise
     chunk = block_rows(n * (16 * n_half + 8 * fft_size + 32))
     task = chunk * max(1, SEARCH_TASK_ROWS // chunk)
     ranges = [(start, min(start + task, n)) for start in range(0, n, task)]
-    parts = fork_map(_rank_rows, ranges, shared=(blocks, sq, s, fft_size, chunk),
-                     threads=threads)
+    parts = fork_map(_rank_rows, ranges, shared=(blocks, sq, s, fft_size, chunk))
     nb_idx, nb_alpha, nb_dist = (np.concatenate(p) for p in zip(*parts))
     return symmetrize(n, np.repeat(np.arange(n), s), nb_idx.ravel(),
                       nb_alpha.ravel(), nb_dist.ravel())

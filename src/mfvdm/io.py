@@ -120,29 +120,49 @@ def write_manifest(manifest, csv_path, json_path):
 
 
 def read_manifest(csv_path, json_path):
+    """Manifest as written by write_manifest. Raises FormatError for a
+    malformed row, rows not indexed 0, 1, ... in order, a non-finite rotation
+    entry, or a defocus group that is not an integer in [0, n_defocus_groups)."""
     with open(json_path) as fh:
         scalars = json.load(fh)
     rotations, groups = [], []
     with open(csv_path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        for row in r:
-            rotations.append(np.array([float(x) for x in row[1:10]]).reshape(3, 3))
-            groups.append(int(row[10]))
-    rotations = np.stack(rotations)
+        reader = csv.reader(fh)
+        next(reader)
+        try:
+            for i, row in enumerate(reader):
+                if len(row) != 11 or int(row[0]) != i:
+                    raise ValueError(f"row {i} is not 11 fields led by its index {i}")
+                rotations.append(np.array([float(x) for x in row[1:10]]).reshape(3, 3))
+                groups.append(int(row[10]))
+        except ValueError as exc:
+            raise FormatError(f"{csv_path}: malformed row: {exc}") from None
+    rotations = np.array(rotations).reshape(-1, 3, 3)
+    groups = np.array(groups, dtype=int)
+    if not np.isfinite(rotations).all():
+        raise FormatError(f"{csv_path}: non-finite rotation entry")
+    n_groups = int(scalars["n_defocus_groups"])
+    outside = (groups < 0) | (groups >= n_groups)
+    if outside.any():
+        raise FormatError(f"{csv_path}: defocus group {groups[outside][0]} "
+                          f"outside [0, {n_groups})")
     if rotations.shape[0] != scalars["n"]:
         raise FormatError("manifest CSV row count disagrees with JSON sidecar")
     return DatasetManifest(
         rotations=rotations,
-        defocus_group=np.array(groups, dtype=int),
+        defocus_group=groups,
         snr=float(scalars["snr"]),
         seed=int(scalars["seed"]),
         L=int(scalars["L"]),
         bandlimit=float(scalars["bandlimit"]),
         support_radius=float(scalars["support_radius"]),
         noise_model=str(scalars["noise_model"]),
-        n_defocus_groups=int(scalars["n_defocus_groups"]),
+        n_defocus_groups=n_groups,
     )
+
+
+# the values a RunConfig field of each annotated type accepts
+_ACCEPTED_TYPES = {int: int, float: (int, float), bool: bool, str: str}
 
 
 @dataclasses.dataclass
@@ -177,11 +197,18 @@ class RunConfig:
     # denoising
     filter_kind: int = 2
     eps: float = 0.0            # 0 means the default 1e-2 * max(C^2)
-    # cap on OpenBLAS threads and on the simulate, search and eigensolve
-    # worker processes; 0: none
+    # the process-wide cap that the CLI sets with pool.set_threads: on
+    # OpenBLAS threads and on the simulate, search and eigensolve worker
+    # processes; 0: none. In-memory callers call set_threads themselves.
     threads: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass: only a bool field takes one
+            if (not isinstance(value, _ACCEPTED_TYPES[f.type])
+                    or isinstance(value, bool) != (f.type is bool)):
+                raise ValueError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         if self.L < 3 or self.L % 2 == 0:
             raise ValueError("L must be odd and >= 3")
         if self.n < 2:
@@ -219,6 +246,8 @@ def load_config(path):
     their defaults."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(data) - known)
     if unknown:

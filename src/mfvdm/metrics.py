@@ -50,30 +50,28 @@ def _window_mean(images, size=11, sigma=1.5):
     return images
 
 
-def ssim(x, ref, *, data_range=None):
+def ssim(x, ref):
     """Windowed structural similarity, Gaussian 11x11 sigma=1.5 window,
-    K1=0.01, K2=0.03; dynamic range defaults to the reference's."""
+    K1=0.01, K2=0.03, dynamic range the reference's."""
     x, ref = np.asarray(x, dtype=float), np.asarray(ref, dtype=float)
-    return float(ssim_stack(x[None], ref[None], data_range=data_range)[0])
+    return float(ssim_stack(x[None], ref[None])[0])
 
 
 # images per batch in ssim_stack: the transient stays a few MB at L=33
 SSIM_BLOCK = 128
 
 
-def ssim_stack(x, ref, *, data_range=None):
+def ssim_stack(x, ref):
     """ssim of each image of an (n, h, w) stack against the matching
-    reference image, SSIM_BLOCK images per batch; the dynamic range defaults
-    to each reference image's."""
+    reference image, SSIM_BLOCK images per batch; the dynamic range is each
+    reference image's."""
     x = np.asarray(x, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if x.shape != ref.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {ref.shape}")
     if min(x.shape[1:]) < 11:
         raise ValueError("images must be at least 11x11")
-    if data_range is None:
-        data_range = ref.max(axis=(1, 2)) - ref.min(axis=(1, 2))
-    data_range = np.broadcast_to(np.asarray(data_range, dtype=float), x.shape[:1])
+    data_range = ref.max(axis=(1, 2)) - ref.min(axis=(1, 2))
     win = _window_mean
     out = np.empty(x.shape[0])
     for start in range(0, x.shape[0], SSIM_BLOCK):
@@ -111,12 +109,14 @@ def wrap_degrees(err_deg):
     return np.where(wrapped == -180.0, 180.0, wrapped)
 
 
-def neighbor_histograms(graph, manifest, bins=36):
+def neighbor_histograms(graph, manifest):
     """Histograms of viewing angles and alignment errors over graph edges.
 
     Returns a dict with theta histogram (degrees, [0, 180]), alignment-error
-    histogram (degrees, (-180, 180]), and the raw per-edge arrays.
+    histogram (degrees, (-180, 180]), 36 bins each, and the raw per-edge
+    arrays.
     """
+    bins = 36
     if manifest.rotations is None:
         raise ValueError("manifest carries no ground-truth rotations")
     src, dst = graph.rows, graph.indices

@@ -71,10 +71,8 @@ def classify(coeffs, basis, config, noise_var=None):
         fft_size=config.initial_fft_size,
         energy_fraction=config.energy_fraction,
         noise_var=noise_var,
-        threads=config.threads,
     )
-    bundle = compute_bundle(initial, config.k_tilde, config.m, t=config.t,
-                            threads=config.threads)
+    bundle = compute_bundle(initial, config.k_tilde, config.m, t=config.t)
     refined = refine_neighbors(bundle, config.s)
     align_graph(bundle, refined, fft_size=config.fft_size)
     return initial, bundle, refined
@@ -101,7 +99,7 @@ def denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config):
     """Graph-filter the coefficients, then deconvolve each image by its
     filtered effective CTF. Returns (denoised images, effective CTF grids)."""
     filt = FilterSpec(kind=config.filter_kind, m=config.m)
-    da, dc = denoise_stack(coeffs, ctf_coeffs, graph, basis, filt, threads=config.threads)
+    da, dc = denoise_stack(coeffs, ctf_coeffs, graph, basis, filt)
     C = reconstruct_grid(dc, basis).real.copy()
     eps = config.eps if config.eps > 0 else 1e-2 * np.max(C**2, axis=(-2, -1))
     return ctf_correct(reconstruct_grid(da, basis), C, eps), C
@@ -144,7 +142,6 @@ def run_simulate(config, outdir):
         noise_model=config.noise_model,
         with_ctf=config.with_ctf,
         shift_px=config.shift_px,
-        threads=config.threads,
     )
     mfio.write_stack(clean, _p(outdir, "clean.stack"))
     mfio.write_stack(ctf_clean, _p(outdir, "ctf_clean.stack"))

@@ -1,9 +1,11 @@
-"""Order-preserving map over a fork process pool, and the OpenBLAS thread cap.
+"""Order-preserving map over a fork process pool, and the process-wide
+worker and OpenBLAS thread cap.
 
 The projections of the simulator, the row ranges of the initial RID search
 and the per-frequency eigensolves are independent tasks. `fork_map` runs such
 tasks on worker processes that inherit the large shared operands by fork, so
-only the small task descriptions and the results are pickled.
+only the small task descriptions and the results are pickled. `set_threads`
+caps the workers of every later `fork_map` call in the process.
 """
 
 import ctypes
@@ -13,7 +15,7 @@ import signal
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["fork_map", "set_blas_threads"]
+__all__ = ["fork_map", "set_threads", "set_blas_threads"]
 
 _PR_SET_PDEATHSIG = 1   # linux/prctl.h
 # OpenBLAS names its thread setter with or without the scipy wheels' prefix
@@ -21,16 +23,29 @@ _PR_SET_PDEATHSIG = 1   # linux/prctl.h
 _OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
 
+# the cap on fork_map's workers; written only by set_threads (0: no cap)
+_threads = 0
 # set in each pool worker by _start_worker: (func, shared), handed over by
 # fork rather than pickled
 _worker_job = None
 
 
-def fork_map(func, items, *, shared, threads):
+def set_threads(n):
+    """Cap the workers of every later fork_map call in this process at n
+    (0: no cap). For n > 0, also run every OpenBLAS loaded in the process on
+    n threads. Returns the number of OpenBLAS libraries set."""
+    global _threads
+    if n < 0:
+        raise ValueError(f"thread cap must be >= 0, got {n}")
+    _threads = n
+    return set_blas_threads(n) if n else 0
+
+
+def fork_map(func, items, *, shared):
     """Yield func(*shared, item) for each item, in item order.
 
-    The calls run on a fork pool of min(usable CPUs, len(items), threads)
-    worker processes (threads 0: no cap). The workers inherit func and
+    The calls run on a fork pool of min(usable CPUs, len(items), the
+    set_threads cap) worker processes. The workers inherit func and
     shared when they are forked, run OpenBLAS on one thread and die with the
     caller; each item and each result is pickled. With one worker the calls
     run in this process, and no child is started. At most two results per
@@ -38,7 +53,7 @@ def fork_map(func, items, *, shared, threads):
     and a worker's death raises BrokenProcessPool.
     """
     items = list(items)
-    workers = min(len(os.sched_getaffinity(0)), len(items), threads or len(items))
+    workers = min(len(os.sched_getaffinity(0)), len(items), _threads or len(items))
     if workers <= 1:
         for item in items:
             yield func(*shared, item)

@@ -74,10 +74,9 @@ def ctf_grid(profile, L):
     return ctf_value(profile, s)
 
 
-def default_defocus_groups(n_groups=20, defocus_min_um=1.0, defocus_max_um=4.0, **kwargs):
-    """Evenly spaced defocus groups in [defocus_min, defocus_max] um."""
-    dz = np.linspace(defocus_min_um, defocus_max_um, n_groups)
-    return [CTFProfile(defocus_um=d, **kwargs) for d in dz]
+def default_defocus_groups(n_groups=20):
+    """Evenly spaced defocus groups in [1, 4] um."""
+    return [CTFProfile(defocus_um=d) for d in np.linspace(1.0, 4.0, n_groups)]
 
 
 def make_phantom(L, seed, n_blobs=30, support_radius=None):
@@ -159,14 +158,13 @@ def _project_block(volume, rotations):
     return np.stack([project(volume, R) for R in rotations])
 
 
-def project_stack(volume, rotations, *, threads=0):
+def project_stack(volume, rotations):
     """Projections of volume at each rotation, (n, L, L), computed in blocks
-    of PROJECT_BLOCK views by pool.fork_map on at most `threads` processes
-    (0: no cap); a stack of one block is projected in this process."""
+    of PROJECT_BLOCK views by pool.fork_map; a stack of one block is
+    projected in this process."""
     rotations = np.asarray(rotations)
     blocks = [rotations[i:i + PROJECT_BLOCK] for i in range(0, len(rotations), PROJECT_BLOCK)]
-    return np.concatenate(list(fork_map(_project_block, blocks, shared=(volume,),
-                                        threads=threads)))
+    return np.concatenate(list(fork_map(_project_block, blocks, shared=(volume,))))
 
 
 def shift_image(image, shift):
@@ -177,27 +175,22 @@ def shift_image(image, shift):
     return ift_grid(ft_grid(image) * phase).real
 
 
-def add_noise(images, snr, seed, model="white", signal_var=None, psd=None):
+def add_noise(images, snr, seed, model="white"):
     """Additive Gaussian noise at dataset-wide SNR.
 
     Noise variance is var(clean stack)/snr, where the clean variance is taken
-    over the whole (CTF-affected) dataset unless signal_var is given. The
-    colored model filters white noise by a radial PSD then rescales.
+    over the whole (CTF-affected) dataset. The colored model filters white
+    noise by the radial PSD 1 / (1 + (xi / 0.1)^2) then rescales.
     """
     if snr <= 0:
         raise ValueError("snr must be > 0")
     images = np.asarray(images, dtype=float)
-    if signal_var is None:
-        signal_var = images.var()
-    sigma2 = signal_var / snr
+    sigma2 = images.var() / snr
     rng = _rng(seed)
     noise = rng.normal(size=images.shape)
     if model == "colored":
-        if psd is None:
-            psd = lambda xi: 1.0 / (1.0 + (xi / 0.1) ** 2)
-        L = images.shape[-1]
-        f1, f2 = freq_grid(L)
-        filt = np.sqrt(psd(np.hypot(f1, f2)))
+        f1, f2 = freq_grid(images.shape[-1])
+        filt = np.sqrt(1.0 / (1.0 + (np.hypot(f1, f2) / 0.1) ** 2))
         noise = ift_grid(ft_grid(noise) * filt).real
         noise *= np.sqrt(sigma2 / noise.var())
     elif model == "white":
@@ -302,20 +295,18 @@ class DatasetManifest:
 
 def simulate_dataset(n, L, seed, snr, *, support_radius=None, bandlimit=0.5,
                      n_blobs=30, n_defocus_groups=20, noise_model="white",
-                     with_ctf=True, shift_px=0.0, threads=0):
+                     with_ctf=True, shift_px=0.0):
     """Full generation chain. Returns (clean, ctf_clean, noisy, profiles, manifest).
 
     clean: projections without CTF (the evaluation reference);
     ctf_clean: CTF-modulated but noise-free; noisy: with additive noise.
     Optional shift_px injects uniform per-image translations in [-shift_px, shift_px].
-    The projections run on at most `threads` processes (0: no cap); the
-    outputs do not depend on it.
     """
     if support_radius is None:
         support_radius = (L - 1) / 2
     vol = make_phantom(L, seed, n_blobs=n_blobs, support_radius=support_radius)
     rotations = sample_rotations(n, seed + 1)
-    clean = project_stack(vol, rotations, threads=threads)
+    clean = project_stack(vol, rotations)
     if shift_px:
         rng = _rng(seed + 4)
         shifts = rng.uniform(-shift_px, shift_px, size=(n, 2))

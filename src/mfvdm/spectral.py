@@ -127,12 +127,12 @@ def _lanczos(W, m, rng):
         start = keep
 
 
-def top_eigs(W, m, *, seed=0):
+def top_eigs(W, m):
     """Largest-m eigenpairs of the Hermitian matrix W by algebraic value,
     descending.
 
     Dense Hermitian decomposition for small problems or large m; otherwise
-    thick-restart Lanczos from a deterministic seeded start vector.
+    thick-restart Lanczos from a start vector drawn from Philox(0).
     """
     n = W.shape[0]
     if m > n:
@@ -141,7 +141,7 @@ def top_eigs(W, m, *, seed=0):
         vals, vecs = np.linalg.eigh(W.toarray())
         vals, vecs = vals[::-1][:m], vecs[:, ::-1][:, :m]
     else:
-        vals, vecs = _lanczos(W, m, np.random.Generator(np.random.Philox(seed)))
+        vals, vecs = _lanczos(W, m, np.random.Generator(np.random.Philox(0)))
     resid = np.linalg.norm(W @ vecs - vecs * vals[None, :], axis=0)
     if resid.max() > RESIDUAL_TOL:
         raise EigsError(f"eigenpair residual {resid.max():.3e} exceeds {RESIDUAL_TOL:.1e}",
@@ -149,21 +149,21 @@ def top_eigs(W, m, *, seed=0):
     return vals.real, vecs
 
 
-def frequency_eigs(graph, ks, m, *, seed=0, threads=0, solve=None):
-    """Yield solve(build_frequency_matrix(graph, k), m, seed=seed) for each k
-    in ks, in order; solve is top_eigs unless given.
+def frequency_eigs(graph, ks, m, *, solve=None):
+    """Yield solve(build_frequency_matrix(graph, k), m) for each k in ks, in
+    order; solve is top_eigs unless given.
 
-    The solves are independent, so they run on pool.fork_map with at most
-    `threads` processes (0: no cap), which inherit the graph. Every k seeds
-    its own start vector, so the eigenpairs are the same bits whether the
-    solves run pooled or in this process.
+    The solves are independent, so they run on pool.fork_map, whose workers
+    inherit the graph. Every solve starts from the same Philox(0) draw, with
+    no per-k seed, so the eigenpairs are the same bits whether the solves
+    run pooled or in this process.
     """
     return fork_map(_solve_frequency, [int(k) for k in ks],
-                    shared=(graph, m, seed, solve or top_eigs), threads=threads)
+                    shared=(graph, m, solve or top_eigs))
 
 
-def _solve_frequency(graph, m, seed, solve, k):
-    return solve(build_frequency_matrix(graph, k), m, seed=seed)
+def _solve_frequency(graph, m, solve, k):
+    return solve(build_frequency_matrix(graph, k), m)
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,10 @@ class SpectralBundle:
         return self.degrees.size
 
 
-def compute_bundle(graph, k_max, m, *, t=1, seed=0, threads=0):
-    """Eigendecompositions for k = 1..k_max, solved by frequency_eigs on at
-    most `threads` processes (0: no cap)."""
+def compute_bundle(graph, k_max, m, *, t=1):
+    """Eigendecompositions for k = 1..k_max, solved by frequency_eigs."""
     ks = np.arange(1, k_max + 1)
-    pairs = list(frequency_eigs(graph, ks, min(m, graph.n), seed=seed, threads=threads))
+    pairs = list(frequency_eigs(graph, ks, min(m, graph.n)))
     return SpectralBundle(k_list=ks, eigenvalues=tuple(v for v, _ in pairs),
                           eigenvectors=tuple(u for _, u in pairs), degrees=graph.degrees,
                           t=t, m=m)

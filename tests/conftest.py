@@ -5,6 +5,22 @@ import pytest
 
 from mfvdm import build_basis, expand_stack, rotate_coeffs, simulate_dataset
 from mfvdm.graph import ViewGraph, initial_nn_search
+from mfvdm.pool import set_blas_threads, set_threads
+
+
+@pytest.fixture(autouse=True)
+def _restore_threads():
+    """After each test, lift the process-wide worker cap and put OpenBLAS
+    back on its previous thread count: a test that sets a cap (directly or
+    through an in-process CLI run with --threads) must not leave later
+    tests serial or on one BLAS thread."""
+    from test_spectral import _openblas_threads
+
+    before = _openblas_threads()
+    yield
+    set_threads(0)
+    if before:
+        set_blas_threads(max(before))
 
 
 @pytest.fixture(scope="session")

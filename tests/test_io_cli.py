@@ -15,7 +15,7 @@ import pytest
 
 import mfvdm
 from mfvdm import cli
-from mfvdm.cli import main
+from mfvdm.cli import build_parser, main
 from mfvdm.graph import ViewGraph, write_graph_csv
 from mfvdm.io import (
     SIMULATE_FIELDS,
@@ -31,7 +31,6 @@ from mfvdm.io import (
 )
 from mfvdm.simulate import simulate_dataset
 from mfvdm.pool import set_blas_threads
-from test_spectral import _openblas_threads
 
 
 def test_stack_round_trip(tmp_path):
@@ -119,6 +118,73 @@ def test_config_unknown_key(tmp_path):
         load_config(path)
 
 
+def test_threads_zero_lifts_config_cap(tmp_path):
+    """--threads 0 overrides a config's cap with no cap; without --threads
+    the config's cap holds."""
+    path = tmp_path / "cfg.json"
+    save_config(RunConfig(threads=4), path)
+    for opts, threads in [(["--threads", "0"], 0), ([], 4), (["--threads", "2"], 2)]:
+        args = build_parser().parse_args(opts + ["--config", str(path), "simulate", "out"])
+        assert cli._resolve_config(args).threads == threads
+
+
+@pytest.mark.parametrize("data", [
+    {"with_ctf": "no"}, {"with_ctf": 1}, {"s": 50.0}, {"threads": 1.5}, {"L": "33"},
+    {"n": True}, {"snr": "0.1"}, {"snr": False}, {"noise_model": 1}, {"eps": None},
+])
+def test_config_rejects_wrong_types(tmp_path, data):
+    """Each field takes a value of its annotated type; a float field also
+    takes an int, and no number field takes a bool."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    (name,) = data
+    with pytest.raises(ValueError, match=rf"^{name} must be (int|float|bool|str), got "):
+        load_config(path)
+
+
+def test_config_must_be_object(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([["n", 10]]))
+    with pytest.raises(ValueError, match="JSON object"):
+        load_config(path)
+
+
+def _corrupt_manifest(lines):
+    """Corrupted copies of a manifest CSV's rows, one per defect."""
+    rows = [line.split(",") for line in lines[1:]]
+
+    def edit(col, value):
+        out = [r[:] for r in rows]
+        out[0][col] = value
+        return out
+
+    return {
+        "negative group": edit(10, "-1"),
+        "group past the last": edit(10, "4"),
+        "non-integer group": edit(10, "1.5"),
+        "missing group": [rows[0][:10]] + rows[1:],
+        "non-integer index": edit(0, "first"),
+        "rows out of order": [rows[1], rows[0]] + rows[2:],
+        "nan rotation": edit(1, "nan"),
+        "inf rotation": edit(5, "-inf"),
+        "malformed rotation": edit(2, "one"),
+    }
+
+
+def test_read_manifest_rejects_corrupt(tiny_dataset, tmp_path):
+    man = tiny_dataset["manifest"]
+    assert man.n_defocus_groups == 4
+    csv_p, json_p = tmp_path / "m.csv", tmp_path / "m.json"
+    write_manifest(man, csv_p, json_p)
+    lines = csv_p.read_text().splitlines()
+    for name, rows in _corrupt_manifest(lines).items():
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+        with pytest.raises(FormatError):
+            read_manifest(bad, json_p)
+            pytest.fail(f"accepted a manifest with a {name}")
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(L=32)
@@ -132,6 +198,10 @@ def test_config_validation():
         RunConfig(filter_kind=7)
     with pytest.raises(ValueError):
         RunConfig(energy_fraction=0.0)
+    # a float field takes an int, and its range check still applies
+    assert RunConfig(snr=1, shift_px=2).snr == 1
+    with pytest.raises(ValueError, match="bandlimit must be in"):
+        RunConfig(bandlimit=0)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +309,7 @@ def test_threads_not_applied_warns_once(cli_run, monkeypatch, tmp_path, capsys):
     """Without an OpenBLAS to set, a thread cap is reported once on stderr;
     with no cap nothing is printed."""
     _, _, cfg_path = cli_run
-    monkeypatch.setattr(cli, "set_blas_threads", lambda n: 0)
+    monkeypatch.setattr(mfvdm.pool, "set_blas_threads", lambda n: 0)
     assert main(["--config", cfg_path, "simulate", str(tmp_path / "a")]) == 0
     assert capsys.readouterr().err == ""
     assert main(["--threads", "3", "--config", cfg_path, "simulate", str(tmp_path / "b")]) == 0
@@ -250,9 +320,7 @@ def test_config_mismatch_is_named(cli_run, tmp_path, capsys):
     """Later stages refuse a config that disagrees with the run directory's
     on a field the dataset was simulated with, and accept other changes."""
     outdir, cfg, _ = cli_run
-    # threads changes no bit of the dataset (test_pool.py), so a run may
-    # change it
-    assert set(SIMULATE_FIELDS) == set(inspect.signature(simulate_dataset).parameters) - {"threads"}
+    assert set(SIMULATE_FIELDS) == set(inspect.signature(simulate_dataset).parameters)
     d = tmp_path / "run"
     d.mkdir()
     for name in ["config.json", "noisy.stack", "manifest.csv", "manifest.json",
@@ -284,12 +352,8 @@ def test_every_config_field_is_read():
 @pytest.fixture
 def one_blas_thread():
     """OpenBLAS on one thread in this process for the test, as --threads 1
-    leaves it, and back to its previous count after."""
-    before = _openblas_threads()
+    leaves it; conftest's _restore_threads puts back the previous count."""
     set_blas_threads(1)
-    yield
-    if before:
-        set_blas_threads(max(before))
 
 
 def test_threads_one_is_serial_and_identical(cli_run, monkeypatch, tmp_path, one_blas_thread):

@@ -66,7 +66,7 @@ def test_ssim_against_skimage():
         x, ref, gaussian_weights=True, sigma=1.5, use_sample_covariance=False,
         data_range=dr,
     )
-    assert abs(ssim(x, ref, data_range=dr) - theirs) < 1e-7
+    assert abs(ssim(x, ref) - theirs) < 1e-7
 
 
 def test_ssim_validation():

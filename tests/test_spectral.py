@@ -18,6 +18,7 @@ import mfvdm.graph
 import mfvdm.spectral
 from mfvdm import expand_stack, simulate_dataset
 from mfvdm.graph import ViewGraph, initial_nn_search
+from mfvdm.pool import set_threads
 from mfvdm.spectral import (
     EigsError,
     SpectralBundle,
@@ -109,8 +110,8 @@ def test_lanczos_finds_doubled_eigenvalues(graph600):
 
 def test_lanczos_deterministic(graph600):
     W = build_frequency_matrix(graph600, 5)
-    vals1, vecs1 = top_eigs(W, 40, seed=3)
-    vals2, vecs2 = top_eigs(W, 40, seed=3)
+    vals1, vecs1 = top_eigs(W, 40)
+    vals2, vecs2 = top_eigs(W, 40)
     assert np.array_equal(vals1, vals2) and np.array_equal(vecs1, vecs2)
 
 
@@ -142,12 +143,14 @@ def test_pooled_eigs_match_serial(graph600, monkeypatch):
     loop's eigenpairs bitwise, in k order."""
     _two_cpus(monkeypatch)
     ks = range(6)
-    serial = list(frequency_eigs(graph600, ks, 40, seed=3, threads=1))
+    set_threads(1)
+    serial = list(frequency_eigs(graph600, ks, 40))
+    set_threads(0)
 
-    def solve_with_pid(W, m, seed):
-        return top_eigs(W, m, seed=seed), os.getpid()
+    def solve_with_pid(W, m):
+        return top_eigs(W, m), os.getpid()
 
-    pooled = list(frequency_eigs(graph600, ks, 40, seed=3, solve=solve_with_pid))
+    pooled = list(frequency_eigs(graph600, ks, 40, solve=solve_with_pid))
     assert os.getpid() not in {pid for _, pid in pooled}
     for (vals, vecs), ((pvals, pvecs), _) in zip(serial, pooled, strict=True):
         assert np.array_equal(vals, pvals) and np.array_equal(vecs, pvecs)
@@ -170,7 +173,7 @@ def test_pool_workers_run_blas_on_one_thread(demo_graph, monkeypatch):
         pytest.skip("numpy is not linked against OpenBLAS")
     _two_cpus(monkeypatch)
 
-    def solve_counting_threads(W, m, seed):
+    def solve_counting_threads(W, m):
         return _openblas_threads()
 
     counts = list(frequency_eigs(demo_graph, range(4), 10, solve=solve_counting_threads))
@@ -194,7 +197,7 @@ def test_pool_worker_death_raises(demo_graph, monkeypatch):
     _two_cpus(monkeypatch)
     parent = os.getpid()
 
-    def die(W, m, seed=0):
+    def die(W, m):
         if os.getpid() == parent:
             raise AssertionError("solve ran in the calling process")
         os._exit(3)
@@ -232,7 +235,7 @@ def test_pool_workers_die_with_caller():
         "from mfvdm.graph import ViewGraph",
         "from mfvdm.spectral import frequency_eigs",
         "os.sched_getaffinity = lambda pid: {0, 1}",
-        "def hang(W, m, seed):",
+        "def hang(W, m):",
         "    os.write(1, f'{os.getpid()}\\n'.encode())",
         "    time.sleep(600)",
         "g = ViewGraph(indptr=np.array([0, 1, 2]), indices=np.array([1, 0]),",
