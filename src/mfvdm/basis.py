@@ -10,7 +10,6 @@ exp(-i*k*alpha), which makes rotational alignment a 1D FFT over k.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import jn_zeros, jv
 
 __all__ = [
     "BasisTables",
@@ -98,6 +97,10 @@ def build_basis(L, bandlimit, support_radius):
         raise BasisError(
             f"support radius must be in (0, {(L - 1) / 2}], got {support_radius}"
         )
+    # scipy is imported where it is used, so that `import mfvdm` and the
+    # stages that never call it (evaluate; classify and denoise, which read
+    # the basis from the run directory) do not pay for its import
+    from scipy.special import jn_zeros, jv
 
     c_max = 2.0 * np.pi * bandlimit * support_radius
     if jn_zeros(0, 1)[0] > c_max:

@@ -111,6 +111,18 @@ def block_rows(bytes_per_row):
     return max(1, int(BLOCK_BYTES // max(bytes_per_row, 1)))
 
 
+def row_blocks(n, bytes_per_row):
+    """Slices covering range(n) in order, in blocks of at most
+    max(block_rows(bytes_per_row), 2) rows whose sizes differ by at most one.
+    No block holds a single row unless n is 1: BLAS multiplies one row by
+    its vector path, whose last bits differ from those of the matrix path
+    that larger blocks take."""
+    count = max(1, min(-(-n // block_rows(bytes_per_row)), n // 2))
+    size, extra = divmod(n, count)
+    starts = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
+
+
 def smallest_s(keys, s):
     """Per row of keys, the column indices of the s smallest values in
     ascending order, ties broken by the smaller index: the first s columns

@@ -1,10 +1,12 @@
-"""On-disk formats: binary image stacks, manifest CSV/JSON, run configuration.
+"""On-disk formats: binary image stacks, manifest CSV/JSON, basis tables,
+run configuration.
 
 Stack format: a 24-byte header (magic "MFVS", version u16, image count u32,
 side length u32, dtype tag u16 with f32 = 1, 8 reserved zero bytes) followed
 by n*L*L little-endian float32 values, row-major per image. Manifests are a
-CSV of per-image rows plus a JSON sidecar of scalar parameters. Configs are
-flat JSON; unknown keys are rejected.
+CSV of per-image rows plus a JSON sidecar of scalar parameters. Basis tables
+are an uncompressed .npz archive with one entry per BasisTables field.
+Configs are flat JSON; unknown keys are rejected.
 """
 
 import contextlib
@@ -13,9 +15,11 @@ import dataclasses
 import json
 import os
 import struct
+import zipfile
 
 import numpy as np
 
+from .basis import BasisTables
 from .simulate import DatasetManifest
 
 __all__ = [
@@ -24,6 +28,8 @@ __all__ = [
     "read_stack",
     "write_manifest",
     "read_manifest",
+    "write_basis",
+    "read_basis",
     "load_config",
     "save_config",
     "STACK_MAGIC",
@@ -93,6 +99,12 @@ def read_stack(path):
     return data.reshape(n, L, L).copy()
 
 
+# the manifest JSON sidecar's keys, in file order, and the type of each
+_SIDECAR_TYPES = {"snr": float, "seed": int, "L": int, "bandlimit": float,
+                  "support_radius": float, "noise_model": str, "n_defocus_groups": int,
+                  "n": int}
+
+
 def write_manifest(manifest, csv_path, json_path):
     """Per-image CSV (index, rotation entries row-major, defocus group) plus a
     JSON sidecar with the scalar generation parameters."""
@@ -104,16 +116,7 @@ def write_manifest(manifest, csv_path, json_path):
             row = [i] + [repr(float(x)) for x in manifest.rotations[i].ravel()]
             row.append(int(manifest.defocus_group[i]))
             w.writerow(row)
-    scalars = {
-        "snr": manifest.snr,
-        "seed": manifest.seed,
-        "L": manifest.L,
-        "bandlimit": manifest.bandlimit,
-        "support_radius": manifest.support_radius,
-        "noise_model": manifest.noise_model,
-        "n_defocus_groups": manifest.n_defocus_groups,
-        "n": manifest.n,
-    }
+    scalars = {name: getattr(manifest, name) for name in _SIDECAR_TYPES}
     with atomic_open(json_path) as fh:
         json.dump(scalars, fh, indent=2)
         fh.write("\n")
@@ -121,10 +124,19 @@ def write_manifest(manifest, csv_path, json_path):
 
 def read_manifest(csv_path, json_path):
     """Manifest as written by write_manifest. Raises FormatError for a
+    sidecar key that is missing or holds a value of the wrong type, a
     malformed row, rows not indexed 0, 1, ... in order, a non-finite rotation
     entry, or a defocus group that is not an integer in [0, n_defocus_groups)."""
     with open(json_path) as fh:
         scalars = json.load(fh)
+    if not isinstance(scalars, dict):
+        raise FormatError(f"{json_path}: the sidecar must be a JSON object")
+    for name, kind in _SIDECAR_TYPES.items():
+        if name not in scalars:
+            raise FormatError(f"{json_path}: missing key {name!r}")
+        if not _is_of_type(scalars[name], kind):
+            raise FormatError(f"{json_path}: {name} must be {kind.__name__}, "
+                              f"got {scalars[name]!r}")
     rotations, groups = [], []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -141,7 +153,7 @@ def read_manifest(csv_path, json_path):
     groups = np.array(groups, dtype=int)
     if not np.isfinite(rotations).all():
         raise FormatError(f"{csv_path}: non-finite rotation entry")
-    n_groups = int(scalars["n_defocus_groups"])
+    n_groups = scalars["n_defocus_groups"]
     outside = (groups < 0) | (groups >= n_groups)
     if outside.any():
         raise FormatError(f"{csv_path}: defocus group {groups[outside][0]} "
@@ -152,17 +164,82 @@ def read_manifest(csv_path, json_path):
         rotations=rotations,
         defocus_group=groups,
         snr=float(scalars["snr"]),
-        seed=int(scalars["seed"]),
-        L=int(scalars["L"]),
+        seed=scalars["seed"],
+        L=scalars["L"],
         bandlimit=float(scalars["bandlimit"]),
         support_radius=float(scalars["support_radius"]),
-        noise_model=str(scalars["noise_model"]),
+        noise_model=scalars["noise_model"],
         n_defocus_groups=n_groups,
     )
 
 
-# the values a RunConfig field of each annotated type accepts
+# the dtype of each BasisTables field in basis.npz
+_BASIS_DTYPES = {"L": np.int64, "bandlimit": np.float64, "support_radius": np.float64,
+                 "k_max": np.int64, "radial_counts": np.int64, "ks": np.int64,
+                 "norms": np.float64, "grid_index": np.int64, "psi_grid": np.complex128,
+                 "coeff_solver": np.complex128}
+
+
+def write_basis(basis, path):
+    """Write basis tables to path as an uncompressed .npz archive."""
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **{name: getattr(basis, name) for name in _BASIS_DTYPES})
+
+
+def read_basis(path, config):
+    """BasisTables from a basis.npz written by write_basis, for config's L,
+    bandlimit and support_radius. Raises FormatError for a missing or
+    unreadable file, a missing or extra entry, an entry of the wrong dtype
+    or shape, a non-finite entry, or tables built for other parameters."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            t = {name: npz[name] for name in npz.files}
+    except FileNotFoundError:
+        raise FormatError(f"{path}: no basis tables; rerun simulate to write them") from None
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not a readable .npz archive: {exc}") from None
+    if set(t) != set(_BASIS_DTYPES):
+        raise FormatError(f"{path}: missing entries {sorted(set(_BASIS_DTYPES) - set(t))}, "
+                          f"unexpected entries {sorted(set(t) - set(_BASIS_DTYPES))}")
+    for name, dtype in _BASIS_DTYPES.items():
+        if t[name].dtype != dtype:
+            raise FormatError(f"{path}: {name} has dtype {t[name].dtype}, "
+                              f"expected {np.dtype(dtype)}")
+    for name in ("L", "bandlimit", "support_radius", "k_max"):
+        if t[name].shape != ():
+            raise FormatError(f"{path}: {name} has shape {t[name].shape}, expected ()")
+    k_max, counts = int(t["k_max"]), t["radial_counts"]
+    if k_max < 0 or counts.shape != (k_max + 1,) or (counts < 1).any():
+        raise FormatError(f"{path}: radial_counts must hold k_max + 1 = {k_max + 1} "
+                          f"positive counts, got shape {counts.shape}")
+    n_coeffs, n_pos, n_inside = int(counts.sum()), int(counts[1:].sum()), t["grid_index"].size
+    shapes = {"ks": (n_coeffs,), "norms": (n_coeffs,), "grid_index": (n_inside,),
+              "psi_grid": (n_inside, n_coeffs), "coeff_solver": (n_coeffs + n_pos, n_inside)}
+    for name, shape in shapes.items():
+        if t[name].shape != shape:
+            raise FormatError(f"{path}: {name} has shape {t[name].shape}, expected {shape}")
+    for name in ("norms", "psi_grid", "coeff_solver"):
+        if not np.isfinite(t[name]).all():
+            raise FormatError(f"{path}: {name} has a non-finite entry")
+    if ((t["ks"] != np.repeat(np.arange(k_max + 1), counts)).any()
+            or (t["grid_index"] < 0).any() or (t["grid_index"] >= t["L"] ** 2).any()):
+        raise FormatError(f"{path}: ks or grid_index disagree with radial_counts and L")
+    for name in ("L", "bandlimit", "support_radius"):
+        if t[name] != getattr(config, name):
+            raise FormatError(f"{path}: built for {name} {t[name].item()!r}, but the "
+                              f"config has {getattr(config, name)!r}")
+    return BasisTables(**{name: t[name].item() if t[name].ndim == 0 else t[name]
+                          for name in _BASIS_DTYPES})
+
+
+# the values a field of each annotated type accepts
 _ACCEPTED_TYPES = {int: int, float: (int, float), bool: bool, str: str}
+
+
+def _is_of_type(value, kind):
+    """Whether value is accepted for a field of type kind: a float field
+    also takes an int, and only a bool field takes a bool (an int subclass)."""
+    return isinstance(value, _ACCEPTED_TYPES[kind]) and isinstance(value, bool) == (kind is bool)
 
 
 @dataclasses.dataclass
@@ -205,9 +282,7 @@ class RunConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            # bool is an int subclass: only a bool field takes one
-            if (not isinstance(value, _ACCEPTED_TYPES[f.type])
-                    or isinstance(value, bool) != (f.type is bool)):
+            if not _is_of_type(value, f.type):
                 raise ValueError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         if self.L < 3 or self.L % 2 == 0:
             raise ValueError("L must be odd and >= 3")

@@ -13,9 +13,9 @@ import numpy as np
 from . import io as mfio
 from .basis import build_basis, expand_disk_function, expand_stack, reconstruct_grid
 from .denoise import FilterSpec, ctf_correct, denoise_stack
-from .graph import coeff_noise_variance, initial_nn_search, read_graph_csv, write_graph_csv
+from .graph import coeff_noise_variance, initial_nn_search, read_graph_csv, row_blocks, write_graph_csv
 from .metrics import fit_to_reference, mse, psnr, ssim_stack
-from .simulate import ctf_value, preprocess, simulate_dataset
+from .simulate import check_finite, ctf_value, estimate_noise_psd, preprocess, simulate_dataset
 from .spectral import align_graph, compute_bundle, refine_neighbors
 
 __all__ = [
@@ -31,8 +31,12 @@ __all__ = [
 ]
 
 
-def _basis_for(config):
-    return build_basis(config.L, config.bandlimit, config.support_radius)
+def _image_bytes(L):
+    """Bytes of the temporaries per image of a block that preprocess +
+    expand_stack, or reconstruct_grid + ctf_correct, work through: about
+    five complex L x L grids, the transforms and their fftshift copies
+    (tracemalloc: 75-85 KB per image at L = 33)."""
+    return 5 * 16 * L * L
 
 
 def prepare_coeffs(images, manifest, profiles, basis, config):
@@ -40,19 +44,28 @@ def prepare_coeffs(images, manifest, profiles, basis, config):
 
     Standardization and Wiener shrinkage are skipped for noise-free input
     (infinite SNR): clean projections vanish outside the support, so the
-    corner statistics that drive both are degenerate there.
+    corner statistics that drive both are degenerate there. The stack is
+    transformed in blocks of images (graph.row_blocks); the whitening PSD
+    is the one statistic taken over the whole stack.
     """
     noisy_input = np.isfinite(manifest.snr)
-    pre = preprocess(
-        images,
-        config.support_radius,
-        standardize=config.standardize and noisy_input,
-        whiten=config.whiten and noisy_input,
-        phase_flip=config.phase_flip and config.with_ctf,
-        profiles=profiles,
-        groups=manifest.defocus_group,
-    )
-    coeffs = expand_stack(pre, basis)
+    # preprocess checks each block too, but names images by their index in it
+    check_finite(images)
+    noise_psd = None
+    if config.whiten and noisy_input:
+        noise_psd, _ = estimate_noise_psd(images, config.support_radius)
+    coeffs = np.empty((len(images), basis.n_coeffs), dtype=complex)
+    for rows in row_blocks(len(images), _image_bytes(basis.L)):
+        pre = preprocess(
+            images[rows],
+            config.support_radius,
+            standardize=config.standardize and noisy_input,
+            noise_psd=noise_psd,
+            phase_flip=config.phase_flip and config.with_ctf,
+            profiles=profiles,
+            groups=manifest.defocus_group[rows],
+        )
+        coeffs[rows] = expand_stack(pre, basis)
     noise_var = None
     if config.wiener and noisy_input:
         # standardization scales each image to unit corner (noise) variance
@@ -97,12 +110,18 @@ def absolute_ctf_coeffs(manifest, profiles, basis, config):
 
 def denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config):
     """Graph-filter the coefficients, then deconvolve each image by its
-    filtered effective CTF. Returns (denoised images, effective CTF grids)."""
+    filtered effective CTF, a block of images at a time. Returns (denoised
+    images, effective CTF grids)."""
     filt = FilterSpec(kind=config.filter_kind, m=config.m)
     da, dc = denoise_stack(coeffs, ctf_coeffs, graph, basis, filt)
-    C = reconstruct_grid(dc, basis).real.copy()
-    eps = config.eps if config.eps > 0 else 1e-2 * np.max(C**2, axis=(-2, -1))
-    return ctf_correct(reconstruct_grid(da, basis), C, eps), C
+    denoised = np.empty((len(da), basis.L, basis.L))
+    effective = np.empty_like(denoised)
+    for rows in row_blocks(len(da), _image_bytes(basis.L)):
+        C = reconstruct_grid(dc[rows], basis).real
+        eps = config.eps if config.eps > 0 else 1e-2 * np.max(C**2, axis=(-2, -1))
+        denoised[rows] = ctf_correct(reconstruct_grid(da[rows], basis), C, eps)
+        effective[rows] = C
+    return denoised, effective
 
 
 def evaluate_stack(denoised, reference):
@@ -131,8 +150,13 @@ def _p(outdir, name):
 
 
 def run_simulate(config, outdir):
-    """Generate a dataset and write stacks, manifest, and the config echo."""
+    """Generate a dataset and write the basis tables, stacks, manifest, and
+    the config echo."""
     os.makedirs(outdir, exist_ok=True)
+    # built first, before the stacks exist: the basis's temporaries then
+    # do not add to simulate's peak memory
+    mfio.write_basis(build_basis(config.L, config.bandlimit, config.support_radius),
+                     _p(outdir, "basis.npz"))
     clean, ctf_clean, noisy, profiles, manifest = simulate_dataset(
         config.n, config.L, config.seed, config.snr,
         support_radius=config.support_radius,
@@ -152,21 +176,24 @@ def run_simulate(config, outdir):
 
 
 def _load_dataset(config, outdir):
+    """The noisy stack (float32), manifest, CTF profiles and basis tables of
+    a run directory, after checking config against its config.json."""
     from .simulate import default_defocus_groups
 
     mfio.check_run_config(config, _p(outdir, "config.json"))
-    noisy = mfio.read_stack(_p(outdir, "noisy.stack")).astype(float)
+    noisy = mfio.read_stack(_p(outdir, "noisy.stack"))
     manifest = mfio.read_manifest(_p(outdir, "manifest.csv"), _p(outdir, "manifest.json"))
     profiles = default_defocus_groups(manifest.n_defocus_groups)
-    return noisy, manifest, profiles
+    basis = mfio.read_basis(_p(outdir, "basis.npz"), config)
+    return noisy, manifest, profiles, basis
 
 
 def run_classify(config, outdir):
     """Initial and refined neighbor graphs (with angles) from the noisy stack.
     Raises io.ConfigMismatchError if config disagrees with the run
-    directory's config.json on a simulation field."""
-    noisy, manifest, profiles = _load_dataset(config, outdir)
-    basis = _basis_for(config)
+    directory's config.json on a simulation field, and io.FormatError if
+    its basis.npz is missing or does not match config."""
+    noisy, manifest, profiles, basis = _load_dataset(config, outdir)
     coeffs, noise_var = prepare_coeffs(noisy, manifest, profiles, basis, config)
     initial, _, refined = classify(coeffs, basis, config, noise_var=noise_var)
     write_graph_csv(initial, _p(outdir, "initial_graph.csv"))
@@ -176,9 +203,8 @@ def run_classify(config, outdir):
 
 def run_denoise(config, outdir):
     """Denoised stack and effective CTF grids from the refined graph; checks
-    config like run_classify."""
-    noisy, manifest, profiles = _load_dataset(config, outdir)
-    basis = _basis_for(config)
+    the run directory like run_classify."""
+    noisy, manifest, profiles, basis = _load_dataset(config, outdir)
     coeffs, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
     graph = read_graph_csv(_p(outdir, "refined_graph.csv"))
     ctf_coeffs = absolute_ctf_coeffs(manifest, profiles, basis, config)

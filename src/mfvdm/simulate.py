@@ -9,7 +9,6 @@ flipping). Everything is deterministic in the seed (Philox counter-based RNG).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .basis import freq_grid, ft_grid, ift_grid
 from .pool import fork_map
@@ -25,6 +24,8 @@ __all__ = [
     "ctf_grid",
     "add_noise",
     "shift_image",
+    "estimate_noise_psd",
+    "check_finite",
     "preprocess",
     "default_defocus_groups",
     "simulate_dataset",
@@ -138,6 +139,8 @@ def sample_rotations(n, seed):
 def project(volume, rotation):
     """X-ray transform: I(x, y) = integral of phi(x R1 + y R2 + z R3) dz,
     discretized by unit z-steps and trilinear interpolation."""
+    from scipy.ndimage import map_coordinates  # imported on use: see build_basis
+
     L = volume.shape[0]
     if volume.shape != (L, L, L):
         raise ValueError("volume must be cubic")
@@ -207,49 +210,65 @@ def _corner_mask(L, support_radius):
     return np.hypot(X, Y) > support_radius
 
 
+def _radial_bins(L):
+    """Radial frequency bin (0 .. L // 2) of each point of the centered grid."""
+    f1, f2 = freq_grid(L)
+    nbin = L // 2 + 1
+    return np.minimum((np.hypot(f1, f2) * 2 * (nbin - 1)).astype(int), nbin - 1)
+
+
 def estimate_noise_psd(images, support_radius):
     """Radial noise power spectrum from the signal-free corner region.
 
     Average masked periodogram over the stack, normalized by the retained
-    pixel fraction, then radially binned.
+    pixel fraction, then radially binned. The periodograms are formed and
+    summed one image at a time, in index order: the same sum, bit for bit,
+    as a mean over the stack's first axis, without a whole-stack transform.
     """
-    images = np.asarray(images, dtype=float)
+    images = np.asarray(images)
     L = images.shape[-1]
     mask = _corner_mask(L, support_radius)
     if not mask.any():
         raise ValueError("no corner pixels outside the support radius")
     frac = mask.mean()
-    masked = images * mask
-    masked -= masked.sum(axis=(-2, -1), keepdims=True) / mask.sum()
-    masked *= mask
-    periodogram = np.abs(ft_grid(masked)) ** 2 / (L * L * frac)
-    mean_p = periodogram.mean(axis=0) if periodogram.ndim == 3 else periodogram
-    f1, f2 = freq_grid(L)
-    rad = np.hypot(f1, f2)
-    nbin = L // 2 + 1
-    bins = np.minimum((rad * 2 * (nbin - 1)).astype(int), nbin - 1)
-    psd = np.bincount(bins.ravel(), weights=mean_p.ravel(), minlength=nbin)
-    psd /= np.bincount(bins.ravel(), minlength=nbin)
+    stack = images.reshape(-1, L, L)
+    total = np.zeros((L, L))
+    for image in stack:
+        masked = np.asarray(image, dtype=float) * mask
+        masked -= masked.sum() / mask.sum()
+        masked *= mask
+        total += np.abs(ft_grid(masked)) ** 2 / (L * L * frac)
+    mean_p = total / len(stack)
+    bins = _radial_bins(L)
+    psd = np.bincount(bins.ravel(), weights=mean_p.ravel(), minlength=L // 2 + 1)
+    psd /= np.bincount(bins.ravel(), minlength=L // 2 + 1)
     return psd, bins
 
 
-def preprocess(images, support_radius, *, standardize=True, whiten=False,
+def check_finite(images):
+    """Raise ValueError naming the first image with a non-finite pixel."""
+    finite = np.isfinite(images).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError(f"image {int(np.flatnonzero(~finite)[0])} has non-finite pixels")
+
+
+def preprocess(images, support_radius, *, standardize=True, noise_psd=None,
                phase_flip=False, profiles=None, groups=None):
     """Standardization, optional whitening, optional phase flipping.
 
     Whitening divides each image's Fourier transform by the square root of
-    the radial noise PSD estimated from the corner pixels. Phase flipping
-    multiplies by sign(CTF) of the image's defocus group. Raises
-    ValueError naming the first image with a non-finite pixel.
+    noise_psd, the radial noise PSD from estimate_noise_psd (None: no
+    whitening); a stack processed in blocks passes every block the PSD of
+    the whole stack. Phase flipping multiplies by sign(CTF) of the image's
+    defocus group. Raises ValueError naming the first image with a
+    non-finite pixel.
     """
     images = np.asarray(images, dtype=float).copy()
-    finite = np.isfinite(images).all(axis=(-2, -1))
-    if not finite.all():
-        raise ValueError(f"image {int(np.flatnonzero(~finite)[0])} has non-finite pixels")
+    check_finite(images)
     L = images.shape[-1]
-    if whiten:
-        psd, bins = estimate_noise_psd(images, support_radius)
-        weight = 1.0 / np.sqrt(np.maximum(psd[bins], 1e-12 * psd.max()))
+    if noise_psd is not None:
+        psd = np.asarray(noise_psd, dtype=float)
+        weight = 1.0 / np.sqrt(np.maximum(psd[_radial_bins(L)], 1e-12 * psd.max()))
         images = ift_grid(ft_grid(images) * weight).real
     if phase_flip:
         if profiles is None or groups is None:

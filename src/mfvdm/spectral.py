@@ -15,7 +15,6 @@ inconsistent shortcut edges score low and are pruned.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import block_rows, smallest_s, symmetrize
 from .pool import fork_map
@@ -58,6 +57,8 @@ RESIDUAL_TOL = 1e-8
 def build_frequency_matrix(graph, k):
     """n x n complex CSR matrix with entries e^{-ik alpha_ij}/sqrt(deg_i deg_j)
     on the graph's edges; Hermitian by the angle antisymmetry of the graph."""
+    import scipy.sparse as sp  # imported on use: see basis.build_basis
+
     deg = graph.degrees
     if (deg == 0).any():
         bad = int(np.flatnonzero(deg == 0)[0])

@@ -23,9 +23,11 @@ from mfvdm.io import (
     RunConfig,
     atomic_open,
     load_config,
+    read_basis,
     read_manifest,
     read_stack,
     save_config,
+    write_basis,
     write_manifest,
     write_stack,
 )
@@ -183,6 +185,88 @@ def test_read_manifest_rejects_corrupt(tiny_dataset, tmp_path):
         with pytest.raises(FormatError):
             read_manifest(bad, json_p)
             pytest.fail(f"accepted a manifest with a {name}")
+    scalars, missing = json.loads(json_p.read_text()), object()
+    for key, value in [("n", missing), ("n", "6"), ("snr", "high"), ("n_defocus_groups", None),
+                       ("seed", 1.5), ("L", True)]:
+        bad = {k: v for k, v in scalars.items() if k != key}
+        if value is not missing:
+            bad[key] = value
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text(json.dumps(bad))
+        with pytest.raises(FormatError, match=rf": {key} must be |missing key '{key}'"):
+            read_manifest(csv_p, bad_json)
+            pytest.fail(f"accepted a sidecar with {key}={value!r}")
+
+
+def _basis_config(basis, **changes):
+    fields = {"L": basis.L, "bandlimit": basis.bandlimit, "support_radius": basis.support_radius}
+    return RunConfig(**{**fields, **changes})
+
+
+def test_basis_round_trip(basis17, tmp_path):
+    path = tmp_path / "basis.npz"
+    write_basis(basis17, path)
+    back = read_basis(path, _basis_config(basis17))
+    for f in dataclasses.fields(basis17):
+        a, b = getattr(back, f.name), getattr(basis17, f.name)
+        assert type(a) is type(b), f.name
+        np.testing.assert_array_equal(a, b, err_msg=f.name)
+
+
+def _corrupt_basis(t):
+    """Corrupted copies of a basis archive's entries, with the message each
+    must raise."""
+    def edit(**changes):
+        return {**t, **changes}
+
+    nan_norms = t["norms"].copy()
+    nan_norms[3] = np.nan
+    inf_solver = t["coeff_solver"].copy()
+    inf_solver[2, 5] = complex(np.inf, 0.0)
+    return {
+        "missing entry": ({k: v for k, v in t.items() if k != "norms"}, r"missing entries \['norms'\]"),
+        "extra entry": (edit(qs=t["ks"]), r"unexpected entries \['qs'\]"),
+        "int32 ks": (edit(ks=t["ks"].astype(np.int32)), "ks has dtype int32"),
+        "complex64 psi": (edit(psi_grid=t["psi_grid"].astype(np.complex64)), "psi_grid has dtype"),
+        "transposed psi": (edit(psi_grid=t["psi_grid"].T), "psi_grid has shape"),
+        "short solver": (edit(coeff_solver=t["coeff_solver"][:-1]), "coeff_solver has shape"),
+        "array L": (edit(L=np.array([t["L"]])), "L has shape"),
+        "short counts": (edit(radial_counts=t["radial_counts"][:-1]), "radial_counts must hold"),
+        "shuffled ks": (edit(ks=t["ks"][::-1].copy()), "ks or grid_index disagree"),
+        "nan norm": (edit(norms=nan_norms), "norms has a non-finite entry"),
+        "inf solver": (edit(coeff_solver=inf_solver), "coeff_solver has a non-finite entry"),
+    }
+
+
+def test_read_basis_rejects_corrupt(basis17, tmp_path):
+    path = tmp_path / "basis.npz"
+    write_basis(basis17, path)
+    with np.load(path) as npz:
+        tables = dict(npz)
+    config = _basis_config(basis17)
+    for name, (bad, message) in _corrupt_basis(tables).items():
+        np.savez(tmp_path / "bad.npz", **bad)
+        with pytest.raises(FormatError, match=message):
+            read_basis(tmp_path / "bad.npz", config)
+            pytest.fail(f"accepted a basis with a {name}")
+
+
+@pytest.mark.parametrize("changes", [{"L": 19}, {"bandlimit": 0.4}, {"support_radius": 7.0}])
+def test_read_basis_rejects_other_parameters(basis17, tmp_path, changes):
+    path = tmp_path / "basis.npz"
+    write_basis(basis17, path)
+    (name,) = changes
+    with pytest.raises(FormatError, match=f"built for {name} "):
+        read_basis(path, _basis_config(basis17, **changes))
+
+
+def test_read_basis_missing_or_unreadable(basis17, tmp_path):
+    config = _basis_config(basis17)
+    with pytest.raises(FormatError, match="rerun simulate"):
+        read_basis(tmp_path / "basis.npz", config)
+    (tmp_path / "junk.npz").write_bytes(b"not an archive")
+    with pytest.raises(FormatError, match="not a readable .npz"):
+        read_basis(tmp_path / "junk.npz", config)
 
 
 def test_config_validation():
@@ -218,7 +302,7 @@ def cli_run(tmp_path_factory):
 
 def test_cli_artifacts(cli_run):
     outdir, cfg, _ = cli_run
-    for name in ["clean.stack", "ctf_clean.stack", "noisy.stack",
+    for name in ["basis.npz", "clean.stack", "ctf_clean.stack", "noisy.stack",
                  "manifest.csv", "manifest.json", "initial_graph.csv",
                  "refined_graph.csv", "denoised.stack", "effective_ctf.stack",
                  "eval_report.csv", "eval_summary.json"]:
@@ -323,7 +407,7 @@ def test_config_mismatch_is_named(cli_run, tmp_path, capsys):
     assert set(SIMULATE_FIELDS) == set(inspect.signature(simulate_dataset).parameters)
     d = tmp_path / "run"
     d.mkdir()
-    for name in ["config.json", "noisy.stack", "manifest.csv", "manifest.json",
+    for name in ["config.json", "basis.npz", "noisy.stack", "manifest.csv", "manifest.json",
                  "refined_graph.csv"]:
         shutil.copy(os.path.join(outdir, name), d / name)
     for stage in ["classify", "denoise"]:
@@ -336,6 +420,17 @@ def test_config_mismatch_is_named(cli_run, tmp_path, capsys):
     path = tmp_path / "s.json"
     save_config(dataclasses.replace(cfg, s=cfg.s + 1), path)
     assert main(["--config", str(path), "classify", str(d)]) == 0
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported where it is used, so that start-up and the stages
+    that never call it do not pay for its import."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfvdm.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mfvdm.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_every_config_field_is_read():

@@ -1,17 +1,43 @@
 """Bounded memory: classification's temporaries stay within a few row or
-edge blocks instead of growing with n^2."""
+edge blocks instead of growing with n^2, and the transforms of the stack
+(preprocess and expand, reconstruct and CTF correction) within a few image
+blocks instead of growing with n, with outputs that do not depend on the
+block size."""
 
+import dataclasses
 import tracemalloc
 
+import numpy as np
+import pytest
+
+import mfvdm.graph
 from mfvdm import RunConfig, expand_stack, simulate_dataset
-from mfvdm.pipeline import classify
+from mfvdm.graph import initial_nn_search, row_blocks, symmetrize
+from mfvdm.pipeline import (
+    _image_bytes,
+    absolute_ctf_coeffs,
+    classify,
+    denoise_and_correct,
+    prepare_coeffs,
+)
 from mfvdm.pool import set_threads
+from mfvdm.simulate import DatasetManifest, default_defocus_groups
 
 # Peak traced allocation of classify on the 200-image stack below: 19 MB
 # with 16 MB blocks, 151 MB when the RID search held a 64 x n x 256 complex
 # spectrum and the alignment transformed every edge at once. The bound
 # leaves a margin of about 2x over the measured 19 MB.
 PEAK_BOUND_MB = 40
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
 
 
 def test_classify_peak_allocation_bounded(basis17):
@@ -24,10 +50,60 @@ def test_classify_peak_allocation_bounded(basis17):
     _, _, noisy, _, _ = simulate_dataset(n, 17, seed=5, snr=0.3, support_radius=8.0,
                                          n_defocus_groups=4, n_blobs=10)
     coeffs = expand_stack(noisy, basis17)
-    tracemalloc.start()
-    try:
-        classify(coeffs, basis17, config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / 2**20 < PEAK_BOUND_MB
+    assert _traced_peak_mb(classify, coeffs, basis17, config) < PEAK_BOUND_MB
+
+
+# 800 images of 33 x 33 pixels, 6.6 MB as float64. Measured peaks with the
+# 16 MB BLOCK_BYTES: prepare_coeffs 19 MB, denoise_and_correct 38 MB (of
+# which 21 MB are its two output stacks and the filtered coefficients).
+# Transforming the whole stack at once they were 67 MB and 81 MB.
+STACK_N = 800
+PREPARE_BOUND_MB = 30
+DENOISE_BOUND_MB = 55
+
+
+def test_stack_transforms_peak_allocation_bounded(basis33):
+    set_threads(1)
+    rng = np.random.Generator(np.random.Philox(3))
+    images = rng.normal(size=(STACK_N, 33, 33)).astype(np.float32)
+    manifest = DatasetManifest(rotations=np.tile(np.eye(3), (STACK_N, 1, 1)),
+                               defocus_group=rng.integers(0, 4, size=STACK_N), snr=0.1,
+                               seed=0, L=33, bandlimit=0.5, support_radius=16.0,
+                               n_defocus_groups=4)
+    # the filtered kind averages over neighbors without eigensolves; a ring
+    # of five neighbors a side keeps every node connected
+    config = RunConfig(n=STACK_N, whiten=True, wiener=False, filter_kind=4)
+    profiles = default_defocus_groups(4)
+    assert _traced_peak_mb(prepare_coeffs, images, manifest, profiles, basis33,
+                           config) < PREPARE_BOUND_MB
+    coeffs, _ = prepare_coeffs(images, manifest, profiles, basis33, config)
+    src = np.repeat(np.arange(STACK_N), 5)
+    dst = (src + np.tile(np.arange(1, 6), STACK_N)) % STACK_N
+    graph = symmetrize(STACK_N, src, dst, angles=np.zeros(src.size))
+    assert _traced_peak_mb(denoise_and_correct, coeffs, coeffs, graph, basis33,
+                           config) < DENOISE_BOUND_MB
+
+
+@pytest.mark.parametrize("whiten_and_flip", [True, False])
+def test_stack_transforms_do_not_depend_on_blocks(whiten_and_flip, tiny_dataset, basis17,
+                                                  monkeypatch):
+    """One block and five give bitwise-equal coefficients, denoised images
+    and effective CTFs. 57 images in blocks of 14 would leave a one-image
+    tail, whose BLAS product rounds differently."""
+    ds, n, rows = tiny_dataset, 57, 14
+    manifest = dataclasses.replace(ds["manifest"], rotations=ds["manifest"].rotations[:n],
+                                   defocus_group=ds["manifest"].defocus_group[:n])
+    config = RunConfig(n=n, L=17, support_radius=8.0, s=8, m=20, n_defocus_groups=4,
+                       whiten=whiten_and_flip, phase_flip=whiten_and_flip)
+    outputs = []
+    for block_bytes in (2**40, rows * _image_bytes(17)):
+        monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", block_bytes)
+        coeffs, _ = prepare_coeffs(ds["noisy"][:n], manifest, ds["profiles"], basis17, config)
+        graph = initial_nn_search(coeffs, basis17, config.s)
+        ctf = absolute_ctf_coeffs(manifest, ds["profiles"], basis17, config)
+        outputs.append((coeffs, *denoise_and_correct(coeffs, ctf, graph, basis17, config)))
+    assert n % rows == 1
+    blocks = row_blocks(n, rows * _image_bytes(17))
+    assert len(blocks) >= 4 and min(b.stop - b.start for b in blocks) > 1
+    for one, many in zip(*outputs):
+        np.testing.assert_array_equal(many, one)
