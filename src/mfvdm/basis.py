@@ -4,7 +4,8 @@ Band-limited, disk-supported images are represented by complex expansion
 coefficients a_{k,q} indexed by angular frequency k >= 0 and radial index q.
 Negative frequencies are implied by conjugate symmetry (real images).
 Rotating an image counter-clockwise by alpha multiplies a_{k,q} by
-exp(-i*k*alpha), which makes rotational alignment a 1D FFT over k.
+exp(-i*k*alpha), which makes the correlation of two images over rotations
+a 1D Fourier sum over k.
 """
 
 from dataclasses import dataclass, field

@@ -141,6 +141,27 @@ def smallest_s(keys, s):
     return np.take_along_axis(cols, order, axis=1)
 
 
+def search_row_bytes(n, n_freqs, fft_size):
+    """Bytes of the RID search's temporaries per ranked row: one complex
+    cross-spectrum row, its real and imaginary parts for each of n_freqs
+    frequencies, the correlations over the fft_size-point rotation grid, and
+    the best shift, best value, distance and sort key of each of the n
+    columns."""
+    return n * (16 + 16 * n_freqs + 8 * fft_size + 32)
+
+
+def rotation_table(ks, fft_size, weights):
+    """(2K, fft_size) table [w cos(2 pi k t / N); -w sin(2 pi k t / N)] over
+    the frequencies ks and grid points t = 0..N-1 (N = fft_size). With the
+    real parts of spectra z(k) in the first K columns of a row and their
+    imaginary parts in the last K, the row times the table is
+    Re sum_k w(k) z(k) e^{2 pi i k t / N} on the whole grid."""
+    ks = np.asarray(ks)
+    phase = 2.0 * np.pi * (np.outer(ks, np.arange(fft_size)) % fft_size) / fft_size
+    w = np.asarray(weights, dtype=float)[:, None]
+    return np.concatenate([w * np.cos(phase), -w * np.sin(phase)])
+
+
 def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise_var=None):
     """Brute-force all-pairs RID ranking; s smallest distances per node.
 
@@ -149,10 +170,13 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise
     are shrunk by the Wiener factor sig/(sig + noise) before ranking, which
     suppresses the noise-dominated high frequencies at low SNR.
 
-    Rows are ranked a block at a time; each block's cross-spectra and
-    correlations stay within BLOCK_BYTES. Ranges of about SEARCH_TASK_ROWS
-    rows run on pool.fork_map; the graph does not depend on the number of
-    workers.
+    The correlation of two images over the fft_size-point rotation grid is
+    a trigonometric polynomial in the kept frequencies: the real and
+    imaginary parts of each pair's per-k cross-spectra times one
+    rotation_table, a real matrix product. Rows are ranked a block at a
+    time; each block's temporaries stay within BLOCK_BYTES. Ranges of about
+    SEARCH_TASK_ROWS rows run on pool.fork_map; the graph does not depend on
+    the number of workers.
     """
     coeffs = np.asarray(coeffs)
     n = coeffs.shape[0]
@@ -170,40 +194,39 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise
     eps = np.where(ks == 0, 1.0, 2.0)
     sq = (np.abs(sub) ** 2) @ eps
 
-    # per-frequency coefficient blocks and their conjugate transposes, for
-    # fast cross-spectra
-    blocks = [(k, sub[:, ks == k]) for k in np.unique(ks)]
-    blocks = [(k, b, np.conj(b).T) for k, b in blocks]
-    n_half = fft_size // 2 + 1
-    # per row: half spectrum (complex), correlations, sort indices
-    chunk = block_rows(n * (16 * n_half + 8 * fft_size + 32))
+    # per kept frequency, its coefficient block and conjugate transpose, for
+    # fast cross-spectra; the k > 0 terms count their conjugate twice
+    freqs = np.unique(ks)
+    blocks = [(sub[:, ks == k], np.conj(sub[:, ks == k]).T) for k in freqs]
+    table = rotation_table(freqs, fft_size, np.where(freqs == 0, 1.0, 2.0))
+    chunk = block_rows(search_row_bytes(n, freqs.size, fft_size))
     task = chunk * max(1, SEARCH_TASK_ROWS // chunk)
     ranges = [(start, min(start + task, n)) for start in range(0, n, task)]
-    parts = fork_map(_rank_rows, ranges, shared=(blocks, sq, s, fft_size, chunk))
+    parts = fork_map(_rank_rows, ranges, shared=(blocks, table, sq, s, chunk))
     nb_idx, nb_alpha, nb_dist = (np.concatenate(p) for p in zip(*parts))
     return symmetrize(n, np.repeat(np.arange(n), s), nb_idx.ravel(),
                       nb_alpha.ravel(), nb_dist.ravel())
 
 
-def _rank_rows(blocks, sq, s, fft_size, chunk, rows):
+def _rank_rows(blocks, table, sq, s, chunk, rows):
     """(indices, angles, distances), each (stop - start, s), of the s
     nearest neighbors of rows start:stop, ranked chunk rows at a time."""
     start, stop = rows
     n = sq.size
+    n_freqs, fft_size = table.shape[0] // 2, table.shape[1]
     nb_idx = np.empty((stop - start, s), dtype=int)
     nb_alpha = np.empty((stop - start, s))
     nb_dist = np.empty((stop - start, s))
     for lo in range(start, stop, chunk):
         hi = min(lo + chunk, stop)
-        # the spectrum vanishes above kmax < fft_size / 2, so the real
-        # correlation over rotations is the inverse real FFT of the
-        # non-negative half; the conjugate half doubles each k > 0 term
-        spec = np.zeros((hi - lo, n, fft_size // 2 + 1), dtype=complex)
-        for k, b, bh in blocks:
-            spec[:, :, k] = b[lo:hi] @ bh
-        corr = np.fft.irfft(spec, n=fft_size, axis=-1)
+        spec = np.empty((hi - lo, n, 2 * n_freqs))
+        for r, (b, bh) in enumerate(blocks):
+            c = b[lo:hi] @ bh
+            spec[:, :, r] = c.real
+            spec[:, :, n_freqs + r] = c.imag
+        del c
+        corr = (spec.reshape(-1, 2 * n_freqs) @ table).reshape(hi - lo, n, fft_size)
         del spec
-        corr *= fft_size
         best_t = np.argmax(corr, axis=-1)
         best = np.take_along_axis(corr, best_t[..., None], axis=-1)[..., 0]
         del corr

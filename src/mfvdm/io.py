@@ -41,6 +41,8 @@ STACK_VERSION = 1
 _DTYPE_F32 = 1
 _HEADER = struct.Struct("<4sHIIH8s")
 assert _HEADER.size == 24
+# write_stack converts and writes the stack in slices of about this many bytes
+STACK_WRITE_BYTES = 4 * 2**20
 
 
 class FormatError(ValueError):
@@ -70,14 +72,18 @@ def atomic_open(path, mode="w", **kwargs):
 
 
 def write_stack(images, path):
-    """Write an (n, L, L) stack as little-endian float32."""
-    images = np.ascontiguousarray(images, dtype="<f4")
+    """Write an (n, L, L) stack as little-endian float32, converting about
+    STACK_WRITE_BYTES of it at a time: no float32 copy of the whole stack
+    is made."""
+    images = np.asarray(images)
     if images.ndim != 3 or images.shape[1] != images.shape[2]:
         raise FormatError(f"expected (n, L, L) stack, got shape {images.shape}")
     n, L, _ = images.shape
+    step = max(1, STACK_WRITE_BYTES // max(4 * L * L, 1))
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(STACK_MAGIC, STACK_VERSION, n, L, _DTYPE_F32, b"\0" * 8))
-        fh.write(images.tobytes())
+        for start in range(0, n, step):
+            fh.write(np.ascontiguousarray(images[start:start + step], dtype="<f4"))
 
 
 def read_stack(path):
@@ -265,11 +271,13 @@ class RunConfig:
     s: int = 50
     energy_fraction: float = 0.9
     wiener: bool = True
+    # points of the rotation grid of the RID search
     initial_fft_size: int = 256
     # spectral refinement
     k_tilde: int = 10
     m: int = 50
     t: int = 1
+    # points of the rotation grid of the edge alignment
     fft_size: int = 1024
     # denoising
     filter_kind: int = 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import block_rows, smallest_s, symmetrize
+from .graph import block_rows, rotation_table, smallest_s, symmetrize
 from .pool import fork_map
 
 __all__ = [
@@ -240,12 +240,21 @@ def refine_neighbors(bundle, s):
     return symmetrize(n, np.repeat(np.arange(n), s), nb.ravel())
 
 
+def align_edge_bytes(kmax, m, fft_size):
+    """Bytes of align_graph's temporaries per edge: the real and imaginary
+    parts of z(k) for k = 0..kmax, the objective over the fft_size-point
+    rotation grid with its argmax, and three rows of m complex values (the
+    gathered eigenvector rows and their products)."""
+    return 16 * (kmax + 1) + 8 * fft_size + 8 + 48 * m
+
+
 def align_graph(bundle, graph, fft_size=1024):
     """Estimate alignment angles for every edge of a refined graph.
 
-    Each undirected edge (i < j) takes the grid argmax of
-    Re sum_k z(k) e^{ik alpha}, with z(k) = P_k(i, j) zero-padded to
-    fft_size. For a transport-consistent graph P_k(i, j) has phase
+    Each undirected edge (i < j) takes the argmax over the fft_size-point
+    rotation grid of Re sum_k z(k) e^{ik alpha}, with z(k) = P_k(i, j): the
+    real and imaginary parts of z times one graph.rotation_table, a real
+    matrix product. For a transport-consistent graph P_k(i, j) has phase
     e^{-ik alpha_ij}, so the maximizer recovers the stored angle convention.
     Vectorized over blocks of edges; fills graph.angles in place, with
     alpha_ji = -alpha_ij.
@@ -257,15 +266,16 @@ def align_graph(bundle, graph, fft_size=1024):
     kmax = int(bundle.k_list.max())
     factors = [(int(k), lam ** (2 * bundle.t), U)
                for k, lam, U in zip(bundle.k_list, bundle.eigenvalues, bundle.eigenvectors)]
+    table = rotation_table(np.arange(kmax + 1), fft_size, np.ones(kmax + 1))
     alpha = np.empty(ii.size)
-    # per edge: the zero-padded spectrum, its FFT and real part, gathered rows
-    step = block_rows(40 * fft_size + 48 * bundle.m)
+    step = block_rows(align_edge_bytes(kmax, bundle.m, fft_size))
     for start in range(0, ii.size, step):
         a, b = ii[start:start + step], jj[start:start + step]
-        Z = np.zeros((a.size, kmax + 1), dtype=complex)
+        Z = np.zeros((a.size, 2 * (kmax + 1)))
         for k, lam, U in factors:
-            Z[:, k] = np.sum(lam[None, :] * U[a] * np.conj(U[b]), axis=1)
-        obj = np.real(np.fft.fft(np.conj(Z), n=fft_size, axis=1))
+            z = np.sum(lam[None, :] * U[a] * np.conj(U[b]), axis=1)
+            Z[:, k], Z[:, kmax + 1 + k] = z.real, z.imag
+        obj = Z @ table
         alpha[start:start + step] = 2.0 * np.pi * np.argmax(obj, axis=1) / fft_size
     aligned = symmetrize(graph.n, ii, jj, np.where(alpha > np.pi, alpha - 2.0 * np.pi, alpha))
     if not (np.array_equal(aligned.indptr, graph.indptr)

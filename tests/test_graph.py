@@ -7,9 +7,11 @@ import mfvdm.graph
 from mfvdm.basis import expand_stack
 from mfvdm.graph import (
     ViewGraph,
+    _select_columns,
     coeff_noise_variance,
     initial_nn_search,
     read_graph_csv,
+    search_row_bytes,
     smallest_s,
     symmetrize,
     true_alignment,
@@ -43,8 +45,10 @@ def test_search_chunk_invariant(tiny_dataset, basis17, monkeypatch):
     graph."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
     n = coeffs.shape[0]
-    # the search's temporaries per row at its default fft_size of 256
-    row_bytes = n * (16 * 129 + 8 * 256 + 32)
+    # the search's temporaries per row at its default fft_size of 256 and
+    # energy_fraction of 0.9
+    n_freqs = np.unique(basis17.ks[_select_columns(basis17, coeffs, 0.9)]).size
+    row_bytes = search_row_bytes(n, n_freqs, 256)
     monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", n * row_bytes)
     whole = initial_nn_search(coeffs, basis17, s=8)
     for rows in (1, 7):
@@ -168,6 +172,48 @@ def test_search_matches_rid_oracle(tiny_dataset, basis17):
         d_ref, alpha_ref = rid_align(coeffs[i], coeffs[j], basis17, fft_size=256)
         assert abs(d - d_ref) <= 1e-12 * d_ref
         assert abs((alpha - alpha_ref + np.pi) % (2 * np.pi) - np.pi) < 1e-12
+
+
+def _rid_graph(coeffs, basis, s, fft_size, energy_fraction):
+    """The search's graph from the scalar oracle: rid_align on every pair
+    of images, restricted to the kept columns; each row's s smallest
+    distances, ties to the smaller index; then the union of both
+    directions."""
+    masked = np.zeros_like(coeffs)
+    keep = _select_columns(basis, coeffs, energy_fraction)
+    masked[:, keep] = coeffs[:, keep]
+    n = coeffs.shape[0]
+    src, dst, angles, dists = [], [], [], []
+    for i in range(n):
+        pairs = [rid_align(masked[i], masked[j], basis, fft_size=fft_size) for j in range(n)]
+        d = np.array([p[0] for p in pairs])
+        d[i] = np.inf
+        for j in np.lexsort((np.arange(n), d))[:s]:
+            src.append(i)
+            dst.append(j)
+            dists.append(pairs[j][0])
+            angles.append(pairs[j][1])
+    return symmetrize(n, src, dst, angles, dists)
+
+
+@pytest.mark.parametrize("energy_fraction, fft_size", [(1.0, 256), (0.6, 256), (1.0, 39)],
+                         ids=["all-k", "k-gap", "min-grid"])
+def test_search_matches_all_pairs_oracle(energy_fraction, fft_size, tiny_dataset, basis17):
+    """The whole graph equals the all-pairs rid_align ranking: with every
+    frequency, with kept frequencies that skip some k (0.6 keeps k = 0-7, 9,
+    12, 14), and on the smallest grid allowed, the odd 2 k_max + 1 points."""
+    coeffs = expand_stack(tiny_dataset["noisy"], basis17)
+    ks = np.unique(basis17.ks[_select_columns(basis17, coeffs, energy_fraction)])
+    if energy_fraction < 1.0:
+        assert ks.size < ks.max() + 1
+    assert fft_size >= 2 * basis17.k_max + 1
+    g = initial_nn_search(coeffs, basis17, s=8, fft_size=fft_size,
+                          energy_fraction=energy_fraction)
+    want = _rid_graph(coeffs, basis17, 8, fft_size, energy_fraction)
+    np.testing.assert_array_equal(g.indptr, want.indptr)
+    np.testing.assert_array_equal(g.indices, want.indices)
+    np.testing.assert_array_equal(g.angles, want.angles)
+    np.testing.assert_allclose(g.dists, want.dists, rtol=1e-12)
 
 
 def test_symmetrize_rule():

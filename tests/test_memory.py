@@ -13,6 +13,7 @@ import pytest
 import mfvdm.graph
 from mfvdm import RunConfig, expand_stack, simulate_dataset
 from mfvdm.graph import initial_nn_search, row_blocks, symmetrize
+from mfvdm.io import write_stack
 from mfvdm.pipeline import (
     _image_bytes,
     absolute_ctf_coeffs,
@@ -107,3 +108,16 @@ def test_stack_transforms_do_not_depend_on_blocks(whiten_and_flip, tiny_dataset,
     assert len(blocks) >= 4 and min(b.stop - b.start for b in blocks) > 1
     for one, many in zip(*outputs):
         np.testing.assert_array_equal(many, one)
+
+
+def test_write_stack_peak_allocation_bounded(tmp_path):
+    """Writing a float64 stack converts it a slice at a time: the traced
+    peak stays within 1.1x the stack's float32 size (8.3 MB here; a whole
+    float32 copy and its bytes copy peaked at 2x, 16.6 MB), and the file
+    holds the whole stack's float32 bytes."""
+    stack = np.random.Generator(np.random.Philox(4)).normal(size=(2000, 33, 33))
+    path = tmp_path / "s.stack"
+    assert _traced_peak_mb(write_stack, stack, path) <= 1.1 * stack.size * 4 / 2**20
+    with open(path, "rb") as fh:
+        fh.seek(24)
+        assert fh.read() == stack.astype("<f4").tobytes()

@@ -11,7 +11,7 @@ import pytest
 
 import mfvdm.graph
 from mfvdm.basis import expand_stack
-from mfvdm.graph import initial_nn_search
+from mfvdm.graph import _select_columns, initial_nn_search, search_row_bytes
 from mfvdm.pool import fork_map, set_threads
 from mfvdm.simulate import PROJECT_BLOCK, make_phantom, project, project_stack, sample_rotations
 from mfvdm.spectral import frequency_eigs
@@ -94,7 +94,8 @@ def test_search_pooled_matches_serial(tiny_dataset, basis17, monkeypatch, forks)
     # 3-row blocks, ranked as one task; then 7 task rows, which round down
     # to two blocks. Unrounded tasks would end in 1-row blocks, whose matrix
     # products (and so distances) differ from a 3-row block's in the last bits
-    row_bytes = n * (16 * 129 + 8 * 256 + 32)
+    n_freqs = np.unique(basis17.ks[_select_columns(basis17, coeffs, 0.9)]).size
+    row_bytes = search_row_bytes(n, n_freqs, 256)
     monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", 3 * row_bytes)
     blocked = initial_nn_search(coeffs, basis17, s=8)
     assert forks == []

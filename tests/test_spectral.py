@@ -22,6 +22,7 @@ from mfvdm.pool import set_threads
 from mfvdm.spectral import (
     EigsError,
     SpectralBundle,
+    align_edge_bytes,
     align_graph,
     build_frequency_matrix,
     compute_bundle,
@@ -405,18 +406,29 @@ def test_refine_matches_dense_reference(demo_graph, monkeypatch):
         np.testing.assert_array_equal(neighbors(got, i), expected[i])
 
 
-def test_align_graph_blocks_match_estimate_alignment(demo_graph, monkeypatch):
+def _check_align_blocks(demo_graph, monkeypatch, fft_size):
     bundle = _full_bundle(demo_graph, 5)
     g = refine_neighbors(bundle, 6)
-    fft_size = 1024
     # a few dozen edges per block
-    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", 40 * (40 * fft_size + 48 * bundle.m))
+    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", 40 * align_edge_bytes(5, bundle.m, fft_size))
+    assert mfvdm.graph.block_rows(align_edge_bytes(5, bundle.m, fft_size)) == 40
     align_graph(bundle, g, fft_size=fft_size)
     for i, j, alpha in g.edges():
         if i < j:
             assert alpha == estimate_alignment(bundle, i, j, fft_size=fft_size)
         else:
             assert alpha == -angle(g, j, i)
+
+
+def test_align_graph_blocks_match_estimate_alignment(demo_graph, monkeypatch):
+    _check_align_blocks(demo_graph, monkeypatch, 1024)
+
+
+@pytest.mark.parametrize("fft_size", [6, 11])
+def test_align_graph_small_grids_match_estimate_alignment(fft_size, demo_graph, monkeypatch):
+    """k_max + 1 = 6 points, where the oracle's FFT wraps the frequencies
+    around the grid, and the odd 2 k_max + 1 = 11."""
+    _check_align_blocks(demo_graph, monkeypatch, fft_size)
 
 
 def test_refine_validation(demo_graph):
