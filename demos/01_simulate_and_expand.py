@@ -19,11 +19,11 @@ from mfvdm import (
     simulate_dataset,
 )
 
-L, n = 33, 20
+L, n, snr = 33, 20, 0.1
 clean, ctf_clean, noisy, profiles, manifest = simulate_dataset(
-    n, L, seed=7, snr=0.1, support_radius=16.0
+    n, L, seed=7, snr=snr, support_radius=16.0
 )
-print(f"simulated {n} projections at L={L}, SNR={manifest.snr}")
+print(f"simulated {n} projections at L={L}, SNR={snr}")
 print(f"clean stack variance {clean.var():.4g}, noisy {noisy.var():.4g}")
 
 basis = build_basis(L, bandlimit=0.5, support_radius=16.0)

@@ -8,11 +8,9 @@ reference before and after.
 Run: python demos/03_denoising.py   (a few minutes)
 """
 
-import numpy as np
-
 from mfvdm import RunConfig, build_basis, simulate_dataset
-from mfvdm.metrics import fit_to_reference, mse, ssim
-from mfvdm.pipeline import absolute_ctf_coeffs, classify, denoise_and_correct, prepare_coeffs
+from mfvdm.pipeline import (absolute_ctf_coeffs, classify, denoise_and_correct, evaluate_stack,
+                            prepare_coeffs)
 
 config = RunConfig(n=600, snr=0.05, s=30, filter_kind=2)
 clean, _, noisy, profiles, manifest = simulate_dataset(
@@ -27,16 +25,8 @@ ctf_coeffs = absolute_ctf_coeffs(manifest, profiles, basis, config)
 denoised, _ = denoise_and_correct(coeffs, ctf_coeffs, refined, basis, config)
 
 
-def score(stack):
-    s_vals, m_vals = [], []
-    for img, ref in zip(stack, clean):
-        fitted = fit_to_reference(img, ref)
-        s_vals.append(ssim(fitted, ref))
-        m_vals.append(mse(fitted, ref))
-    return np.mean(s_vals), np.mean(m_vals)
-
-
-ssim_noisy, mse_noisy = score(noisy)
-ssim_den, mse_den = score(denoised)
-print(f"SNR {config.snr}: SSIM {ssim_noisy:.3f} -> {ssim_den:.3f}, "
-      f"MSE {mse_noisy:.3f} -> {mse_den:.3f}")
+# dataset means after each image's affine intensity fit to its reference
+_, before = evaluate_stack(noisy, clean)
+_, after = evaluate_stack(denoised, clean)
+print(f"SNR {config.snr}: SSIM {before['mean_ssim']:.3f} -> {after['mean_ssim']:.3f}, "
+      f"MSE {before['mean_mse']:.3f} -> {after['mean_mse']:.3f}")

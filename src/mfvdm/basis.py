@@ -6,9 +6,15 @@ Negative frequencies are implied by conjugate symmetry (real images).
 Rotating an image counter-clockwise by alpha multiplies a_{k,q} by
 exp(-i*k*alpha), which makes the correlation of two images over rotations
 a 1D Fourier sum over k.
+
+BasisTables holds the radial counts p_k and the two grid operators: psi_grid
+needs scipy's Bessel functions and coeff_solver a pinv of the grid basis, the
+slow part of build_basis. The column frequencies and the in-disk grid points
+follow from the counts and from (L, bandlimit).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,26 +58,41 @@ def ift_grid(grid):
     return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(grid, axes=(-2, -1)), axes=(-2, -1)), axes=(-2, -1))
 
 
+def _disk_index(L, bandlimit):
+    """Flat indices of the centered L x L Fourier grid points inside the
+    disk of radius bandlimit, the samples that expansion fits."""
+    f1, f2 = freq_grid(L)
+    return np.flatnonzero(np.hypot(f1, f2).ravel() <= bandlimit + 1e-12)
+
+
 @dataclass(frozen=True)
 class BasisTables:
     """Immutable tables for one (L, bandlimit, support_radius) basis.
 
-    All heavy matrices are precomputed once; expand/reconstruct are then
-    matrix products. Safe to share across threads.
+    The fields are what basis.npz stores; the column frequencies ks, k_max
+    and grid_index follow from them. Expand and reconstruct are matrix
+    products. Safe to share across threads.
     """
 
     L: int
     bandlimit: float
     support_radius: float
-    k_max: int
     radial_counts: np.ndarray        # p_k for k = 0..k_max
-    # flattened column indexing (k >= 0 only; k ascending, then q)
-    ks: np.ndarray                   # angular frequency per column
-    norms: np.ndarray                # normalization per column
-    # precomputed operators
-    grid_index: np.ndarray = field(repr=False, default=None)  # flat indices of in-disk grid freqs
-    psi_grid: np.ndarray = field(repr=False, default=None)    # (n_inside, n_coeff)
-    coeff_solver: np.ndarray = field(repr=False, default=None)  # pseudo-inverse of the full +-k grid basis
+    psi_grid: np.ndarray = field(repr=False)      # (n_inside, n_coeffs)
+    coeff_solver: np.ndarray = field(repr=False)  # pseudo-inverse of the full +-k grid basis
+
+    @property
+    def k_max(self):
+        return self.radial_counts.size - 1
+
+    @cached_property
+    def ks(self):
+        """Angular frequency of each column: k >= 0 ascending, then q."""
+        return np.repeat(np.arange(self.k_max + 1), self.radial_counts)
+
+    @cached_property
+    def grid_index(self):
+        return _disk_index(self.L, self.bandlimit)
 
     @property
     def n_coeffs(self):
@@ -116,10 +137,9 @@ def build_basis(L, bandlimit, support_radius):
         if zk.size == 0:
             break
         zeros.append(zk)
-    k_max = len(zeros) - 1
     radial_counts = np.array([zk.size for zk in zeros])
 
-    ks = np.repeat(np.arange(k_max + 1), radial_counts)
+    ks = np.repeat(np.arange(len(zeros)), radial_counts)
     zero_flat = np.concatenate(zeros)
     # orthonormal under the measure xi dxi dtheta on the disk of radius kappa
     norms = 1.0 / (bandlimit * np.sqrt(np.pi) * np.abs(jv(ks + 1, zero_flat)))
@@ -127,8 +147,7 @@ def build_basis(L, bandlimit, support_radius):
     # Cartesian frequency grid points inside the disk, for expansion/reconstruction
     f1, f2 = freq_grid(L)
     rad = np.hypot(f1, f2)
-    inside = rad.ravel() <= bandlimit + 1e-12
-    grid_index = np.flatnonzero(inside)
+    grid_index = _disk_index(L, bandlimit)
     g_xi = rad.ravel()[grid_index]
     g_th = np.arctan2(f2.ravel()[grid_index], f1.ravel()[grid_index])
     # the grid holds few distinct radii: evaluate the Bessel functions once
@@ -150,11 +169,7 @@ def build_basis(L, bandlimit, support_radius):
         L=L,
         bandlimit=float(bandlimit),
         support_radius=float(support_radius),
-        k_max=k_max,
         radial_counts=radial_counts,
-        ks=ks,
-        norms=norms,
-        grid_index=grid_index,
         psi_grid=psi_grid,
         coeff_solver=coeff_solver,
     )

@@ -70,18 +70,15 @@ def apply_spectral_filter(coeff_block, eigenvalues, eigenvectors, degrees, filt)
     return (eigenvectors @ (filt_vals[:, None] * inner)) / sqrt_d[:, None]
 
 
-def _averaging_filter(graph, coeff_block, k, order):
-    """h(S_k) A for polynomial h without eigendecomposition; order 1 is the
-    plain neighbor-transport average, order 2 the smooth-then-sharpen form."""
-    W = build_frequency_matrix(graph, k)
-    sqrt_d = np.sqrt(graph.degrees)
-    # S_k A = D^{-1/2} Wt_k D^{1/2} A
-    y = sqrt_d[:, None] * coeff_block
-    s1 = W @ y
+def _averaging_filter(W, sqrt_d, coeff_block, order):
+    """h(S_k) A for polynomial h without eigendecomposition, given W_k and
+    the column of sqrt degrees; order 1 is the plain neighbor-transport
+    average, order 2 the smooth-then-sharpen form."""
+    # S_k A = D^{-1/2} W_k D^{1/2} A
+    s1 = W @ (sqrt_d * coeff_block)
     if order == 1:
-        return s1 / sqrt_d[:, None]
-    s2 = W @ s1
-    return (2.0 * s1 - s2) / sqrt_d[:, None]
+        return s1 / sqrt_d
+    return (2.0 * s1 - W @ s1) / sqrt_d
 
 
 def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
@@ -110,10 +107,11 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
             out_c[:, sl] = apply_spectral_filter(ctf_coeffs[:, sl], vals, vecs, graph.degrees, filt)
     else:
         order = 1 if filt.kind == 4 else 2
+        sqrt_d = np.sqrt(graph.degrees)[:, None]
         for k in ks:
-            sl = basis.k_slice(k)
-            out_a[:, sl] = _averaging_filter(graph, coeffs[:, sl], k, order)
-            out_c[:, sl] = _averaging_filter(graph, ctf_coeffs[:, sl], k, order)
+            W, sl = build_frequency_matrix(graph, k), basis.k_slice(k)
+            out_a[:, sl] = _averaging_filter(W, sqrt_d, coeffs[:, sl], order)
+            out_c[:, sl] = _averaging_filter(W, sqrt_d, ctf_coeffs[:, sl], order)
     return out_a, out_c
 
 

@@ -1,12 +1,14 @@
-"""On-disk formats: binary image stacks, manifest CSV/JSON, basis tables,
-run configuration.
+"""On-disk formats: binary image stacks, manifest CSV, basis tables, run
+configuration. Each fact of a run directory is written once: the generation
+parameters only in config.json, which the readers of the other artifacts
+check them against.
 
 Stack format: a 24-byte header (magic "MFVS", version u16, image count u32,
 side length u32, dtype tag u16 with f32 = 1, 8 reserved zero bytes) followed
-by n*L*L little-endian float32 values, row-major per image. Manifests are a
-CSV of per-image rows plus a JSON sidecar of scalar parameters. Basis tables
-are an uncompressed .npz archive with one entry per BasisTables field.
-Configs are flat JSON; unknown keys are rejected.
+by n*L*L little-endian float32 values, row-major per image. The manifest is a
+CSV of per-image ground truth. Basis tables are an uncompressed .npz archive
+with one entry per BasisTables field. Configs are flat JSON; unknown keys are
+rejected.
 """
 
 import contextlib
@@ -105,15 +107,8 @@ def read_stack(path):
     return data.reshape(n, L, L).copy()
 
 
-# the manifest JSON sidecar's keys, in file order, and the type of each
-_SIDECAR_TYPES = {"snr": float, "seed": int, "L": int, "bandlimit": float,
-                  "support_radius": float, "noise_model": str, "n_defocus_groups": int,
-                  "n": int}
-
-
-def write_manifest(manifest, csv_path, json_path):
-    """Per-image CSV (index, rotation entries row-major, defocus group) plus a
-    JSON sidecar with the scalar generation parameters."""
+def write_manifest(manifest, csv_path):
+    """Per-image CSV: index, rotation entries row-major, defocus group."""
     with atomic_open(csv_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index"] + [f"R{a}{b}" for a in range(3) for b in range(3)]
@@ -122,27 +117,14 @@ def write_manifest(manifest, csv_path, json_path):
             row = [i] + [repr(float(x)) for x in manifest.rotations[i].ravel()]
             row.append(int(manifest.defocus_group[i]))
             w.writerow(row)
-    scalars = {name: getattr(manifest, name) for name in _SIDECAR_TYPES}
-    with atomic_open(json_path) as fh:
-        json.dump(scalars, fh, indent=2)
-        fh.write("\n")
 
 
-def read_manifest(csv_path, json_path):
-    """Manifest as written by write_manifest. Raises FormatError for a
-    sidecar key that is missing or holds a value of the wrong type, a
-    malformed row, rows not indexed 0, 1, ... in order, a non-finite rotation
-    entry, or a defocus group that is not an integer in [0, n_defocus_groups)."""
-    with open(json_path) as fh:
-        scalars = json.load(fh)
-    if not isinstance(scalars, dict):
-        raise FormatError(f"{json_path}: the sidecar must be a JSON object")
-    for name, kind in _SIDECAR_TYPES.items():
-        if name not in scalars:
-            raise FormatError(f"{json_path}: missing key {name!r}")
-        if not _is_of_type(scalars[name], kind):
-            raise FormatError(f"{json_path}: {name} must be {kind.__name__}, "
-                              f"got {scalars[name]!r}")
+def read_manifest(csv_path, config):
+    """Manifest as written by write_manifest for a dataset simulated with
+    config. Raises FormatError for a malformed row, rows not indexed 0, 1,
+    ... in order, a non-finite rotation entry, a defocus group that is not
+    an integer in [0, config.n_defocus_groups), or a row count other than
+    config.n."""
     rotations, groups = [], []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -159,30 +141,19 @@ def read_manifest(csv_path, json_path):
     groups = np.array(groups, dtype=int)
     if not np.isfinite(rotations).all():
         raise FormatError(f"{csv_path}: non-finite rotation entry")
-    n_groups = scalars["n_defocus_groups"]
-    outside = (groups < 0) | (groups >= n_groups)
+    outside = (groups < 0) | (groups >= config.n_defocus_groups)
     if outside.any():
         raise FormatError(f"{csv_path}: defocus group {groups[outside][0]} "
-                          f"outside [0, {n_groups})")
-    if rotations.shape[0] != scalars["n"]:
-        raise FormatError("manifest CSV row count disagrees with JSON sidecar")
-    return DatasetManifest(
-        rotations=rotations,
-        defocus_group=groups,
-        snr=float(scalars["snr"]),
-        seed=scalars["seed"],
-        L=scalars["L"],
-        bandlimit=float(scalars["bandlimit"]),
-        support_radius=float(scalars["support_radius"]),
-        noise_model=scalars["noise_model"],
-        n_defocus_groups=n_groups,
-    )
+                          f"outside [0, {config.n_defocus_groups})")
+    if rotations.shape[0] != config.n:
+        raise FormatError(f"{csv_path}: {rotations.shape[0]} rows, but the config "
+                          f"has n {config.n}")
+    return DatasetManifest(rotations=rotations, defocus_group=groups)
 
 
 # the dtype of each BasisTables field in basis.npz
 _BASIS_DTYPES = {"L": np.int64, "bandlimit": np.float64, "support_radius": np.float64,
-                 "k_max": np.int64, "radial_counts": np.int64, "ks": np.int64,
-                 "norms": np.float64, "grid_index": np.int64, "psi_grid": np.complex128,
+                 "radial_counts": np.int64, "psi_grid": np.complex128,
                  "coeff_solver": np.complex128}
 
 
@@ -206,36 +177,32 @@ def read_basis(path, config):
         raise FormatError(f"{path}: not a readable .npz archive: {exc}") from None
     if set(t) != set(_BASIS_DTYPES):
         raise FormatError(f"{path}: missing entries {sorted(set(_BASIS_DTYPES) - set(t))}, "
-                          f"unexpected entries {sorted(set(t) - set(_BASIS_DTYPES))}")
+                          f"unexpected entries {sorted(set(t) - set(_BASIS_DTYPES))}; "
+                          f"rerun simulate to rewrite it")
     for name, dtype in _BASIS_DTYPES.items():
         if t[name].dtype != dtype:
             raise FormatError(f"{path}: {name} has dtype {t[name].dtype}, "
                               f"expected {np.dtype(dtype)}")
-    for name in ("L", "bandlimit", "support_radius", "k_max"):
+    for name in ("L", "bandlimit", "support_radius"):
         if t[name].shape != ():
             raise FormatError(f"{path}: {name} has shape {t[name].shape}, expected ()")
-    k_max, counts = int(t["k_max"]), t["radial_counts"]
-    if k_max < 0 or counts.shape != (k_max + 1,) or (counts < 1).any():
-        raise FormatError(f"{path}: radial_counts must hold k_max + 1 = {k_max + 1} "
-                          f"positive counts, got shape {counts.shape}")
-    n_coeffs, n_pos, n_inside = int(counts.sum()), int(counts[1:].sum()), t["grid_index"].size
-    shapes = {"ks": (n_coeffs,), "norms": (n_coeffs,), "grid_index": (n_inside,),
-              "psi_grid": (n_inside, n_coeffs), "coeff_solver": (n_coeffs + n_pos, n_inside)}
-    for name, shape in shapes.items():
-        if t[name].shape != shape:
-            raise FormatError(f"{path}: {name} has shape {t[name].shape}, expected {shape}")
-    for name in ("norms", "psi_grid", "coeff_solver"):
-        if not np.isfinite(t[name]).all():
-            raise FormatError(f"{path}: {name} has a non-finite entry")
-    if ((t["ks"] != np.repeat(np.arange(k_max + 1), counts)).any()
-            or (t["grid_index"] < 0).any() or (t["grid_index"] >= t["L"] ** 2).any()):
-        raise FormatError(f"{path}: ks or grid_index disagree with radial_counts and L")
-    for name in ("L", "bandlimit", "support_radius"):
         if t[name] != getattr(config, name):
             raise FormatError(f"{path}: built for {name} {t[name].item()!r}, but the "
                               f"config has {getattr(config, name)!r}")
-    return BasisTables(**{name: t[name].item() if t[name].ndim == 0 else t[name]
-                          for name in _BASIS_DTYPES})
+    counts = t["radial_counts"]
+    if counts.ndim != 1 or counts.size == 0 or (counts < 1).any():
+        raise FormatError(f"{path}: radial_counts must hold one or more positive counts, "
+                          f"got {counts!r}")
+    basis = BasisTables(**{name: t[name].item() if t[name].ndim == 0 else t[name]
+                           for name in _BASIS_DTYPES})
+    n_coeffs, n_pos, n_inside = basis.n_coeffs, int(counts[1:].sum()), basis.grid_index.size
+    shapes = {"psi_grid": (n_inside, n_coeffs), "coeff_solver": (n_coeffs + n_pos, n_inside)}
+    for name, shape in shapes.items():
+        if t[name].shape != shape:
+            raise FormatError(f"{path}: {name} has shape {t[name].shape}, expected {shape}")
+        if not np.isfinite(t[name]).all():
+            raise FormatError(f"{path}: {name} has a non-finite entry")
+    return basis
 
 
 # the values a field of each annotated type accepts

@@ -17,24 +17,24 @@ __all__ = [
 
 
 def mse(x, ref):
+    """Mean squared error over the last two axes: one value for an image,
+    one per image for a stack."""
     x = np.asarray(x, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if x.shape != ref.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {ref.shape}")
-    return float(np.mean((x - ref) ** 2))
+    return np.mean((x - ref) ** 2, axis=(-2, -1))
 
 
 def psnr(x, ref):
-    """10*log10(peak^2 / MSE) with peak the dynamic range of the reference.
-    Returns +inf for identical inputs."""
+    """10*log10(peak^2 / MSE) over the last two axes, with peak the dynamic
+    range of the reference image; +inf where x equals the reference."""
     ref = np.asarray(ref, dtype=float)
-    peak = ref.max() - ref.min()
-    if peak == 0:
+    peak = ref.max(axis=(-2, -1)) - ref.min(axis=(-2, -1))
+    if (peak == 0).any():
         raise ValueError("reference image is constant")
-    err = mse(x, ref)
-    if err == 0:
-        return float("inf")
-    return float(10.0 * np.log10(peak**2 / err))
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(peak**2 / mse(x, ref))
 
 
 def _window_mean(images, size=11, sigma=1.5):
@@ -57,14 +57,10 @@ def ssim(x, ref):
     return float(ssim_stack(x[None], ref[None])[0])
 
 
-# images per batch in ssim_stack: the transient stays a few MB at L=33
-SSIM_BLOCK = 128
-
-
 def ssim_stack(x, ref):
     """ssim of each image of an (n, h, w) stack against the matching
-    reference image, SSIM_BLOCK images per batch; the dynamic range is each
-    reference image's."""
+    reference image, with each reference image's dynamic range. Its
+    temporaries grow with n; evaluate_stack calls it a block at a time."""
     x = np.asarray(x, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if x.shape != ref.shape:
@@ -72,34 +68,33 @@ def ssim_stack(x, ref):
     if min(x.shape[1:]) < 11:
         raise ValueError("images must be at least 11x11")
     data_range = ref.max(axis=(1, 2)) - ref.min(axis=(1, 2))
+    c1 = ((0.01 * data_range) ** 2)[:, None, None]
+    c2 = ((0.03 * data_range) ** 2)[:, None, None]
     win = _window_mean
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], SSIM_BLOCK):
-        sl = slice(start, start + SSIM_BLOCK)
-        xb, rb = x[sl], ref[sl]
-        c1 = ((0.01 * data_range[sl]) ** 2)[:, None, None]
-        c2 = ((0.03 * data_range[sl]) ** 2)[:, None, None]
-        mu_x = win(xb)
-        mu_r = win(rb)
-        var_x = win(xb * xb) - mu_x**2
-        var_r = win(rb * rb) - mu_r**2
-        cov = win(xb * rb) - mu_x * mu_r
-        num = (2 * mu_x * mu_r + c1) * (2 * cov + c2)
-        den = (mu_x**2 + mu_r**2 + c1) * (var_x + var_r + c2)
-        out[sl] = np.mean(num / den, axis=(1, 2))
-    return out
+    mu_x = win(x)
+    mu_r = win(ref)
+    var_x = win(x * x) - mu_x**2
+    var_r = win(ref * ref) - mu_r**2
+    cov = win(x * ref) - mu_x * mu_r
+    num = (2 * mu_x * mu_r + c1) * (2 * cov + c2)
+    den = (mu_x**2 + mu_r**2 + c1) * (var_x + var_r + c2)
+    return np.mean(num / den, axis=(1, 2))
 
 
 def fit_to_reference(x, ref):
-    """Least-squares affine fit a*x + b to the reference; removes arbitrary
-    scale/offset (e.g. from standardization) before metric comparison."""
+    """Least-squares affine fit a*x + b to the reference over the last two
+    axes (one fit per image of a stack); removes arbitrary scale/offset
+    (e.g. from standardization) before metric comparison."""
     x = np.asarray(x, dtype=float)
     ref = np.asarray(ref, dtype=float)
-    xc = x - x.mean()
-    denom = np.sum(xc * xc)
-    a = np.sum(xc * (ref - ref.mean())) / denom if denom > 0 else 0.0
-    b = ref.mean() - a * x.mean()
-    return a * x + b
+    axes = (-2, -1)
+    x_mean = x.mean(axis=axes, keepdims=True)
+    ref_mean = ref.mean(axis=axes, keepdims=True)
+    xc = x - x_mean
+    denom = np.sum(xc * xc, axis=axes, keepdims=True)
+    num = np.sum(xc * (ref - ref_mean), axis=axes, keepdims=True)
+    a = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
+    return a * x + (ref_mean - a * x_mean)
 
 
 def wrap_degrees(err_deg):

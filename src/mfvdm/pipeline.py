@@ -15,7 +15,8 @@ from .basis import build_basis, expand_disk_function, expand_stack, reconstruct_
 from .denoise import FilterSpec, ctf_correct, denoise_stack
 from .graph import coeff_noise_variance, initial_nn_search, read_graph_csv, row_blocks, write_graph_csv
 from .metrics import fit_to_reference, mse, psnr, ssim_stack
-from .simulate import check_finite, ctf_value, estimate_noise_psd, preprocess, simulate_dataset
+from .simulate import (check_finite, ctf_value, default_defocus_groups, estimate_noise_psd,
+                       preprocess, simulate_dataset)
 from .spectral import align_graph, compute_bundle, refine_neighbors
 
 __all__ = [
@@ -35,7 +36,8 @@ def _image_bytes(L):
     """Bytes of the temporaries per image of a block that preprocess +
     expand_stack, or reconstruct_grid + ctf_correct, work through: about
     five complex L x L grids, the transforms and their fftshift copies
-    (tracemalloc: 75-85 KB per image at L = 33)."""
+    (tracemalloc: 75-85 KB per image at L = 33). evaluate_stack's fit and
+    SSIM need less (56 KB)."""
     return 5 * 16 * L * L
 
 
@@ -48,7 +50,7 @@ def prepare_coeffs(images, manifest, profiles, basis, config):
     transformed in blocks of images (graph.row_blocks); the whitening PSD
     is the one statistic taken over the whole stack.
     """
-    noisy_input = np.isfinite(manifest.snr)
+    noisy_input = np.isfinite(config.snr)
     # preprocess checks each block too, but names images by their index in it
     check_finite(images)
     noise_psd = None
@@ -128,17 +130,23 @@ def evaluate_stack(denoised, reference):
     """Per-image metrics after an affine intensity fit, plus dataset means.
 
     The affine fit removes the arbitrary scale and offset introduced by
-    standardization; without it MSE comparisons are meaningless.
+    standardization; without it MSE comparisons are meaningless. The stacks
+    may be float32: each block of images (graph.row_blocks) is converted to
+    float64 on its own, so no float64 copy of a whole stack is made.
     """
-    fitted = np.stack([fit_to_reference(d, r) for d, r in zip(denoised, reference, strict=True)])
-    rows = [{"index": i, "mse": mse(f, r), "psnr": psnr(f, r), "ssim": float(s)}
-            for i, (f, r, s) in enumerate(zip(fitted, reference, ssim_stack(fitted, reference)))]
-    summary = {
-        "n": len(rows),
-        "mean_mse": float(np.mean([r["mse"] for r in rows])),
-        "mean_psnr": float(np.mean([r["psnr"] for r in rows])),
-        "mean_ssim": float(np.mean([r["ssim"] for r in rows])),
-    }
+    if denoised.shape != reference.shape:
+        raise ValueError(f"shape mismatch {denoised.shape} vs {reference.shape}")
+    n, L = len(reference), reference.shape[-1]
+    scores = {name: np.empty(n) for name in ("mse", "psnr", "ssim")}
+    for block in row_blocks(n, _image_bytes(L)):
+        ref = reference[block].astype(float)
+        fitted = fit_to_reference(denoised[block], ref)
+        scores["mse"][block] = mse(fitted, ref)
+        scores["psnr"][block] = psnr(fitted, ref)
+        scores["ssim"][block] = ssim_stack(fitted, ref)
+    rows = [{"index": i, "mse": m, "psnr": p, "ssim": s}
+            for i, (m, p, s) in enumerate(zip(*(v.tolist() for v in scores.values())))]
+    summary = {"n": n, **{f"mean_{name}": float(np.mean(v)) for name, v in scores.items()}}
     return rows, summary
 
 
@@ -150,27 +158,19 @@ def _p(outdir, name):
 
 
 def run_simulate(config, outdir):
-    """Generate a dataset and write the basis tables, stacks, manifest, and
-    the config echo."""
+    """Generate a dataset and write the basis tables, the clean and noisy
+    stacks, the manifest, and the config echo (the one record of the
+    generation parameters)."""
     os.makedirs(outdir, exist_ok=True)
     # built first, before the stacks exist: the basis's temporaries then
     # do not add to simulate's peak memory
     mfio.write_basis(build_basis(config.L, config.bandlimit, config.support_radius),
                      _p(outdir, "basis.npz"))
-    clean, ctf_clean, noisy, profiles, manifest = simulate_dataset(
-        config.n, config.L, config.seed, config.snr,
-        support_radius=config.support_radius,
-        bandlimit=config.bandlimit,
-        n_blobs=config.n_blobs,
-        n_defocus_groups=config.n_defocus_groups,
-        noise_model=config.noise_model,
-        with_ctf=config.with_ctf,
-        shift_px=config.shift_px,
-    )
+    clean, _, noisy, _, manifest = simulate_dataset(
+        **{name: getattr(config, name) for name in mfio.SIMULATE_FIELDS})
     mfio.write_stack(clean, _p(outdir, "clean.stack"))
-    mfio.write_stack(ctf_clean, _p(outdir, "ctf_clean.stack"))
     mfio.write_stack(noisy, _p(outdir, "noisy.stack"))
-    mfio.write_manifest(manifest, _p(outdir, "manifest.csv"), _p(outdir, "manifest.json"))
+    mfio.write_manifest(manifest, _p(outdir, "manifest.csv"))
     mfio.save_config(config, _p(outdir, "config.json"))
     return outdir
 
@@ -178,12 +178,10 @@ def run_simulate(config, outdir):
 def _load_dataset(config, outdir):
     """The noisy stack (float32), manifest, CTF profiles and basis tables of
     a run directory, after checking config against its config.json."""
-    from .simulate import default_defocus_groups
-
     mfio.check_run_config(config, _p(outdir, "config.json"))
     noisy = mfio.read_stack(_p(outdir, "noisy.stack"))
-    manifest = mfio.read_manifest(_p(outdir, "manifest.csv"), _p(outdir, "manifest.json"))
-    profiles = default_defocus_groups(manifest.n_defocus_groups)
+    manifest = mfio.read_manifest(_p(outdir, "manifest.csv"), config)
+    profiles = default_defocus_groups(config.n_defocus_groups)
     basis = mfio.read_basis(_p(outdir, "basis.npz"), config)
     return noisy, manifest, profiles, basis
 
@@ -218,9 +216,8 @@ def run_evaluate(config, outdir):
     """Per-image metric report (CSV) and dataset summary (JSON)."""
     import csv as _csv
 
-    denoised = mfio.read_stack(_p(outdir, "denoised.stack")).astype(float)
-    clean = mfio.read_stack(_p(outdir, "clean.stack")).astype(float)
-    rows, summary = evaluate_stack(denoised, clean)
+    denoised = mfio.read_stack(_p(outdir, "denoised.stack"))
+    rows, summary = evaluate_stack(denoised, mfio.read_stack(_p(outdir, "clean.stack")))
     with mfio.atomic_open(_p(outdir, "eval_report.csv"), newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(["index", "mse", "psnr", "ssim"])

@@ -291,17 +291,11 @@ def preprocess(images, support_radius, *, standardize=True, noise_psd=None,
 
 @dataclass
 class DatasetManifest:
-    """Ground truth and generation parameters for one simulated stack."""
+    """Per-image ground truth of one simulated stack. The parameters it was
+    generated with are the run's RunConfig (config.json in a run directory)."""
 
     rotations: np.ndarray           # (n, 3, 3)
     defocus_group: np.ndarray       # (n,) int
-    snr: float
-    seed: int
-    L: int
-    bandlimit: float
-    support_radius: float
-    noise_model: str = "white"
-    n_defocus_groups: int = 20
 
     @property
     def n(self):
@@ -342,9 +336,4 @@ def simulate_dataset(n, L, seed, snr, *, support_radius=None, bandlimit=0.5,
     else:
         ctf_clean = clean.copy()
     noisy = add_noise(ctf_clean, snr, seed + 3, model=noise_model) if np.isfinite(snr) else ctf_clean.copy()
-    manifest = DatasetManifest(
-        rotations=rotations, defocus_group=groups, snr=float(snr), seed=seed,
-        L=L, bandlimit=bandlimit, support_radius=float(support_radius),
-        noise_model=noise_model, n_defocus_groups=n_defocus_groups,
-    )
-    return clean, ctf_clean, noisy, profiles, manifest
+    return clean, ctf_clean, noisy, profiles, DatasetManifest(rotations, groups)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import block_rows, rotation_table, smallest_s, symmetrize
+from .graph import rotation_table, row_blocks, smallest_s, symmetrize
 from .pool import fork_map
 
 __all__ = [
@@ -229,14 +229,12 @@ def refine_neighbors(bundle, s):
         raise ValueError(f"s={s} must be < n={n}")
     factors, _ = _affinity_factors(bundle)
     # per row: P (complex), |P|^2 and its quotient, the mask, A, sort keys
-    rows = block_rows(64 * n)
     nb = np.empty((n, s), dtype=int)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        A = _affinity_rows(factors, n, start, stop)
-        r = np.arange(stop - start)
-        A[r, start + r] = -np.inf
-        nb[start:stop] = smallest_s(-A, s)
+    for rows in row_blocks(n, 64 * n):
+        A = _affinity_rows(factors, n, rows.start, rows.stop)
+        r = np.arange(rows.stop - rows.start)
+        A[r, rows.start + r] = -np.inf
+        nb[rows] = smallest_s(-A, s)
     return symmetrize(n, np.repeat(np.arange(n), s), nb.ravel())
 
 
@@ -268,15 +266,14 @@ def align_graph(bundle, graph, fft_size=1024):
                for k, lam, U in zip(bundle.k_list, bundle.eigenvalues, bundle.eigenvectors)]
     table = rotation_table(np.arange(kmax + 1), fft_size, np.ones(kmax + 1))
     alpha = np.empty(ii.size)
-    step = block_rows(align_edge_bytes(kmax, bundle.m, fft_size))
-    for start in range(0, ii.size, step):
-        a, b = ii[start:start + step], jj[start:start + step]
+    for rows in row_blocks(ii.size, align_edge_bytes(kmax, bundle.m, fft_size)):
+        a, b = ii[rows], jj[rows]
         Z = np.zeros((a.size, 2 * (kmax + 1)))
         for k, lam, U in factors:
             z = np.sum(lam[None, :] * U[a] * np.conj(U[b]), axis=1)
             Z[:, k], Z[:, kmax + 1 + k] = z.real, z.imag
         obj = Z @ table
-        alpha[start:start + step] = 2.0 * np.pi * np.argmax(obj, axis=1) / fft_size
+        alpha[rows] = 2.0 * np.pi * np.argmax(obj, axis=1) / fft_size
     aligned = symmetrize(graph.n, ii, jj, np.where(alpha > np.pi, alpha - 2.0 * np.pi, alpha))
     if not (np.array_equal(aligned.indptr, graph.indptr)
             and np.array_equal(aligned.indices, graph.indices)):

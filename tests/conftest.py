@@ -36,11 +36,13 @@ def basis33():
 @pytest.fixture(scope="session")
 def tiny_dataset():
     """60 noisy projections at L=17 with CTF, plus clean references."""
+    snr = 0.3
     clean, ctf_clean, noisy, profiles, manifest = simulate_dataset(
-        60, 17, seed=5, snr=0.3, support_radius=8.0, n_defocus_groups=4,
+        60, 17, seed=5, snr=snr, support_radius=8.0, n_defocus_groups=4,
         n_blobs=10,
     )
     return {
+        "snr": snr,
         "clean": clean,
         "ctf_clean": ctf_clean,
         "noisy": noisy,

@@ -221,3 +221,22 @@ def ssim(x, ref):
     num = (2 * mu_x * mu_r + c1) * (2 * cov + c2)
     den = (mu_x**2 + mu_r**2 + c1) * (var_x + var_r + c2)
     return float(np.mean(num / den))
+
+
+def fit_to_reference(x, ref):
+    """Least-squares affine fit a*x + b of one image to its reference."""
+    xc = x - x.mean()
+    denom = np.sum(xc * xc)
+    a = np.sum(xc * (ref - ref.mean())) / denom if denom > 0 else 0.0
+    return a * x + (ref.mean() - a * x.mean())
+
+
+def mse(x, ref):
+    return float(np.mean((x - ref) ** 2))
+
+
+def psnr(x, ref):
+    """10*log10(peak^2 / MSE), peak the reference's dynamic range; +inf for
+    identical images."""
+    err = mse(x, ref)
+    return float("inf") if err == 0 else float(10.0 * np.log10((ref.max() - ref.min()) ** 2 / err))

@@ -64,7 +64,7 @@ class _Context:
         return self._data[key]
 
     def config(self, snr, **overrides):
-        base = RunConfig(snr=1.0 if not np.isfinite(snr) else snr)
+        base = RunConfig(snr=snr)
         if not np.isfinite(snr):
             overrides.setdefault("energy_fraction", 1.0)
         return dataclasses.replace(base, **overrides)

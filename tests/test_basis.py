@@ -66,7 +66,9 @@ def _quadrature(basis):
     zeros = np.concatenate([_radial_zeros(basis, k) for k in range(basis.k_max + 1)])
     radial = jv(ks[None, :], zeros[None, :] * node_xi[:, None] / basis.bandlimit)
     phase = (1j ** ks)[None, :] * np.exp(1j * ks[None, :] * node_theta[:, None])
-    return basis.norms[None, :] * radial * phase, node_w
+    # orthonormal under the measure xi dxi dtheta on the disk of radius bandlimit
+    norms = 1.0 / (basis.bandlimit * np.sqrt(np.pi) * np.abs(jv(ks + 1, zeros)))
+    return norms[None, :] * radial * phase, node_w
 
 
 def test_orthonormality_quadrature(basis17):

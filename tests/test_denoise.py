@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mfvdm.denoise
 from mfvdm import RunConfig
 from mfvdm.basis import expand_stack, ft_grid, ift_grid
 from mfvdm.denoise import FilterSpec, apply_spectral_filter, ctf_correct, denoise_stack
@@ -96,6 +97,35 @@ def test_denoise_fixed_point_on_rotated_copies(rotated_copies, basis17):
     err = np.mean((imgs - imgs2) ** 2)
     assert err < 1e-6
     assert np.isfinite(da).all() and np.isfinite(dc).all()
+
+
+@pytest.mark.parametrize("kind", [4, 5])
+def test_full_spectrum_kinds_build_each_matrix_once(kind, tiny_dataset, demo_graph, basis17,
+                                                    monkeypatch):
+    """Kinds 4 and 5 build each W_k once and filter both the image and the
+    CTF block with it, k_max + 1 builds in all; each block equals h(S_k)
+    applied with the dense S_k = D^{-1} W_k."""
+    built = []
+
+    def counting(graph, k):
+        built.append(k)
+        return build_frequency_matrix(graph, k)
+
+    monkeypatch.setattr(mfvdm.denoise, "build_frequency_matrix", counting)
+    coeffs = expand_stack(tiny_dataset["noisy"], basis17)
+    ctf = _random_block(demo_graph.n, basis17.n_coeffs, seed=7)
+    da, dc = denoise_stack(coeffs, ctf, demo_graph, basis17, FilterSpec(kind=kind))
+    assert built == list(range(basis17.k_max + 1))
+    n = demo_graph.n
+    for k in range(basis17.k_max + 1):
+        W = np.zeros((n, n), dtype=complex)
+        W[demo_graph.rows, demo_graph.indices] = np.exp(-1j * k * demo_graph.angles)
+        S, sl = W / demo_graph.degrees[:, None], basis17.k_slice(k)
+        for got, block in ((da, coeffs), (dc, ctf)):
+            expected = S @ block[:, sl]
+            if kind == 5:
+                expected = 2.0 * expected - S @ expected
+            assert np.abs(got[:, sl] - expected).max() < 1e-10 * np.abs(block).max()
 
 
 def test_denoise_shape_mismatch(rotated_copies, basis17):

@@ -71,15 +71,19 @@ def test_stack_errors(tmp_path):
         read_stack(tmp_path / "short.stack")
 
 
+def _manifest_config(manifest):
+    """A config for the tiny dataset's manifest: 60 images, 4 defocus groups."""
+    return RunConfig(n=manifest.n, n_defocus_groups=4)
+
+
 def test_manifest_round_trip(tmp_path, tiny_dataset):
     man = tiny_dataset["manifest"]
-    csv_p, json_p = tmp_path / "m.csv", tmp_path / "m.json"
-    write_manifest(man, csv_p, json_p)
-    back = read_manifest(csv_p, json_p)
+    csv_p = tmp_path / "m.csv"
+    write_manifest(man, csv_p)
+    assert os.listdir(tmp_path) == ["m.csv"]
+    back = read_manifest(csv_p, _manifest_config(man))
     np.testing.assert_array_equal(back.rotations, man.rotations)
     np.testing.assert_array_equal(back.defocus_group, man.defocus_group)
-    assert back.snr == man.snr and back.L == man.L
-    assert back.support_radius == man.support_radius
 
 
 def test_writes_are_atomic(tmp_path, tiny_dataset, demo_graph):
@@ -87,13 +91,14 @@ def test_writes_are_atomic(tmp_path, tiny_dataset, demo_graph):
     for byte, and no temporary file behind."""
     man = tiny_dataset["manifest"]
     csv_p, json_p, graph_p = tmp_path / "m.csv", tmp_path / "m.json", tmp_path / "g.csv"
-    write_manifest(man, csv_p, json_p)
+    write_manifest(man, csv_p)
+    save_config(RunConfig(), json_p)
     write_graph_csv(demo_graph, graph_p)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     # the rows run out of defocus groups after five images
     short = dataclasses.replace(man, defocus_group=man.defocus_group[:5])
     with pytest.raises(IndexError):
-        write_manifest(short, csv_p, json_p)
+        write_manifest(short, csv_p)
     # one angle short of the edges
     bad = ViewGraph(indptr=demo_graph.indptr, indices=demo_graph.indices,
                     angles=demo_graph.angles[:-1], dists=demo_graph.dists)
@@ -170,32 +175,28 @@ def _corrupt_manifest(lines):
         "nan rotation": edit(1, "nan"),
         "inf rotation": edit(5, "-inf"),
         "malformed rotation": edit(2, "one"),
+        "missing last row": rows[:-1],
     }
 
 
 def test_read_manifest_rejects_corrupt(tiny_dataset, tmp_path):
     man = tiny_dataset["manifest"]
-    assert man.n_defocus_groups == 4
-    csv_p, json_p = tmp_path / "m.csv", tmp_path / "m.json"
-    write_manifest(man, csv_p, json_p)
+    config = _manifest_config(man)
+    csv_p = tmp_path / "m.csv"
+    write_manifest(man, csv_p)
     lines = csv_p.read_text().splitlines()
     for name, rows in _corrupt_manifest(lines).items():
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
         with pytest.raises(FormatError):
-            read_manifest(bad, json_p)
+            read_manifest(bad, config)
             pytest.fail(f"accepted a manifest with a {name}")
-    scalars, missing = json.loads(json_p.read_text()), object()
-    for key, value in [("n", missing), ("n", "6"), ("snr", "high"), ("n_defocus_groups", None),
-                       ("seed", 1.5), ("L", True)]:
-        bad = {k: v for k, v in scalars.items() if k != key}
-        if value is not missing:
-            bad[key] = value
-        bad_json = tmp_path / "bad.json"
-        bad_json.write_text(json.dumps(bad))
-        with pytest.raises(FormatError, match=rf": {key} must be |missing key '{key}'"):
-            read_manifest(csv_p, bad_json)
-            pytest.fail(f"accepted a sidecar with {key}={value!r}")
+    # a well-formed manifest that disagrees with the config
+    assert man.defocus_group.max() == 3
+    for changes, message in [({"n_defocus_groups": 3}, r"defocus group 3 outside \[0, 3\)"),
+                             ({"n": man.n + 1}, f"{man.n} rows, but the config has n {man.n + 1}")]:
+        with pytest.raises(FormatError, match=message):
+            read_manifest(csv_p, dataclasses.replace(config, **changes))
 
 
 def _basis_config(basis, **changes):
@@ -206,34 +207,47 @@ def _basis_config(basis, **changes):
 def test_basis_round_trip(basis17, tmp_path):
     path = tmp_path / "basis.npz"
     write_basis(basis17, path)
+    with np.load(path) as npz:
+        assert npz.files == ["L", "bandlimit", "support_radius", "radial_counts",
+                             "psi_grid", "coeff_solver"]
     back = read_basis(path, _basis_config(basis17))
-    for f in dataclasses.fields(basis17):
-        a, b = getattr(back, f.name), getattr(basis17, f.name)
-        assert type(a) is type(b), f.name
-        np.testing.assert_array_equal(a, b, err_msg=f.name)
+    for name in [f.name for f in dataclasses.fields(basis17)] + ["k_max", "ks", "grid_index"]:
+        a, b = getattr(back, name), getattr(basis17, name)
+        assert type(a) is type(b), name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
-def _corrupt_basis(t):
+def _corrupt_basis(t, basis):
     """Corrupted copies of a basis archive's entries, with the message each
     must raise."""
     def edit(**changes):
         return {**t, **changes}
 
-    nan_norms = t["norms"].copy()
-    nan_norms[3] = np.nan
+    counts = t["radial_counts"]
+    nan_psi = t["psi_grid"].copy()
+    nan_psi[3, 1] = np.nan
     inf_solver = t["coeff_solver"].copy()
     inf_solver[2, 5] = complex(np.inf, 0.0)
+    # the entries an archive held before k_max, ks, grid_index and norms
+    # became derived or unused
+    parent_format = edit(k_max=np.int64(basis.k_max), ks=basis.ks, grid_index=basis.grid_index,
+                         norms=np.ones(basis.n_coeffs))
     return {
-        "missing entry": ({k: v for k, v in t.items() if k != "norms"}, r"missing entries \['norms'\]"),
-        "extra entry": (edit(qs=t["ks"]), r"unexpected entries \['qs'\]"),
-        "int32 ks": (edit(ks=t["ks"].astype(np.int32)), "ks has dtype int32"),
+        "missing entry": ({k: v for k, v in t.items() if k != "psi_grid"},
+                          r"missing entries \['psi_grid'\]"),
+        "extra entry": (edit(qs=counts), r"unexpected entries \['qs'\]"),
+        "parent format": (parent_format, r"unexpected entries \['grid_index', 'k_max', 'ks', "
+                                         r"'norms'\]; rerun simulate"),
+        "int32 counts": (edit(radial_counts=counts.astype(np.int32)), "radial_counts has dtype int32"),
         "complex64 psi": (edit(psi_grid=t["psi_grid"].astype(np.complex64)), "psi_grid has dtype"),
         "transposed psi": (edit(psi_grid=t["psi_grid"].T), "psi_grid has shape"),
         "short solver": (edit(coeff_solver=t["coeff_solver"][:-1]), "coeff_solver has shape"),
         "array L": (edit(L=np.array([t["L"]])), "L has shape"),
-        "short counts": (edit(radial_counts=t["radial_counts"][:-1]), "radial_counts must hold"),
-        "shuffled ks": (edit(ks=t["ks"][::-1].copy()), "ks or grid_index disagree"),
-        "nan norm": (edit(norms=nan_norms), "norms has a non-finite entry"),
+        "short counts": (edit(radial_counts=counts[:-1]), "psi_grid has shape"),
+        "zero count": (edit(radial_counts=np.append(counts, 0)), "radial_counts must hold"),
+        "2-D counts": (edit(radial_counts=counts[None]), "radial_counts must hold"),
+        "no counts": (edit(radial_counts=counts[:0]), "radial_counts must hold"),
+        "nan psi": (edit(psi_grid=nan_psi), "psi_grid has a non-finite entry"),
         "inf solver": (edit(coeff_solver=inf_solver), "coeff_solver has a non-finite entry"),
     }
 
@@ -244,7 +258,7 @@ def test_read_basis_rejects_corrupt(basis17, tmp_path):
     with np.load(path) as npz:
         tables = dict(npz)
     config = _basis_config(basis17)
-    for name, (bad, message) in _corrupt_basis(tables).items():
+    for name, (bad, message) in _corrupt_basis(tables, basis17).items():
         np.savez(tmp_path / "bad.npz", **bad)
         with pytest.raises(FormatError, match=message):
             read_basis(tmp_path / "bad.npz", config)
@@ -293,7 +307,7 @@ def cli_run(tmp_path_factory):
     outdir = str(tmp_path_factory.mktemp("run"))
     cfg = RunConfig(n=30, L=17, support_radius=8.0, snr=0.2, s=5, k_tilde=4,
                     m=10, n_defocus_groups=4, n_blobs=10)
-    cfg_path = os.path.join(outdir, "cfg.json")
+    cfg_path = str(tmp_path_factory.mktemp("cfg") / "cfg.json")
     save_config(cfg, cfg_path)
     for cmd in ["simulate", "classify", "denoise", "evaluate"]:
         assert main(["--config", cfg_path, cmd, outdir]) == 0
@@ -302,11 +316,10 @@ def cli_run(tmp_path_factory):
 
 def test_cli_artifacts(cli_run):
     outdir, cfg, _ = cli_run
-    for name in ["basis.npz", "clean.stack", "ctf_clean.stack", "noisy.stack",
-                 "manifest.csv", "manifest.json", "initial_graph.csv",
-                 "refined_graph.csv", "denoised.stack", "effective_ctf.stack",
-                 "eval_report.csv", "eval_summary.json"]:
-        assert os.path.exists(os.path.join(outdir, name)), name
+    assert sorted(os.listdir(outdir)) == [
+        "basis.npz", "clean.stack", "config.json", "denoised.stack", "effective_ctf.stack",
+        "eval_report.csv", "eval_summary.json", "initial_graph.csv", "manifest.csv",
+        "noisy.stack", "refined_graph.csv"]
     noisy = read_stack(os.path.join(outdir, "noisy.stack"))
     assert noisy.shape == (cfg.n, cfg.L, cfg.L)
     denoised = read_stack(os.path.join(outdir, "denoised.stack"))
@@ -318,7 +331,7 @@ def test_cli_simulate_deterministic(cli_run, tmp_path):
     outdir, _, cfg_path = cli_run
     second = str(tmp_path / "rerun")
     assert main(["--config", cfg_path, "simulate", second]) == 0
-    for name in ["clean.stack", "ctf_clean.stack", "noisy.stack"]:
+    for name in ["clean.stack", "noisy.stack", "manifest.csv", "basis.npz"]:
         a = open(os.path.join(outdir, name), "rb").read()
         b = open(os.path.join(second, name), "rb").read()
         assert a == b, name
@@ -407,8 +420,7 @@ def test_config_mismatch_is_named(cli_run, tmp_path, capsys):
     assert set(SIMULATE_FIELDS) == set(inspect.signature(simulate_dataset).parameters)
     d = tmp_path / "run"
     d.mkdir()
-    for name in ["config.json", "basis.npz", "noisy.stack", "manifest.csv", "manifest.json",
-                 "refined_graph.csv"]:
+    for name in ["config.json", "basis.npz", "noisy.stack", "manifest.csv", "refined_graph.csv"]:
         shutil.copy(os.path.join(outdir, name), d / name)
     for stage in ["classify", "denoise"]:
         path = tmp_path / "seed.json"
@@ -433,14 +445,32 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_run_simulate_passes_the_simulate_fields(monkeypatch, tmp_path):
+    """run_simulate calls simulate_dataset with the config's values of
+    exactly SIMULATE_FIELDS, by name."""
+    config = RunConfig(n=12, L=17, bandlimit=0.4, support_radius=7.0, seed=3, snr=0.4,
+                       noise_model="colored", with_ctf=False, n_defocus_groups=3, n_blobs=5,
+                       shift_px=0.5, s=4)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return simulate_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(mfvdm.pipeline, "simulate_dataset", recording)
+    mfvdm.pipeline.run_simulate(config, str(tmp_path))
+    assert calls == [((), {name: getattr(config, name) for name in SIMULATE_FIELDS})]
+
+
 def test_every_config_field_is_read():
     """Each RunConfig field is read as config.<field> somewhere in the
-    package: a field nothing reads is a setting that does nothing."""
+    package, or is one of SIMULATE_FIELDS, which run_simulate passes to
+    simulate_dataset: a field nothing reads is a setting that does nothing."""
     package = os.path.dirname(mfvdm.__file__)
     text = "".join(open(os.path.join(package, name)).read()
                    for name in sorted(os.listdir(package)) if name.endswith(".py"))
     unread = [f.name for f in dataclasses.fields(RunConfig)
-              if not re.search(rf"\bconfig\.{f.name}\b", text)]
+              if f.name not in SIMULATE_FIELDS and not re.search(rf"\bconfig\.{f.name}\b", text)]
     assert unread == []
 
 

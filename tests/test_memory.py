@@ -1,8 +1,8 @@
 """Bounded memory: classification's temporaries stay within a few row or
 edge blocks instead of growing with n^2, and the transforms of the stack
-(preprocess and expand, reconstruct and CTF correction) within a few image
-blocks instead of growing with n, with outputs that do not depend on the
-block size."""
+(preprocess and expand, reconstruct and CTF correction, evaluation) within a
+few image blocks instead of growing with n, with outputs that do not depend
+on the block size."""
 
 import dataclasses
 import tracemalloc
@@ -19,6 +19,7 @@ from mfvdm.pipeline import (
     absolute_ctf_coeffs,
     classify,
     denoise_and_correct,
+    evaluate_stack,
     prepare_coeffs,
 )
 from mfvdm.pool import set_threads
@@ -68,12 +69,11 @@ def test_stack_transforms_peak_allocation_bounded(basis33):
     rng = np.random.Generator(np.random.Philox(3))
     images = rng.normal(size=(STACK_N, 33, 33)).astype(np.float32)
     manifest = DatasetManifest(rotations=np.tile(np.eye(3), (STACK_N, 1, 1)),
-                               defocus_group=rng.integers(0, 4, size=STACK_N), snr=0.1,
-                               seed=0, L=33, bandlimit=0.5, support_radius=16.0,
-                               n_defocus_groups=4)
+                               defocus_group=rng.integers(0, 4, size=STACK_N))
     # the filtered kind averages over neighbors without eigensolves; a ring
     # of five neighbors a side keeps every node connected
-    config = RunConfig(n=STACK_N, whiten=True, wiener=False, filter_kind=4)
+    config = RunConfig(n=STACK_N, snr=0.1, n_defocus_groups=4, whiten=True, wiener=False,
+                       filter_kind=4)
     profiles = default_defocus_groups(4)
     assert _traced_peak_mb(prepare_coeffs, images, manifest, profiles, basis33,
                            config) < PREPARE_BOUND_MB
@@ -85,12 +85,26 @@ def test_stack_transforms_peak_allocation_bounded(basis33):
                            config) < DENOISE_BOUND_MB
 
 
+# 2000 float32 images of 33 x 33 pixels, 8.3 MB a stack. Measured peaks of
+# evaluate_stack: 10 MB in blocks of images, 38 MB when it fitted the whole
+# stack and converted the reference to float64 before SSIM.
+EVAL_N = 2000
+EVAL_BOUND_MB = 20
+
+
+def test_evaluate_peak_allocation_bounded():
+    rng = np.random.Generator(np.random.Philox(6))
+    ref = rng.normal(size=(EVAL_N, 33, 33)).astype(np.float32)
+    denoised = (ref + rng.normal(size=ref.shape)).astype(np.float32)
+    assert _traced_peak_mb(evaluate_stack, denoised, ref) < EVAL_BOUND_MB
+
+
 @pytest.mark.parametrize("whiten_and_flip", [True, False])
 def test_stack_transforms_do_not_depend_on_blocks(whiten_and_flip, tiny_dataset, basis17,
                                                   monkeypatch):
-    """One block and five give bitwise-equal coefficients, denoised images
-    and effective CTFs. 57 images in blocks of 14 would leave a one-image
-    tail, whose BLAS product rounds differently."""
+    """One block and five give bitwise-equal coefficients, denoised images,
+    effective CTFs and image scores. 57 images in blocks of 14 would leave a
+    one-image tail, whose BLAS product rounds differently."""
     ds, n, rows = tiny_dataset, 57, 14
     manifest = dataclasses.replace(ds["manifest"], rotations=ds["manifest"].rotations[:n],
                                    defocus_group=ds["manifest"].defocus_group[:n])
@@ -102,7 +116,9 @@ def test_stack_transforms_do_not_depend_on_blocks(whiten_and_flip, tiny_dataset,
         coeffs, _ = prepare_coeffs(ds["noisy"][:n], manifest, ds["profiles"], basis17, config)
         graph = initial_nn_search(coeffs, basis17, config.s)
         ctf = absolute_ctf_coeffs(manifest, ds["profiles"], basis17, config)
-        outputs.append((coeffs, *denoise_and_correct(coeffs, ctf, graph, basis17, config)))
+        denoised, effective = denoise_and_correct(coeffs, ctf, graph, basis17, config)
+        scores, _ = evaluate_stack(denoised, ds["clean"][:n])
+        outputs.append((coeffs, denoised, effective, [list(r.values()) for r in scores]))
     assert n % rows == 1
     blocks = row_blocks(n, rows * _image_bytes(17))
     assert len(blocks) >= 4 and min(b.stop - b.start for b in blocks) > 1

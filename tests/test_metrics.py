@@ -17,6 +17,7 @@ from mfvdm.metrics import (
     ssim_stack,
     wrap_degrees,
 )
+import reference
 from reference import ssim as ssim_single
 from reference import true_alignment
 
@@ -77,9 +78,9 @@ def test_ssim_validation():
 
 
 def test_ssim_stack_matches_per_image():
-    """Batched SSIM over 300 images (three blocks, the last one partial)
-    equals the single-image API bitwise, and the 2-D convolution oracle to
-    1e-12 (the separable window sums in another order)."""
+    """Stacked SSIM over 300 images equals the single-image API bitwise, and
+    the 2-D convolution oracle to 1e-12 (the separable window sums in another
+    order)."""
     rng = np.random.Generator(np.random.Philox(5))
     ref = rng.normal(size=(300, 17, 17)) * rng.uniform(0.5, 3.0, size=(300, 1, 1))
     x = ref + rng.uniform(0.1, 2.0, size=(300, 1, 1)) * rng.normal(size=ref.shape)
@@ -102,6 +103,28 @@ def test_import_leaves_out_scipy_signal():
                     if line.startswith("import time:")}
         assert "mfvdm.metrics" in imported
         assert "scipy.signal" not in imported
+
+
+def test_stacked_metrics_match_per_image():
+    """fit_to_reference, mse and psnr over a stack give, bitwise, the values
+    of the one-image references, also for a constant image (fitted to its
+    reference's mean) and an exact affine copy; identical images score +inf
+    PSNR, and a constant reference image anywhere in the stack is an error."""
+    rng = np.random.Generator(np.random.Philox(7))
+    ref = rng.normal(size=(5, 17, 17))
+    x = 2.0 * ref + rng.normal(size=ref.shape)
+    x[3] = 1.0
+    x[4] = 3.0 * ref[4] - 1.0
+    fitted = fit_to_reference(x, ref)
+    for i in range(len(x)):
+        one = reference.fit_to_reference(x[i], ref[i])
+        assert np.array_equal(fitted[i], one)
+        assert mse(fitted, ref)[i] == reference.mse(one, ref[i])
+        assert psnr(fitted, ref)[i] == reference.psnr(one, ref[i])
+    assert psnr(ref, ref).tolist() == [np.inf] * 5
+    ref[2] = 4.0
+    with pytest.raises(ValueError, match="constant"):
+        psnr(x, ref)
 
 
 def test_fit_to_reference_recovers_affine():

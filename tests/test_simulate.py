@@ -192,7 +192,6 @@ def test_simulate_deterministic():
 
 
 def test_simulate_snr_contract(tiny_dataset):
-    man = tiny_dataset["manifest"]
     noise = tiny_dataset["noisy"] - tiny_dataset["ctf_clean"]
-    target = tiny_dataset["ctf_clean"].var() / man.snr
+    target = tiny_dataset["ctf_clean"].var() / tiny_dataset["snr"]
     assert abs(noise.var() - target) / target < 0.05

@@ -406,6 +406,35 @@ def test_refine_matches_dense_reference(demo_graph, monkeypatch):
         np.testing.assert_array_equal(neighbors(got, i), expected[i])
 
 
+def test_refine_and_align_leave_no_one_row_block(demo_graph, monkeypatch):
+    """Block sizes that would leave a one-row tail (60 nodes in blocks of
+    59) give blocks of 30 instead: no affinity block has a single row, whose
+    BLAS product rounds differently, and the graph and its angles equal the
+    one-block result bitwise."""
+    bundle = _full_bundle(demo_graph, 4)
+    n = bundle.n
+    real_rows, sizes = mfvdm.spectral._affinity_rows, []
+
+    def recording(factors, n, start, stop):
+        sizes.append(stop - start)
+        return real_rows(factors, n, start, stop)
+
+    monkeypatch.setattr(mfvdm.spectral, "_affinity_rows", recording)
+    graphs = []
+    for block_bytes in (2**40, 64 * n * (n - 1)):
+        monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", block_bytes)
+        graphs.append(refine_neighbors(bundle, 6))
+    n_edges = graphs[0].indices.size // 2
+    for g, block_bytes in zip(graphs, (2**40, (n_edges - 1) * align_edge_bytes(4, n, 1024))):
+        monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", block_bytes)
+        align_graph(bundle, g, fft_size=1024)
+    assert n % (n - 1) == 1 and n_edges % (n_edges - 1) == 1
+    assert sizes == [n, n // 2, n // 2]
+    one, many = graphs
+    for name in ("indptr", "indices", "angles"):
+        np.testing.assert_array_equal(getattr(many, name), getattr(one, name))
+
+
 def _check_align_blocks(demo_graph, monkeypatch, fft_size):
     bundle = _full_bundle(demo_graph, 5)
     g = refine_neighbors(bundle, 6)
