@@ -144,7 +144,8 @@ def smallest_s(keys, s):
 def search_row_bytes(n, n_freqs, fft_size):
     """Bytes of the RID search's temporaries per ranked row: one complex
     cross-spectrum row, its real and imaginary parts for each of n_freqs
-    frequencies, the correlations over the fft_size-point rotation grid, and
+    frequencies, the correlations over the fft_size-point rotation grid
+    (formed one row at a time, so a block of several rows holds fewer), and
     the best shift, best value, distance and sort key of each of the n
     columns."""
     return n * (16 + 16 * n_freqs + 8 * fft_size + 32)
@@ -174,9 +175,10 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise
     a trigonometric polynomial in the kept frequencies: the real and
     imaginary parts of each pair's per-k cross-spectra times one
     rotation_table, a real matrix product. Rows are ranked a block at a
-    time; each block's temporaries stay within BLOCK_BYTES. Ranges of about
-    SEARCH_TASK_ROWS rows run on pool.fork_map; the graph does not depend on
-    the number of workers.
+    time (row_blocks); each block's temporaries stay within BLOCK_BYTES.
+    Runs of consecutive blocks, about SEARCH_TASK_ROWS rows each, are the
+    tasks of pool.fork_map; the graph does not depend on the number of
+    workers.
     """
     coeffs = np.asarray(coeffs)
     n = coeffs.shape[0]
@@ -199,37 +201,45 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise
     freqs = np.unique(ks)
     blocks = [(sub[:, ks == k], np.conj(sub[:, ks == k]).T) for k in freqs]
     table = rotation_table(freqs, fft_size, np.where(freqs == 0, 1.0, 2.0))
-    chunk = block_rows(search_row_bytes(n, freqs.size, fft_size))
-    task = chunk * max(1, SEARCH_TASK_ROWS // chunk)
-    ranges = [(start, min(start + task, n)) for start in range(0, n, task)]
-    parts = fork_map(_rank_rows, ranges, shared=(blocks, table, sq, s, chunk))
+    chunks = row_blocks(n, search_row_bytes(n, freqs.size, fft_size))
+    per_task = max(1, SEARCH_TASK_ROWS // (chunks[0].stop - chunks[0].start))
+    tasks = [chunks[i:i + per_task] for i in range(0, len(chunks), per_task)]
+    parts = fork_map(_rank_rows, tasks, shared=(blocks, table, sq, s))
     nb_idx, nb_alpha, nb_dist = (np.concatenate(p) for p in zip(*parts))
     return symmetrize(n, np.repeat(np.arange(n), s), nb_idx.ravel(),
                       nb_alpha.ravel(), nb_dist.ravel())
 
 
-def _rank_rows(blocks, table, sq, s, chunk, rows):
-    """(indices, angles, distances), each (stop - start, s), of the s
-    nearest neighbors of rows start:stop, ranked chunk rows at a time."""
-    start, stop = rows
-    n = sq.size
+def _rank_rows(blocks, table, sq, s, chunks):
+    """(indices, angles, distances), each (rows, s), of the s nearest
+    neighbors of the rows of consecutive slices chunks, one chunk at a
+    time."""
+    start, n = chunks[0].start, sq.size
     n_freqs, fft_size = table.shape[0] // 2, table.shape[1]
-    nb_idx = np.empty((stop - start, s), dtype=int)
-    nb_alpha = np.empty((stop - start, s))
-    nb_dist = np.empty((stop - start, s))
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
+    nb_idx = np.empty((chunks[-1].stop - start, s), dtype=int)
+    nb_alpha = np.empty(nb_idx.shape)
+    nb_dist = np.empty(nb_idx.shape)
+    # the correlations of one row at a time, in one buffer: a chunk's would
+    # pass malloc's mmap threshold at n = 10^4 (41 MB for two rows), be
+    # mapped and page-faulted anew for every chunk and fall out of cache
+    # before argmax reads it, which made the search 1.9x slower per row
+    corr = np.empty((n, fft_size))
+    cols = np.arange(n)
+    for chunk in chunks:
+        lo, hi = chunk.start, chunk.stop
         spec = np.empty((hi - lo, n, 2 * n_freqs))
         for r, (b, bh) in enumerate(blocks):
             c = b[lo:hi] @ bh
             spec[:, :, r] = c.real
             spec[:, :, n_freqs + r] = c.imag
         del c
-        corr = (spec.reshape(-1, 2 * n_freqs) @ table).reshape(hi - lo, n, fft_size)
+        best_t = np.empty((hi - lo, n), dtype=np.intp)
+        best = np.empty((hi - lo, n))
+        for r in range(hi - lo):
+            np.matmul(spec[r], table, out=corr)
+            np.argmax(corr, axis=-1, out=best_t[r])
+            best[r] = corr[cols, best_t[r]]
         del spec
-        best_t = np.argmax(corr, axis=-1)
-        best = np.take_along_axis(corr, best_t[..., None], axis=-1)[..., 0]
-        del corr
         d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * best
         np.maximum(d2, 0.0, out=d2)
         r = np.arange(hi - lo)

@@ -167,7 +167,9 @@ def read_basis(path, config):
     """BasisTables from a basis.npz written by write_basis, for config's L,
     bandlimit and support_radius. Raises FormatError for a missing or
     unreadable file, a missing or extra entry, an entry of the wrong dtype
-    or shape, a non-finite entry, or tables built for other parameters."""
+    or shape, a non-finite entry, or tables built for other parameters.
+    Archives whose coeff_solver still holds the k < 0 rows fail the shape
+    check; simulate rewrites them."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             t = {name: npz[name] for name in npz.files}
@@ -195,11 +197,12 @@ def read_basis(path, config):
                           f"got {counts!r}")
     basis = BasisTables(**{name: t[name].item() if t[name].ndim == 0 else t[name]
                            for name in _BASIS_DTYPES})
-    n_coeffs, n_pos, n_inside = basis.n_coeffs, int(counts[1:].sum()), basis.grid_index.size
-    shapes = {"psi_grid": (n_inside, n_coeffs), "coeff_solver": (n_coeffs + n_pos, n_inside)}
+    n_coeffs, n_inside = basis.n_coeffs, basis.grid_index.size
+    shapes = {"psi_grid": (n_inside, n_coeffs), "coeff_solver": (n_coeffs, n_inside)}
     for name, shape in shapes.items():
         if t[name].shape != shape:
-            raise FormatError(f"{path}: {name} has shape {t[name].shape}, expected {shape}")
+            raise FormatError(f"{path}: {name} has shape {t[name].shape}, expected {shape}; "
+                              f"rerun simulate to rewrite it")
         if not np.isfinite(t[name]).all():
             raise FormatError(f"{path}: {name} has a non-finite entry")
     return basis

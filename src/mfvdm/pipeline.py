@@ -15,8 +15,8 @@ from .basis import build_basis, expand_disk_function, expand_stack, reconstruct_
 from .denoise import FilterSpec, ctf_correct, denoise_stack
 from .graph import coeff_noise_variance, initial_nn_search, read_graph_csv, row_blocks, write_graph_csv
 from .metrics import fit_to_reference, mse, psnr, ssim_stack
-from .simulate import (check_finite, ctf_value, default_defocus_groups, estimate_noise_psd,
-                       preprocess, simulate_dataset)
+from .simulate import (_image_bytes, check_finite, ctf_value, default_defocus_groups,
+                       estimate_noise_psd, preprocess, simulate_dataset)
 from .spectral import align_graph, compute_bundle, refine_neighbors
 
 __all__ = [
@@ -30,15 +30,6 @@ __all__ = [
     "run_denoise",
     "run_evaluate",
 ]
-
-
-def _image_bytes(L):
-    """Bytes of the temporaries per image of a block that preprocess +
-    expand_stack, or reconstruct_grid + ctf_correct, work through: about
-    five complex L x L grids, the transforms and their fftshift copies
-    (tracemalloc: 75-85 KB per image at L = 33). evaluate_stack's fit and
-    SSIM need less (56 KB)."""
-    return 5 * 16 * L * L
 
 
 def prepare_coeffs(images, manifest, profiles, basis, config):
@@ -193,6 +184,7 @@ def run_classify(config, outdir):
     its basis.npz is missing or does not match config."""
     noisy, manifest, profiles, basis = _load_dataset(config, outdir)
     coeffs, noise_var = prepare_coeffs(noisy, manifest, profiles, basis, config)
+    del noisy   # the stack is not read again: release it before the search
     initial, _, refined = classify(coeffs, basis, config, noise_var=noise_var)
     write_graph_csv(initial, _p(outdir, "initial_graph.csv"))
     write_graph_csv(refined, _p(outdir, "refined_graph.csv"))
@@ -204,6 +196,7 @@ def run_denoise(config, outdir):
     the run directory like run_classify."""
     noisy, manifest, profiles, basis = _load_dataset(config, outdir)
     coeffs, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
+    del noisy   # the stack is not read again: release it before the filter
     graph = read_graph_csv(_p(outdir, "refined_graph.csv"))
     ctf_coeffs = absolute_ctf_coeffs(manifest, profiles, basis, config)
     denoised, eff = denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config)

@@ -36,6 +36,15 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _image_bytes(L):
+    """Bytes of the temporaries per image of a block of Fourier transforms:
+    about five complex L x L grids, the transforms and their fftshift copies
+    (tracemalloc: 75-85 KB per image at L = 33 for preprocess +
+    expand_stack, or reconstruct_grid + ctf_correct). The simulator's CTF
+    and noise passes and evaluate_stack's fit and SSIM need less."""
+    return 5 * 16 * L * L
+
+
 @dataclass(frozen=True)
 class CTFProfile:
     """Weak-phase contrast transfer function parameters."""
@@ -163,18 +172,24 @@ def _project_block(volume, rotations):
 
 def project_stack(volume, rotations):
     """Projections of volume at each rotation, (n, L, L), computed in blocks
-    of PROJECT_BLOCK views by pool.fork_map; a stack of one block is
-    projected in this process."""
+    of PROJECT_BLOCK views by pool.fork_map and written into the stack as
+    they arrive; a stack of one block is projected in this process."""
     rotations = np.asarray(rotations)
-    blocks = [rotations[i:i + PROJECT_BLOCK] for i in range(0, len(rotations), PROJECT_BLOCK)]
-    return np.concatenate(list(fork_map(_project_block, blocks, shared=(volume,))))
+    starts = range(0, len(rotations), PROJECT_BLOCK)
+    blocks = [rotations[i:i + PROJECT_BLOCK] for i in starts]
+    stack = np.empty((len(rotations),) + volume.shape[:2])
+    for start, views in zip(starts, fork_map(_project_block, blocks, shared=(volume,))):
+        stack[start:start + len(views)] = views
+    return stack
 
 
 def shift_image(image, shift):
-    """Subpixel translation via Fourier phase ramp (periodic, exact)."""
+    """Subpixel translation via Fourier phase ramp (periodic, exact). Shifts
+    a stack (..., L, L) too, by one shift (..., 2) per image."""
     L = image.shape[-1]
     f1, f2 = freq_grid(L)
-    phase = np.exp(-2j * np.pi * (f1 * shift[0] + f2 * shift[1]))
+    shift = np.asarray(shift, dtype=float)[..., None, None]
+    phase = np.exp(-2j * np.pi * (f1 * shift[..., 0, :, :] + f2 * shift[..., 1, :, :]))
     return ift_grid(ft_grid(image) * phase).real
 
 
@@ -183,24 +198,31 @@ def add_noise(images, snr, seed, model="white"):
 
     Noise variance is var(clean stack)/snr, where the clean variance is taken
     over the whole (CTF-affected) dataset. The colored model filters white
-    noise by the radial PSD 1 / (1 + (xi / 0.1)^2) then rescales.
+    noise by the radial PSD 1 / (1 + (xi / 0.1)^2) then rescales. The noise
+    is drawn over the whole stack at once, filtered a block of images at a
+    time and scaled and added in place: the result is the noise array.
     """
+    from .graph import row_blocks  # graph imports io, which imports this module
+
     if snr <= 0:
         raise ValueError("snr must be > 0")
+    if model not in ("white", "colored"):
+        raise ValueError(f"unknown noise model {model!r}")
     images = np.asarray(images, dtype=float)
     sigma2 = images.var() / snr
-    rng = _rng(seed)
-    noise = rng.normal(size=images.shape)
+    noise = _rng(seed).normal(size=images.shape)
     if model == "colored":
-        f1, f2 = freq_grid(images.shape[-1])
+        L = images.shape[-1]
+        f1, f2 = freq_grid(L)
         filt = np.sqrt(1.0 / (1.0 + (np.hypot(f1, f2) / 0.1) ** 2))
-        noise = ift_grid(ft_grid(noise) * filt).real
+        stack = noise.reshape(-1, L, L)
+        for rows in row_blocks(len(stack), _image_bytes(L)):
+            stack[rows] = ift_grid(ft_grid(stack[rows]) * filt).real
         noise *= np.sqrt(sigma2 / noise.var())
-    elif model == "white":
-        noise *= np.sqrt(sigma2)
     else:
-        raise ValueError(f"unknown noise model {model!r}")
-    return images + noise
+        noise *= np.sqrt(sigma2)
+    noise += images
+    return noise
 
 
 def _corner_mask(L, support_radius):
@@ -314,25 +336,33 @@ def simulate_dataset(n, L, seed, snr, *, support_radius=None, bandlimit=0.5,
     clean: projections without CTF (the evaluation reference);
     ctf_clean: CTF-modulated but noise-free; noisy: with additive noise.
     Optional shift_px injects uniform per-image translations in [-shift_px, shift_px].
+    The shift and CTF passes transform a block of images at a time
+    (graph.row_blocks) into the preallocated stacks; each image's transform
+    is independent of the others, so the blocks do not change the result.
     """
+    from .graph import row_blocks  # graph imports io, which imports this module
+
     if support_radius is None:
         support_radius = (L - 1) / 2
     vol = make_phantom(L, seed, n_blobs=n_blobs, support_radius=support_radius)
     rotations = sample_rotations(n, seed + 1)
     clean = project_stack(vol, rotations)
+    blocks = row_blocks(n, _image_bytes(L))
     if shift_px:
         rng = _rng(seed + 4)
         shifts = rng.uniform(-shift_px, shift_px, size=(n, 2))
-        clean = np.stack([shift_image(im, s) for im, s in zip(clean, shifts)])
+        for rows in blocks:
+            clean[rows] = shift_image(clean[rows], shifts[rows])
     profiles = default_defocus_groups(n_defocus_groups)
     rng = _rng(seed + 2)
     groups = rng.integers(0, n_defocus_groups, size=n)
     if with_ctf:
-        spectra = ft_grid(clean)
-        gr = {g: ctf_grid(profiles[g], L) for g in range(n_defocus_groups)}
-        for i in range(n):
-            spectra[i] *= gr[groups[i]]
-        ctf_clean = ift_grid(spectra).real
+        grids = np.stack([ctf_grid(profile, L) for profile in profiles])
+        ctf_clean = np.empty_like(clean)
+        for rows in blocks:
+            spectra = ft_grid(clean[rows])
+            spectra *= grids[groups[rows]]
+            ctf_clean[rows] = ift_grid(spectra).real
     else:
         ctf_clean = clean.copy()
     noisy = add_noise(ctf_clean, snr, seed + 3, model=noise_model) if np.isfinite(snr) else ctf_clean.copy()

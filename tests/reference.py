@@ -6,22 +6,39 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 from scipy.signal import fftconvolve
 
-from mfvdm.basis import BasisError, _solve_coeffs, ft_grid, ift_grid, reconstruct_grid
+from mfvdm.basis import BasisError, freq_grid, ft_grid, ift_grid, reconstruct_grid
 from mfvdm.graph import viewing_angle
-from mfvdm.simulate import ctf_grid
+from mfvdm.simulate import (_rng, ctf_grid, default_defocus_groups, make_phantom, project,
+                            sample_rotations)
 from mfvdm.spectral import _affinity_factors, _affinity_rows
 
 
 # --------------------------------------------------------------------------
 # basis
 
+def pinv_solver(basis):
+    """Pseudo-inverse (numpy's SVD-based pinv) of the full +-k grid basis:
+    the k >= 0 columns psi_grid, then psi^{-k,q} = (-1)^k conj(psi^{k,q})
+    for k > 0. Shape (n_coeffs + n_pos, n_inside)."""
+    pos = basis.ks > 0
+    sign = np.where(basis.ks[pos] % 2 == 0, 1.0, -1.0)
+    psi_full = np.concatenate([basis.psi_grid, sign * np.conj(basis.psi_grid[:, pos])], axis=1)
+    return np.linalg.pinv(psi_full, rcond=1e-10)
+
+
 def expand(image, basis):
-    """Coefficients (k >= 0) of one L x L real image."""
+    """Coefficients (k >= 0) of one L x L real image: the least-squares fit
+    of its in-disk spectrum by the full +-k basis (pinv_solver), with each
+    k > 0 coefficient averaged with the conjugate of its k < 0 partner."""
     image = np.asarray(image, dtype=float)
     if image.shape != (basis.L, basis.L):
         raise BasisError(f"image shape {image.shape} does not match basis L={basis.L}")
     spectrum = ft_grid(image).reshape(-1)[basis.grid_index]
-    return _solve_coeffs(basis, spectrum)
+    a_full = pinv_solver(basis) @ spectrum
+    n, pos = basis.n_coeffs, basis.ks > 0
+    a = a_full[:n].copy()
+    a[pos] = 0.5 * (a[pos] + np.conj(a_full[n:]))
+    return a
 
 
 def reconstruct_denoised(denoised_coeffs, basis):
@@ -71,6 +88,48 @@ def apply_ctf(image, profile):
     """Pointwise Fourier-domain CTF modulation; output is real."""
     grid = ctf_grid(profile, image.shape[-1])
     return ift_grid(ft_grid(image) * grid).real
+
+
+def shift_image(image, shift):
+    """Subpixel translation of one image via a Fourier phase ramp."""
+    f1, f2 = freq_grid(image.shape[-1])
+    phase = np.exp(-2j * np.pi * (f1 * shift[0] + f2 * shift[1]))
+    return ift_grid(ft_grid(image) * phase).real
+
+
+def simulate_stacks(n, L, seed, snr, *, support_radius=None, n_blobs=30, n_defocus_groups=20,
+                    noise_model="white", with_ctf=True, shift_px=0.0):
+    """(clean, ctf_clean, noisy) of ``mfvdm.simulate_dataset`` (default
+    bandlimit), with every pass over the whole stack: the projections one
+    view at a time, the shifts one image at a time, then one CTF transform
+    and one noise filter of the whole stack, and the noise added to a copy."""
+    if support_radius is None:
+        support_radius = (L - 1) / 2
+    vol = make_phantom(L, seed, n_blobs=n_blobs, support_radius=support_radius)
+    clean = np.stack([project(vol, R) for R in sample_rotations(n, seed + 1)])
+    if shift_px:
+        shifts = _rng(seed + 4).uniform(-shift_px, shift_px, size=(n, 2))
+        clean = np.stack([shift_image(im, sh) for im, sh in zip(clean, shifts)])
+    profiles = default_defocus_groups(n_defocus_groups)
+    groups = _rng(seed + 2).integers(0, n_defocus_groups, size=n)
+    if with_ctf:
+        spectra = ft_grid(clean)
+        for i, g in enumerate(groups):
+            spectra[i] *= ctf_grid(profiles[g], L)
+        ctf_clean = ift_grid(spectra).real
+    else:
+        ctf_clean = clean.copy()
+    if not np.isfinite(snr):
+        return clean, ctf_clean, ctf_clean.copy()
+    sigma2 = ctf_clean.var() / snr
+    noise = _rng(seed + 3).normal(size=clean.shape)
+    if noise_model == "colored":
+        f1, f2 = freq_grid(L)
+        noise = ift_grid(ft_grid(noise) * np.sqrt(1.0 / (1.0 + (np.hypot(f1, f2) / 0.1) ** 2))).real
+        noise *= np.sqrt(sigma2 / noise.var())
+    else:
+        noise *= np.sqrt(sigma2)
+    return clean, ctf_clean, ctf_clean + noise
 
 
 def rotate_image(image, alpha):

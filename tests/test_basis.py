@@ -7,6 +7,7 @@ from scipy.special import jn_zeros, jv
 
 from mfvdm.basis import (
     BasisError,
+    _solver_rows,
     build_basis,
     expand_stack,
     ft_grid,
@@ -15,7 +16,7 @@ from mfvdm.basis import (
     rotate_coeffs,
 )
 from mfvdm.simulate import simulate_dataset
-from reference import expand, full_sq_norm, rid_align, rotate_image
+from reference import expand, full_sq_norm, pinv_solver, rid_align, rotate_image
 
 
 def test_build_validation():
@@ -29,6 +30,29 @@ def test_build_validation():
         build_basis(17, 0.5, 9.0)      # support outside the image
     with pytest.raises(BasisError):
         build_basis(3, 0.01, 1.0)      # no admissible functions
+
+
+@pytest.mark.parametrize("name", ["basis17", "basis33", "bandlimit 0.35"])
+def test_coeff_solver_matches_pinv(name, request):
+    """The Gram-matrix solver is the first n_coeffs rows of the SVD-based
+    pseudo-inverse of the full +-k grid basis, to 1e-13 relative."""
+    basis = build_basis(17, 0.35, 8.0) if name == "bandlimit 0.35" else request.getfixturevalue(name)
+    ref = pinv_solver(basis)[:basis.n_coeffs]
+    assert basis.coeff_solver.shape == (basis.n_coeffs, basis.grid_index.size)
+    assert np.abs(basis.coeff_solver - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_solver_rejects_rank_deficient_basis(basis17):
+    """A repeated column makes the Gram matrix singular, a nearly repeated
+    one ill-conditioned: both raise BasisError instead of solving."""
+    psi = basis17.psi_grid
+    repeated = np.concatenate([psi, psi[:, 3:4]], axis=1)
+    near = repeated.copy()
+    near[0, -1] += 1e-9
+    for bad in (repeated, near):
+        with pytest.raises(BasisError, match="grid basis is"):
+            _solver_rows(bad, basis17.n_coeffs)
+    assert np.isfinite(_solver_rows(psi, basis17.n_coeffs)).all()
 
 
 def _radial_zeros(basis, k):

@@ -61,6 +61,24 @@ def test_search_chunk_invariant(tiny_dataset, basis17, monkeypatch):
         np.testing.assert_allclose(g.dists, whole.dists, rtol=1e-12)
 
 
+def test_search_blocks_never_hold_one_row(tiny_dataset, basis17, monkeypatch):
+    """Budgeted for 59 rows, the 60-image search ranks two 30-row blocks,
+    not 59 rows and then one: a one-row block's matrix products take BLAS's
+    vector path, whose distances differ in the last bits. The graph equals
+    the one-block search's bit for bit."""
+    coeffs = expand_stack(tiny_dataset["noisy"], basis17)
+    n = coeffs.shape[0]
+    n_freqs = np.unique(basis17.ks[_select_columns(basis17, coeffs, 0.9)]).size
+    row_bytes = search_row_bytes(n, n_freqs, 256)
+    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", n * row_bytes)
+    whole = initial_nn_search(coeffs, basis17, s=8)
+    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", 59 * row_bytes)
+    assert mfvdm.graph.block_rows(row_bytes) == 59
+    blocked = initial_nn_search(coeffs, basis17, s=8)
+    for name in ("indptr", "indices", "angles", "dists"):
+        np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name), err_msg=name)
+
+
 @pytest.mark.parametrize("dtype", [int, float])
 def test_smallest_s_matches_stable_argsort(dtype):
     """Integer keys with heavy ties, so that in most rows the s-th value is

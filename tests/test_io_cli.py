@@ -232,6 +232,10 @@ def _corrupt_basis(t, basis):
     # became derived or unused
     parent_format = edit(k_max=np.int64(basis.k_max), ks=basis.ks, grid_index=basis.grid_index,
                          norms=np.ones(basis.n_coeffs))
+    # the pseudo-inverse of the full +-k grid basis that archives held
+    # before coeff_solver kept only its k >= 0 rows
+    solver = t["coeff_solver"]
+    full_solver = np.concatenate([solver, np.conj(solver[basis.ks > 0])])
     return {
         "missing entry": ({k: v for k, v in t.items() if k != "psi_grid"},
                           r"missing entries \['psi_grid'\]"),
@@ -242,6 +246,9 @@ def _corrupt_basis(t, basis):
         "complex64 psi": (edit(psi_grid=t["psi_grid"].astype(np.complex64)), "psi_grid has dtype"),
         "transposed psi": (edit(psi_grid=t["psi_grid"].T), "psi_grid has shape"),
         "short solver": (edit(coeff_solver=t["coeff_solver"][:-1]), "coeff_solver has shape"),
+        "+-k solver": (edit(coeff_solver=full_solver),
+                       rf"coeff_solver has shape \({full_solver.shape[0]}, {solver.shape[1]}\), "
+                       rf"expected \({basis.n_coeffs}, {solver.shape[1]}\); rerun simulate"),
         "array L": (edit(L=np.array([t["L"]])), "L has shape"),
         "short counts": (edit(radial_counts=counts[:-1]), "psi_grid has shape"),
         "zero count": (edit(radial_counts=np.append(counts, 0)), "radial_counts must hold"),

@@ -1,8 +1,8 @@
 """Bounded memory: classification's temporaries stay within a few row or
 edge blocks instead of growing with n^2, and the transforms of the stack
-(preprocess and expand, reconstruct and CTF correction, evaluation) within a
-few image blocks instead of growing with n, with outputs that do not depend
-on the block size."""
+(simulation, preprocess and expand, reconstruct and CTF correction,
+evaluation) within a few image blocks instead of growing with n, with
+outputs that do not depend on the block size."""
 
 import dataclasses
 import tracemalloc
@@ -83,6 +83,21 @@ def test_stack_transforms_peak_allocation_bounded(basis33):
     graph = symmetrize(STACK_N, src, dst, angles=np.zeros(src.size))
     assert _traced_peak_mb(denoise_and_correct, coeffs, coeffs, graph, basis33,
                            config) < DENOISE_BOUND_MB
+
+
+# Measured peaks of simulate_dataset on STACK_N images with white noise:
+# 24.5 MB in image blocks (the clean, CTF-modulated and noise stacks, and
+# the temporaries of one block), 60.3 MB when the CTF and noise passes
+# transformed and copied whole stacks.
+SIMULATE_BOUND_MB = 40
+
+
+def test_simulate_peak_allocation_bounded():
+    # one worker: the projections run in this process, where tracemalloc
+    # sees them; scipy.ndimage is imported before tracing starts
+    set_threads(1)
+    simulate_dataset(2, 33, seed=0, snr=0.1)
+    assert _traced_peak_mb(simulate_dataset, STACK_N, 33, 0, 0.1) < SIMULATE_BOUND_MB
 
 
 # 2000 float32 images of 33 x 33 pixels, 8.3 MB a stack. Measured peaks of

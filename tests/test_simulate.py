@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import mfvdm.graph
+import mfvdm.simulate
 from mfvdm.simulate import (
+    _image_bytes,
     CTFProfile,
     add_noise,
     ctf_grid,
@@ -17,7 +20,7 @@ from mfvdm.simulate import (
     shift_image,
     simulate_dataset,
 )
-from reference import apply_ctf, rotate_image
+from reference import apply_ctf, rotate_image, simulate_stacks
 
 
 def test_ctf_value_oracle():
@@ -195,3 +198,24 @@ def test_simulate_snr_contract(tiny_dataset):
     noise = tiny_dataset["noisy"] - tiny_dataset["ctf_clean"]
     target = tiny_dataset["ctf_clean"].var() / tiny_dataset["snr"]
     assert abs(noise.var() - target) / target < 0.05
+
+
+@pytest.mark.parametrize("case", [
+    {},
+    {"noise_model": "colored"},
+    {"shift_px": 1.5},
+    {"with_ctf": False},
+    {"snr": np.inf},
+])
+def test_simulate_blocks_match_whole_stack(case, monkeypatch):
+    """The simulator's passes over blocks of images give the three stacks
+    of whole-stack passes bit for bit. 45 images in blocks of at most 7,
+    and projection tasks of 16 views, so that the blocks do not line up."""
+    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", 7 * _image_bytes(17))
+    monkeypatch.setattr(mfvdm.simulate, "PROJECT_BLOCK", 16)
+    kw = {"snr": 0.2, "support_radius": 8.0, "n_defocus_groups": 4, "n_blobs": 10, **case}
+    got = simulate_dataset(45, 17, seed=21, **kw)
+    want = simulate_stacks(45, 17, seed=21, **kw)
+    for name, a, b in zip(("clean", "ctf_clean", "noisy"), got[:3], want):
+        assert a.dtype == np.float64 and a.flags.c_contiguous, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
