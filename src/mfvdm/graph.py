@@ -105,19 +105,19 @@ def coeff_noise_variance(basis):
     return (np.abs(a) ** 2).mean(axis=0)
 
 
-def block_rows(bytes_per_row):
-    """Rows per block so that one block's temporaries stay within
-    BLOCK_BYTES (at least one row)."""
-    return max(1, int(BLOCK_BYTES // max(bytes_per_row, 1)))
+def block_rows(bytes_per_row, fixed_bytes=0):
+    """Rows per block so that one block's temporaries, bytes_per_row a row
+    plus fixed_bytes, stay within BLOCK_BYTES (at least one row)."""
+    return max(1, int((BLOCK_BYTES - fixed_bytes) // max(bytes_per_row, 1)))
 
 
-def row_blocks(n, bytes_per_row):
+def row_blocks(n, bytes_per_row, fixed_bytes=0):
     """Slices covering range(n) in order, in blocks of at most
-    max(block_rows(bytes_per_row), 2) rows whose sizes differ by at most one.
-    No block holds a single row unless n is 1: BLAS multiplies one row by
-    its vector path, whose last bits differ from those of the matrix path
-    that larger blocks take."""
-    count = max(1, min(-(-n // block_rows(bytes_per_row)), n // 2))
+    max(block_rows(bytes_per_row, fixed_bytes), 2) rows whose sizes differ
+    by at most one. No block holds a single row unless n is 1: BLAS
+    multiplies one row by its vector path, whose last bits differ from those
+    of the matrix path that larger blocks take."""
+    count = max(1, min(-(-n // block_rows(bytes_per_row, fixed_bytes)), n // 2))
     size, extra = divmod(n, count)
     starts = [i * size + min(i, extra) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(starts, starts[1:])]
@@ -141,14 +141,13 @@ def smallest_s(keys, s):
     return np.take_along_axis(cols, order, axis=1)
 
 
-def search_row_bytes(n, n_freqs, fft_size):
-    """Bytes of the RID search's temporaries per ranked row: one complex
-    cross-spectrum row, its real and imaginary parts for each of n_freqs
-    frequencies, the correlations over the fft_size-point rotation grid
-    (formed one row at a time, so a block of several rows holds fewer), and
-    the best shift, best value, distance and sort key of each of the n
-    columns."""
-    return n * (16 + 16 * n_freqs + 8 * fft_size + 32)
+def search_bytes(n, n_freqs, fft_size):
+    """(bytes per ranked row, bytes per block) of the RID search's
+    temporaries. Each row holds one complex cross-spectrum row, its real and
+    imaginary parts for each of n_freqs frequencies, and the best shift,
+    best value, distance and sort key of each of the n columns; a block
+    holds one row of correlations over the fft_size-point rotation grid."""
+    return n * (16 + 16 * n_freqs + 32), 8 * n * fft_size
 
 
 def rotation_table(ks, fft_size, weights):
@@ -161,6 +160,12 @@ def rotation_table(ks, fft_size, weights):
     phase = 2.0 * np.pi * (np.outer(ks, np.arange(fft_size)) % fft_size) / fft_size
     w = np.asarray(weights, dtype=float)[:, None]
     return np.concatenate([w * np.cos(phase), -w * np.sin(phase)])
+
+
+def grid_angle(t, fft_size):
+    """Angles 2 pi t / fft_size of rotation-grid points t, in (-pi, pi]."""
+    alpha = 2.0 * np.pi * t / fft_size
+    return np.where(alpha > np.pi, alpha - 2.0 * np.pi, alpha)
 
 
 def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise_var=None):
@@ -201,7 +206,7 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise
     freqs = np.unique(ks)
     blocks = [(sub[:, ks == k], np.conj(sub[:, ks == k]).T) for k in freqs]
     table = rotation_table(freqs, fft_size, np.where(freqs == 0, 1.0, 2.0))
-    chunks = row_blocks(n, search_row_bytes(n, freqs.size, fft_size))
+    chunks = row_blocks(n, *search_bytes(n, freqs.size, fft_size))
     per_task = max(1, SEARCH_TASK_ROWS // (chunks[0].stop - chunks[0].start))
     tasks = [chunks[i:i + per_task] for i in range(0, len(chunks), per_task)]
     parts = fork_map(_rank_rows, tasks, shared=(blocks, table, sq, s))
@@ -248,8 +253,7 @@ def _rank_rows(blocks, table, sq, s, chunks):
         out = slice(lo - start, hi - start)
         nb_idx[out] = order
         nb_dist[out] = np.sqrt(np.take_along_axis(d2, order, axis=1))
-        al = 2.0 * np.pi * np.take_along_axis(best_t, order, axis=1) / fft_size
-        nb_alpha[out] = np.where(al > np.pi, al - 2.0 * np.pi, al)
+        nb_alpha[out] = grid_angle(np.take_along_axis(best_t, order, axis=1), fft_size)
     return nb_idx, nb_alpha, nb_dist
 
 

@@ -220,7 +220,10 @@ def _is_of_type(value, kind):
 
 @dataclasses.dataclass
 class RunConfig:
-    """Every pipeline tunable in one place; validated before any stage runs."""
+    """Every pipeline setting that changes a result; validated before any
+    stage runs. Phase flipping follows with_ctf and the search's energy cut
+    follows snr (pipeline.prepare_coeffs, classify); the rotation grids and
+    the CTF-correction regularizer are constants of the code."""
 
     L: int = 33
     n: int = 1000
@@ -236,22 +239,14 @@ class RunConfig:
     # preprocessing
     standardize: bool = True
     whiten: bool = False
-    phase_flip: bool = True
     # graph construction
     s: int = 50
-    energy_fraction: float = 0.9
     wiener: bool = True
-    # points of the rotation grid of the RID search
-    initial_fft_size: int = 256
     # spectral refinement
     k_tilde: int = 10
     m: int = 50
-    t: int = 1
-    # points of the rotation grid of the edge alignment
-    fft_size: int = 1024
     # denoising
     filter_kind: int = 2
-    eps: float = 0.0            # 0 means the default 1e-2 * max(C^2)
     # the process-wide cap that the CLI sets with pool.set_threads: on
     # OpenBLAS threads and on the simulate, search and eigensolve worker
     # processes; 0: none. In-memory callers call set_threads themselves.
@@ -276,33 +271,31 @@ class RunConfig:
             raise ValueError("noise_model must be 'white' or 'colored'")
         if not (1 <= self.s < self.n):
             raise ValueError("s must satisfy 1 <= s < n")
-        if not (0.0 < self.energy_fraction <= 1.0):
-            raise ValueError("energy_fraction must be in (0, 1]")
         if self.k_tilde < 1:
             raise ValueError("k_tilde must be >= 1")
-        if self.m < 1 or self.t < 1:
-            raise ValueError("m and t must be >= 1")
-        if self.fft_size < 2 or self.initial_fft_size < 2:
-            raise ValueError("FFT sizes must be >= 2")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
         if self.filter_kind not in (1, 2, 3, 4, 5):
             raise ValueError("filter_kind must be 1..5")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
         if self.n_defocus_groups < 1:
             raise ValueError("n_defocus_groups must be >= 1")
         if self.threads < 0:
             raise ValueError("threads must be >= 0")
 
 
-def load_config(path):
-    """RunConfig from flat JSON; unknown keys are an error, missing keys take
-    their defaults."""
+def _read_config(path):
+    """The JSON object at path, and its keys that name no RunConfig field."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(data) - known)
+    return data, sorted(set(data) - {f.name for f in dataclasses.fields(RunConfig)})
+
+
+def load_config(path):
+    """RunConfig from flat JSON; unknown keys are an error, missing keys take
+    their defaults."""
+    data, unknown = _read_config(path)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return RunConfig(**data)
@@ -316,8 +309,13 @@ SIMULATE_FIELDS = ("n", "L", "seed", "snr", "support_radius", "bandlimit", "n_bl
 
 def check_run_config(config, path):
     """Raise ConfigMismatchError naming the first of SIMULATE_FIELDS on which
-    config differs from the config saved at path."""
-    saved = load_config(path)
+    config differs from the config saved at path, or the saved keys that
+    RunConfig does not have (fields removed since the directory was made)."""
+    data, unknown = _read_config(path)
+    if unknown:
+        raise ConfigMismatchError(f"{path} holds keys RunConfig does not have: "
+                                  f"{', '.join(unknown)}; rerun simulate to rewrite it")
+    saved = RunConfig(**data)
     for name in SIMULATE_FIELDS:
         given, made = getattr(config, name), getattr(saved, name)
         if given != made:

@@ -35,11 +35,12 @@ __all__ = [
 def prepare_coeffs(images, manifest, profiles, basis, config):
     """Preprocess a noisy stack and expand it; returns (coeffs, noise_var).
 
-    Standardization and Wiener shrinkage are skipped for noise-free input
-    (infinite SNR): clean projections vanish outside the support, so the
-    corner statistics that drive both are degenerate there. The stack is
-    transformed in blocks of images (graph.row_blocks); the whitening PSD
-    is the one statistic taken over the whole stack.
+    Phase flipping runs exactly when the data were CTF-modulated
+    (config.with_ctf). Standardization and Wiener shrinkage are skipped for
+    noise-free input (infinite SNR): clean projections vanish outside the
+    support, so the corner statistics that drive both are degenerate there.
+    The stack is transformed in blocks of images (graph.row_blocks); the
+    whitening PSD is the one statistic taken over the whole stack.
     """
     noisy_input = np.isfinite(config.snr)
     # preprocess checks each block too, but names images by their index in it
@@ -54,7 +55,7 @@ def prepare_coeffs(images, manifest, profiles, basis, config):
             config.support_radius,
             standardize=config.standardize and noisy_input,
             noise_psd=noise_psd,
-            phase_flip=config.phase_flip and config.with_ctf,
+            phase_flip=config.with_ctf,
             profiles=profiles,
             groups=manifest.defocus_group[rows],
         )
@@ -70,17 +71,18 @@ def classify(coeffs, basis, config, noise_var=None):
     """Initial RID graph, spectral refinement, and eigenvector alignment.
 
     Returns (initial_graph, bundle, refined_graph); the refined graph carries
-    estimated alignment angles on every edge.
+    estimated alignment angles on every edge. The search keeps the columns
+    holding 90% of the coefficient energy, or every column for noise-free
+    input (infinite SNR), which has no noise-dominated ones.
     """
     initial = initial_nn_search(
         coeffs, basis, config.s,
-        fft_size=config.initial_fft_size,
-        energy_fraction=config.energy_fraction,
+        energy_fraction=0.9 if np.isfinite(config.snr) else 1.0,
         noise_var=noise_var,
     )
-    bundle = compute_bundle(initial, config.k_tilde, config.m, t=config.t)
+    bundle = compute_bundle(initial, config.k_tilde, config.m)
     refined = refine_neighbors(bundle, config.s)
-    align_graph(bundle, refined, fft_size=config.fft_size)
+    align_graph(bundle, refined)
     return initial, bundle, refined
 
 
@@ -88,31 +90,27 @@ def absolute_ctf_coeffs(manifest, profiles, basis, config):
     """Per-image expansion coefficients of the absolute CTF radial profile
     (after phase flipping the effective transfer function is |CTF|). Without
     CTF simulation the profile is identically one."""
-    n = manifest.n
     if not config.with_ctf:
         one = expand_disk_function(lambda xi, theta: np.ones_like(xi), basis)
-        return np.tile(one, (n, 1))
-    per_group = {}
-    for g in np.unique(manifest.defocus_group):
-        prof = profiles[g]
-        per_group[g] = expand_disk_function(
-            lambda xi, theta: np.abs(ctf_value(prof, xi / prof.pixel_size_A)), basis
-        )
-    return np.stack([per_group[g] for g in manifest.defocus_group])
+        return np.tile(one, (manifest.n, 1))
+    table = np.stack([expand_disk_function(
+        lambda xi, theta: np.abs(ctf_value(prof, xi / prof.pixel_size_A)), basis)
+        for prof in profiles])
+    return table[manifest.defocus_group]
 
 
 def denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config):
     """Graph-filter the coefficients, then deconvolve each image by its
-    filtered effective CTF, a block of images at a time. Returns (denoised
-    images, effective CTF grids)."""
+    filtered effective CTF C with eps = 1e-2 max(C^2), a block of images at
+    a time. Returns (denoised images, effective CTF grids)."""
     filt = FilterSpec(kind=config.filter_kind, m=config.m)
     da, dc = denoise_stack(coeffs, ctf_coeffs, graph, basis, filt)
     denoised = np.empty((len(da), basis.L, basis.L))
     effective = np.empty_like(denoised)
     for rows in row_blocks(len(da), _image_bytes(basis.L)):
         C = reconstruct_grid(dc[rows], basis).real
-        eps = config.eps if config.eps > 0 else 1e-2 * np.max(C**2, axis=(-2, -1))
-        denoised[rows] = ctf_correct(reconstruct_grid(da[rows], basis), C, eps)
+        denoised[rows] = ctf_correct(reconstruct_grid(da[rows], basis), C,
+                                     1e-2 * np.max(C**2, axis=(-2, -1)))
         effective[rows] = C
     return denoised, effective
 

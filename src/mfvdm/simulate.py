@@ -295,10 +295,9 @@ def preprocess(images, support_radius, *, standardize=True, noise_psd=None,
     if phase_flip:
         if profiles is None or groups is None:
             raise ValueError("phase flipping requires CTF profiles and group ids")
-        grids = {g: np.sign(ctf_grid(profiles[g], L)) for g in np.unique(groups)}
+        signs = np.sign(np.stack([ctf_grid(profile, L) for profile in profiles]))
         spectra = ft_grid(images)
-        for i, g in enumerate(groups):
-            spectra[i] *= grids[g]
+        spectra *= signs[groups]
         images = ift_grid(spectra).real
     if standardize:
         mask = _corner_mask(L, support_radius)

@@ -8,7 +8,7 @@ sign matches the coefficient phase convention: rotating an image by alpha
 multiplies its frequency-k coefficients by exp(-i*k*alpha), so transporting a
 neighbor's coefficients across an edge applies exp(-i*k*alpha_ij). Top
 eigenpairs of these matrices define embeddings whose inner products measure
-the consistency of transporting in-plane rotations along length-2t paths;
+the consistency of transporting in-plane rotations along paths of two edges;
 inconsistent shortcut edges score low and are pruned.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import rotation_table, row_blocks, smallest_s, symmetrize
+from .graph import grid_angle, rotation_table, row_blocks, smallest_s, symmetrize
 from .pool import fork_map
 
 __all__ = [
@@ -169,13 +169,13 @@ def _solve_frequency(graph, m, solve, k):
 
 @dataclass(frozen=True)
 class SpectralBundle:
-    """Top-m eigenpairs of the normalized frequency matrices for k in k_list."""
+    """Top-m eigenpairs of the normalized frequency matrices W_k for k in
+    k_list; the affinity and the alignment read W_k^2 = U diag(lambda^2) U^*."""
 
     k_list: np.ndarray
     eigenvalues: tuple        # per k: (m,) real, descending
     eigenvectors: tuple       # per k: (n, m) complex, orthonormal
     degrees: np.ndarray
-    t: int = 1
     m: int = 50
 
     @property
@@ -183,22 +183,22 @@ class SpectralBundle:
         return self.degrees.size
 
 
-def compute_bundle(graph, k_max, m, *, t=1):
+def compute_bundle(graph, k_max, m):
     """Eigendecompositions for k = 1..k_max, solved by frequency_eigs."""
     ks = np.arange(1, k_max + 1)
     pairs = list(frequency_eigs(graph, ks, min(m, graph.n)))
     return SpectralBundle(k_list=ks, eigenvalues=tuple(v for v, _ in pairs),
                           eigenvectors=tuple(u for _, u in pairs), degrees=graph.degrees,
-                          t=t, m=m)
+                          m=m)
 
 
 def _affinity_factors(bundle):
-    """Per frequency k: (lambda^{2t}, U, usable-node mask, normalizer) with
+    """Per frequency k: (lambda^2, U, usable-node mask, normalizer) with
     the normalizer |P_k(i, i)| (1 where it vanishes); also returns the
     number of dropped (node, frequency) pairs."""
     factors, dropped = [], 0
     for lam, U in zip(bundle.eigenvalues, bundle.eigenvectors):
-        lam = lam ** (2 * bundle.t)
+        lam = lam ** 2
         self_p = np.abs((np.abs(U) ** 2) @ lam)
         ok = self_p > 1e-300
         dropped += int((~ok).sum())
@@ -262,7 +262,7 @@ def align_graph(bundle, graph, fft_size=1024):
     src, dst = graph.rows, graph.indices
     ii, jj = src[src < dst], dst[src < dst]
     kmax = int(bundle.k_list.max())
-    factors = [(int(k), lam ** (2 * bundle.t), U)
+    factors = [(int(k), lam ** 2, U)
                for k, lam, U in zip(bundle.k_list, bundle.eigenvalues, bundle.eigenvectors)]
     table = rotation_table(np.arange(kmax + 1), fft_size, np.ones(kmax + 1))
     alpha = np.empty(ii.size)
@@ -273,8 +273,8 @@ def align_graph(bundle, graph, fft_size=1024):
             z = np.sum(lam[None, :] * U[a] * np.conj(U[b]), axis=1)
             Z[:, k], Z[:, kmax + 1 + k] = z.real, z.imag
         obj = Z @ table
-        alpha[rows] = 2.0 * np.pi * np.argmax(obj, axis=1) / fft_size
-    aligned = symmetrize(graph.n, ii, jj, np.where(alpha > np.pi, alpha - 2.0 * np.pi, alpha))
+        alpha[rows] = grid_angle(np.argmax(obj, axis=1), fft_size)
+    aligned = symmetrize(graph.n, ii, jj, alpha)
     if not (np.array_equal(aligned.indptr, graph.indptr)
             and np.array_equal(aligned.indices, graph.indices)):
         raise ValueError("graph is not symmetric")

@@ -194,9 +194,9 @@ def bundle_index(bundle, k):
 
 
 def pair_product(bundle, k, i, j):
-    """P_k(i, j) = sum_l lambda_l^{2t} u_l(i) conj(u_l(j)), over retained l."""
+    """P_k(i, j) = sum_l lambda_l^2 u_l(i) conj(u_l(j)), over retained l."""
     idx = bundle_index(bundle, k)
-    lam = bundle.eigenvalues[idx] ** (2 * bundle.t)
+    lam = bundle.eigenvalues[idx] ** 2
     U = bundle.eigenvectors[idx]
     return np.sum(lam * U[i] * np.conj(U[j]))
 

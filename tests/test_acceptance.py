@@ -6,7 +6,6 @@ Heavy artifacts (datasets, graphs, denoised stacks) are computed lazily and
 cached at module scope, so each is built exactly once per run.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -64,10 +63,7 @@ class _Context:
         return self._data[key]
 
     def config(self, snr, **overrides):
-        base = RunConfig(snr=snr)
-        if not np.isfinite(snr):
-            overrides.setdefault("energy_fraction", 1.0)
-        return dataclasses.replace(base, **overrides)
+        return RunConfig(snr=snr, **overrides)
 
     def classification(self, snr, shift=0.0):
         key = (snr, shift)
@@ -168,12 +164,11 @@ def _dense_connection(graph, k):
 
 
 def test_criterion_2a_embedding_vs_matrix_power(demo_graph):
-    t = 1
-    bundle = compute_bundle(demo_graph, 4, m=demo_graph.n, t=t)
+    bundle = compute_bundle(demo_graph, 4, m=demo_graph.n)
     for k in [1, 2, 4]:
         deg = demo_graph.degrees.astype(float)
         Wt = _dense_connection(demo_graph, k) / np.sqrt(np.outer(deg, deg))
-        P = np.linalg.matrix_power(Wt, 2 * t)
+        P = np.linalg.matrix_power(Wt, 2)
         for i, j in [(0, 1), (7, 33), (12, 12), (40, 59)]:
             assert abs(embedding_dot(bundle, k, i, j) - np.abs(P[i, j]) ** 2) < 1e-10
 
@@ -319,12 +314,11 @@ def test_criterion_7_shift_robustness(ctx):
 # 8. single-frequency reduction matches an independent VDM
 
 def test_criterion_8_vdm_reduction(demo_graph):
-    t = 1
-    bundle = compute_bundle(demo_graph, k_max=1, m=demo_graph.n, t=t)
+    bundle = compute_bundle(demo_graph, k_max=1, m=demo_graph.n)
     A, _ = affinity_matrix(bundle)
     deg = demo_graph.degrees.astype(float)
     Wt = _dense_connection(demo_graph, 1) / np.sqrt(np.outer(deg, deg))
-    P = np.linalg.matrix_power(Wt, 2 * t)
+    P = np.linalg.matrix_power(Wt, 2)
     self_p = np.abs(np.diag(P))
     A_vdm = np.abs(P) ** 2 / np.outer(self_p, self_p)
     assert np.abs(A - A_vdm).max() < 1e-10

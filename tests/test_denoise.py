@@ -5,9 +5,10 @@ import pytest
 
 import mfvdm.denoise
 from mfvdm import RunConfig
-from mfvdm.basis import expand_stack, ft_grid, ift_grid
+from mfvdm.basis import expand_disk_function, expand_stack, ft_grid, ift_grid
 from mfvdm.denoise import FilterSpec, apply_spectral_filter, ctf_correct, denoise_stack
 from mfvdm.pipeline import absolute_ctf_coeffs, denoise_and_correct
+from mfvdm.simulate import ctf_value
 from mfvdm.spectral import build_frequency_matrix, top_eigs
 from reference import reconstruct_denoised
 
@@ -156,6 +157,26 @@ def test_ctf_correct_regularized_bounded():
         ctf_correct(ft_grid(np.stack([img, img])), np.stack([C, C]), eps=np.array([1e-2, 0.0]))
 
 
+@pytest.mark.parametrize("with_ctf", [True, False])
+def test_absolute_ctf_coeffs_per_image(with_ctf, tiny_dataset, basis17):
+    """Each image's row expands |CTF| of its own defocus group, or one
+    without CTF."""
+    ds = tiny_dataset
+    config = RunConfig(n=60, L=17, support_radius=8.0, s=8, n_defocus_groups=4,
+                       with_ctf=with_ctf)
+    got = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, config)
+    assert got.shape == (60, basis17.n_coeffs)
+    for i, g in enumerate(ds["manifest"].defocus_group):
+        prof = ds["profiles"][g]
+
+        def profile(xi, theta):
+            if not with_ctf:
+                return np.ones_like(xi)
+            return np.abs(ctf_value(prof, xi / prof.pixel_size_A))
+
+        np.testing.assert_array_equal(got[i], expand_disk_function(profile, basis17))
+
+
 def _grid_reference(a, basis):
     """One image's Fourier grid: psi a plus the implied negative-k terms."""
     pos = basis.ks > 0
@@ -166,20 +187,19 @@ def _grid_reference(a, basis):
     return grid.reshape(basis.L, basis.L)
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.05])
-def test_denoise_and_correct_matches_per_image_loop(eps, tiny_dataset, demo_graph, basis17):
+def test_denoise_and_correct_matches_per_image_loop(tiny_dataset, demo_graph, basis17):
     """The stacked reconstruction and CTF correction equal a loop that
-    reconstructs and deconvolves one image at a time."""
+    reconstructs and deconvolves one image at a time, each with the
+    regularizer 1e-2 max(C^2) of its own effective CTF C."""
     ds = tiny_dataset
-    config = RunConfig(n=60, L=17, support_radius=8.0, s=8, m=20,
-                       n_defocus_groups=4, eps=eps)
+    config = RunConfig(n=60, L=17, support_radius=8.0, s=8, m=20, n_defocus_groups=4)
     coeffs = expand_stack(ds["noisy"], basis17)
     ctf = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, config)
     out, eff = denoise_and_correct(coeffs, ctf, demo_graph, basis17, config)
     da, dc = denoise_stack(coeffs, ctf, demo_graph, basis17, FilterSpec(kind=2, m=20))
     for i in range(coeffs.shape[0]):
         C = _grid_reference(dc[i], basis17).real
-        e = eps if eps > 0 else 1e-2 * np.max(C**2)
+        e = 1e-2 * np.max(C**2)
         ref = ift_grid(_grid_reference(da[i], basis17) * C / (C**2 + e)).real
         assert np.abs(eff[i] - C).max() <= 1e-12 * np.abs(C).max()
         assert np.abs(out[i] - ref).max() <= 1e-12 * np.abs(ref).max()

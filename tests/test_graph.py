@@ -11,14 +11,16 @@ from mfvdm.graph import (
     coeff_noise_variance,
     initial_nn_search,
     read_graph_csv,
-    search_row_bytes,
+    search_bytes,
     smallest_s,
     symmetrize,
     true_alignment,
     viewing_angle,
     write_graph_csv,
 )
+from mfvdm import RunConfig
 from mfvdm.io import FormatError
+from mfvdm.pipeline import classify
 from mfvdm.simulate import sample_rotations
 from reference import angle, neighbors, rid_align
 from reference import true_alignment as true_alignment_ref
@@ -45,15 +47,15 @@ def test_search_chunk_invariant(tiny_dataset, basis17, monkeypatch):
     graph."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
     n = coeffs.shape[0]
-    # the search's temporaries per row at its default fft_size of 256 and
+    # the search's temporaries at its default fft_size of 256 and
     # energy_fraction of 0.9
     n_freqs = np.unique(basis17.ks[_select_columns(basis17, coeffs, 0.9)]).size
-    row_bytes = search_row_bytes(n, n_freqs, 256)
-    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", n * row_bytes)
+    row_bytes, fixed = search_bytes(n, n_freqs, 256)
+    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", fixed + n * row_bytes)
     whole = initial_nn_search(coeffs, basis17, s=8)
     for rows in (1, 7):
-        monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", rows * row_bytes)
-        assert mfvdm.graph.block_rows(row_bytes) == rows
+        monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", fixed + rows * row_bytes)
+        assert mfvdm.graph.block_rows(row_bytes, fixed) == rows
         g = initial_nn_search(coeffs, basis17, s=8)
         np.testing.assert_array_equal(g.indptr, whole.indptr)
         np.testing.assert_array_equal(g.indices, whole.indices)
@@ -69,11 +71,11 @@ def test_search_blocks_never_hold_one_row(tiny_dataset, basis17, monkeypatch):
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
     n = coeffs.shape[0]
     n_freqs = np.unique(basis17.ks[_select_columns(basis17, coeffs, 0.9)]).size
-    row_bytes = search_row_bytes(n, n_freqs, 256)
-    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", n * row_bytes)
+    row_bytes, fixed = search_bytes(n, n_freqs, 256)
+    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", fixed + n * row_bytes)
     whole = initial_nn_search(coeffs, basis17, s=8)
-    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", 59 * row_bytes)
-    assert mfvdm.graph.block_rows(row_bytes) == 59
+    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", fixed + 59 * row_bytes)
+    assert mfvdm.graph.block_rows(row_bytes, fixed) == 59
     blocked = initial_nn_search(coeffs, basis17, s=8)
     for name in ("indptr", "indices", "angles", "dists"):
         np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name), err_msg=name)
@@ -190,6 +192,22 @@ def test_search_matches_rid_oracle(tiny_dataset, basis17):
         d_ref, alpha_ref = rid_align(coeffs[i], coeffs[j], basis17, fft_size=256)
         assert abs(d - d_ref) <= 1e-12 * d_ref
         assert abs((alpha - alpha_ref + np.pi) % (2 * np.pi) - np.pi) < 1e-12
+
+
+@pytest.mark.parametrize("snr, energy_fraction", [(float("inf"), 1.0), (0.3, 0.9)])
+def test_classify_energy_cut_follows_snr(snr, energy_fraction, tiny_dataset, basis17):
+    """classify ranks noise-free input on every column and noisy input on
+    the columns holding 90% of the coefficient energy; the two cuts give
+    different graphs here."""
+    coeffs = expand_stack(tiny_dataset["noisy"], basis17)
+    config = RunConfig(n=60, L=17, support_radius=8.0, snr=snr, s=8, k_tilde=3, m=20,
+                       n_defocus_groups=4)
+    initial, _, _ = classify(coeffs, basis17, config)
+    graphs = {f: initial_nn_search(coeffs, basis17, s=8, energy_fraction=f) for f in (1.0, 0.9)}
+    for name in ("indptr", "indices", "angles", "dists"):
+        np.testing.assert_array_equal(getattr(initial, name),
+                                      getattr(graphs[energy_fraction], name), err_msg=name)
+    assert not np.array_equal(graphs[1.0].dists, graphs[0.9].dists)
 
 
 def _rid_graph(coeffs, basis, s, fft_size, energy_fraction):

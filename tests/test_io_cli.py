@@ -137,7 +137,7 @@ def test_threads_zero_lifts_config_cap(tmp_path):
 
 @pytest.mark.parametrize("data", [
     {"with_ctf": "no"}, {"with_ctf": 1}, {"s": 50.0}, {"threads": 1.5}, {"L": "33"},
-    {"n": True}, {"snr": "0.1"}, {"snr": False}, {"noise_model": 1}, {"eps": None},
+    {"n": True}, {"snr": "0.1"}, {"snr": False}, {"noise_model": 1}, {"wiener": None},
 ])
 def test_config_rejects_wrong_types(tmp_path, data):
     """Each field takes a value of its annotated type; a float field also
@@ -301,8 +301,8 @@ def test_config_validation():
         RunConfig(s=2000, n=1000)
     with pytest.raises(ValueError):
         RunConfig(filter_kind=7)
-    with pytest.raises(ValueError):
-        RunConfig(energy_fraction=0.0)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        RunConfig(m=0)
     # a float field takes an int, and its range check still applies
     assert RunConfig(snr=1, shift_px=2).snr == 1
     with pytest.raises(ValueError, match="bandlimit must be in"):
@@ -439,6 +439,31 @@ def test_config_mismatch_is_named(cli_run, tmp_path, capsys):
     path = tmp_path / "s.json"
     save_config(dataclasses.replace(cfg, s=cfg.s + 1), path)
     assert main(["--config", str(path), "classify", str(d)]) == 0
+
+
+def test_removed_config_keys_are_named(cli_run, tmp_path, capsys):
+    """A run directory whose config.json holds keys RunConfig no longer has
+    (phase_flip, energy_fraction, initial_fft_size, t, fft_size and eps,
+    written before those settings were removed) is refused by file and key,
+    with the advice to rerun simulate; a --config file holding one of them
+    is an unknown key."""
+    outdir, _, cfg_path = cli_run
+    d = tmp_path / "run"
+    shutil.copytree(outdir, d)
+    old = dict(json.loads((d / "config.json").read_text()), phase_flip=True,
+               energy_fraction=0.9, initial_fft_size=256, t=1, fft_size=1024, eps=0.0)
+    (d / "config.json").write_text(json.dumps(old))
+    for stage in ["classify", "denoise"]:
+        assert main(["--config", cfg_path, stage, str(d)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigMismatchError"
+        assert err["message"] == (f"{d / 'config.json'} holds keys RunConfig does not have: "
+                                  "energy_fraction, eps, fft_size, initial_fft_size, "
+                                  "phase_flip, t; rerun simulate to rewrite it")
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"n": 30, "energy_fraction": 0.9}))
+    with pytest.raises(ValueError, match="^unknown config keys: energy_fraction$"):
+        load_config(path)
 
 
 def test_cli_import_loads_no_scipy():

@@ -124,7 +124,7 @@ def test_stack_transforms_do_not_depend_on_blocks(whiten_and_flip, tiny_dataset,
     manifest = dataclasses.replace(ds["manifest"], rotations=ds["manifest"].rotations[:n],
                                    defocus_group=ds["manifest"].defocus_group[:n])
     config = RunConfig(n=n, L=17, support_radius=8.0, s=8, m=20, n_defocus_groups=4,
-                       whiten=whiten_and_flip, phase_flip=whiten_and_flip)
+                       whiten=whiten_and_flip, with_ctf=whiten_and_flip)
     outputs = []
     for block_bytes in (2**40, rows * _image_bytes(17)):
         monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", block_bytes)

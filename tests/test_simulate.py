@@ -20,6 +20,9 @@ from mfvdm.simulate import (
     shift_image,
     simulate_dataset,
 )
+from mfvdm import RunConfig
+from mfvdm.basis import expand_stack
+from mfvdm.pipeline import prepare_coeffs
 from reference import apply_ctf, rotate_image, simulate_stacks
 
 
@@ -166,12 +169,24 @@ def test_preprocess_phase_flip(tiny_dataset):
     out = preprocess(tiny_dataset["noisy"], 8.0, standardize=False,
                      phase_flip=True, profiles=tiny_dataset["profiles"],
                      groups=man.defocus_group)
-    i = 0
-    g = np.sign(ctf_grid(tiny_dataset["profiles"][man.defocus_group[i]], 17))
-    np.testing.assert_allclose(ft_grid(out[i]), ft_grid(tiny_dataset["noisy"][i]) * g,
-                               atol=1e-8)
+    for i, group in enumerate(man.defocus_group):
+        g = np.sign(ctf_grid(tiny_dataset["profiles"][group], 17))
+        np.testing.assert_allclose(ft_grid(out[i]), ft_grid(tiny_dataset["noisy"][i]) * g,
+                                   atol=1e-8)
     with pytest.raises(ValueError):
         preprocess(tiny_dataset["noisy"], 8.0, phase_flip=True)
+
+
+@pytest.mark.parametrize("with_ctf", [True, False])
+def test_prepare_coeffs_flips_phases_with_ctf(with_ctf, tiny_dataset, basis17):
+    """prepare_coeffs phase-flips exactly when the data were CTF-modulated."""
+    ds = tiny_dataset
+    config = RunConfig(n=60, L=17, support_radius=8.0, snr=ds["snr"], s=8,
+                       n_defocus_groups=4, with_ctf=with_ctf)
+    coeffs, _ = prepare_coeffs(ds["noisy"], ds["manifest"], ds["profiles"], basis17, config)
+    pre = preprocess(ds["noisy"], 8.0, phase_flip=with_ctf, profiles=ds["profiles"],
+                     groups=ds["manifest"].defocus_group)
+    np.testing.assert_array_equal(coeffs, expand_stack(pre, basis17))
 
 
 def test_preprocess_rejects_non_finite(tiny_dataset):

@@ -41,8 +41,8 @@ from reference import (
 )
 
 
-def _full_bundle(graph, k_max, t=1):
-    return compute_bundle(graph, k_max, m=graph.n, t=t)
+def _full_bundle(graph, k_max):
+    return compute_bundle(graph, k_max, m=graph.n)
 
 
 def test_frequency_matrix_hermitian(demo_graph):
@@ -271,12 +271,11 @@ def test_isolated_node_rejected():
 
 def test_embedding_dot_matches_matrix_power(demo_graph):
     """Full-spectrum embedding inner products equal squared entries of the
-    2t-th power of the normalized frequency matrix."""
-    t = 1
-    bundle = _full_bundle(demo_graph, 3, t=t)
+    square of the normalized frequency matrix."""
+    bundle = _full_bundle(demo_graph, 3)
     for k in [1, 2, 3]:
         W = build_frequency_matrix(demo_graph, k).toarray()
-        P = np.linalg.matrix_power(W, 2 * t)
+        P = np.linalg.matrix_power(W, 2)
         for i, j in [(0, 1), (5, 7), (3, 3), (10, 40)]:
             got = embedding_dot(bundle, k, i, j)
             assert abs(got - np.abs(P[i, j]) ** 2) < 1e-10
@@ -379,7 +378,7 @@ def _integer_bundle(n, m, seed):
         vecs.append(np.concatenate([V, V]))
     vecs[0][7] = 0.0
     return SpectralBundle(k_list=np.array([1, 2]), eigenvalues=(np.ones(m), np.ones(m)),
-                          eigenvectors=tuple(vecs), degrees=np.ones(n), t=1, m=m)
+                          eigenvectors=tuple(vecs), degrees=np.ones(n), m=m)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 64 * 5 * 24, 2**30])
@@ -468,8 +467,7 @@ def test_refine_validation(demo_graph):
 
 def test_vdm_reduction(demo_graph):
     """Single-frequency affinity equals an independently coded VDM."""
-    t = 1
-    bundle = compute_bundle(demo_graph, k_max=1, m=demo_graph.n, t=t)
+    bundle = compute_bundle(demo_graph, k_max=1, m=demo_graph.n)
     A, _ = affinity_matrix(bundle)
     # independent route: dense normalized connection matrix, explicit power
     deg = demo_graph.degrees.astype(float)
@@ -477,7 +475,7 @@ def test_vdm_reduction(demo_graph):
     W = np.zeros((n, n), dtype=complex)
     W[demo_graph.rows, demo_graph.indices] = np.exp(-1j * demo_graph.angles)
     Wt = W / np.sqrt(np.outer(deg, deg))
-    P = np.linalg.matrix_power(Wt, 2 * t)
+    P = np.linalg.matrix_power(Wt, 2)
     self_p = np.abs(np.diag(P))
     A_vdm = np.abs(P) ** 2 / np.outer(self_p, self_p)
     assert np.abs(A - A_vdm).max() < 1e-10
