@@ -13,12 +13,8 @@ import numpy as np
 
 from .basis import expand_stack
 from .io import FormatError, atomic_open
-from .pool import fork_map
+from .pool import fork_map, row_blocks
 
-# Byte budget for the temporaries of one row (or edge) block in the
-# all-pairs RID search, the affinity ranking and the edge alignment; it sets
-# all three block sizes, so peak memory does not grow with n^2.
-BLOCK_BYTES = 16 * 2**20
 # rows per task of the pooled RID search, rounded down to whole row blocks
 # (at least one), so that the pooled search ranks the serial search's blocks
 SEARCH_TASK_ROWS = 128
@@ -105,24 +101,6 @@ def coeff_noise_variance(basis):
     return (np.abs(a) ** 2).mean(axis=0)
 
 
-def block_rows(bytes_per_row, fixed_bytes=0):
-    """Rows per block so that one block's temporaries, bytes_per_row a row
-    plus fixed_bytes, stay within BLOCK_BYTES (at least one row)."""
-    return max(1, int((BLOCK_BYTES - fixed_bytes) // max(bytes_per_row, 1)))
-
-
-def row_blocks(n, bytes_per_row, fixed_bytes=0):
-    """Slices covering range(n) in order, in blocks of at most
-    max(block_rows(bytes_per_row, fixed_bytes), 2) rows whose sizes differ
-    by at most one. No block holds a single row unless n is 1: BLAS
-    multiplies one row by its vector path, whose last bits differ from those
-    of the matrix path that larger blocks take."""
-    count = max(1, min(-(-n // block_rows(bytes_per_row, fixed_bytes)), n // 2))
-    size, extra = divmod(n, count)
-    starts = [i * size + min(i, extra) for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(starts, starts[1:])]
-
-
 def smallest_s(keys, s):
     """Per row of keys, the column indices of the s smallest values in
     ascending order, ties broken by the smaller index: the first s columns
@@ -180,7 +158,8 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise
     a trigonometric polynomial in the kept frequencies: the real and
     imaginary parts of each pair's per-k cross-spectra times one
     rotation_table, a real matrix product. Rows are ranked a block at a
-    time (row_blocks); each block's temporaries stay within BLOCK_BYTES.
+    time (pool.row_blocks); each block's temporaries stay within
+    pool.BLOCK_BYTES.
     Runs of consecutive blocks, about SEARCH_TASK_ROWS rows each, are the
     tasks of pool.fork_map; the graph does not depend on the number of
     workers.

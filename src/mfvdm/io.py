@@ -221,9 +221,10 @@ def _is_of_type(value, kind):
 @dataclasses.dataclass
 class RunConfig:
     """Every pipeline setting that changes a result; validated before any
-    stage runs. Phase flipping follows with_ctf and the search's energy cut
-    follows snr (pipeline.prepare_coeffs, classify); the rotation grids and
-    the CTF-correction regularizer are constants of the code."""
+    stage runs. Preprocessing follows the data: phase flipping follows
+    with_ctf, and standardization, the Wiener shrinkage and the search's
+    energy cut follow snr (pipeline.prepare_coeffs, classify). The rotation
+    grids and the CTF-correction regularizer are constants of the code."""
 
     L: int = 33
     n: int = 1000
@@ -236,12 +237,8 @@ class RunConfig:
     n_defocus_groups: int = 20
     n_blobs: int = 30
     shift_px: float = 0.0
-    # preprocessing
-    standardize: bool = True
-    whiten: bool = False
     # graph construction
     s: int = 50
-    wiener: bool = True
     # spectral refinement
     k_tilde: int = 10
     m: int = 50
@@ -269,6 +266,10 @@ class RunConfig:
             raise ValueError("snr must be > 0 (or inf for noise-free)")
         if self.noise_model not in ("white", "colored"):
             raise ValueError("noise_model must be 'white' or 'colored'")
+        if self.n_blobs < 1:
+            raise ValueError("n_blobs must be >= 1")
+        if not (0.0 <= self.shift_px < np.inf):
+            raise ValueError("shift_px must be finite and >= 0")
         if not (1 <= self.s < self.n):
             raise ValueError("s must satisfy 1 <= s < n")
         if self.k_tilde < 1:

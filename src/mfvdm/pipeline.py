@@ -13,10 +13,10 @@ import numpy as np
 from . import io as mfio
 from .basis import build_basis, expand_disk_function, expand_stack, reconstruct_grid
 from .denoise import FilterSpec, ctf_correct, denoise_stack
-from .graph import coeff_noise_variance, initial_nn_search, read_graph_csv, row_blocks, write_graph_csv
+from .graph import coeff_noise_variance, initial_nn_search, read_graph_csv, write_graph_csv
 from .metrics import fit_to_reference, mse, psnr, ssim_stack
-from .simulate import (_image_bytes, check_finite, ctf_value, default_defocus_groups,
-                       estimate_noise_psd, preprocess, simulate_dataset)
+from .pool import image_bytes, row_blocks
+from .simulate import check_finite, ctf_value, default_defocus_groups, preprocess, simulate_dataset
 from .spectral import align_graph, compute_bundle, refine_neighbors
 
 __all__ = [
@@ -36,34 +36,29 @@ def prepare_coeffs(images, manifest, profiles, basis, config):
     """Preprocess a noisy stack and expand it; returns (coeffs, noise_var).
 
     Phase flipping runs exactly when the data were CTF-modulated
-    (config.with_ctf). Standardization and Wiener shrinkage are skipped for
-    noise-free input (infinite SNR): clean projections vanish outside the
-    support, so the corner statistics that drive both are degenerate there.
-    The stack is transformed in blocks of images (graph.row_blocks); the
-    whitening PSD is the one statistic taken over the whole stack.
+    (config.with_ctf). Noisy input (finite SNR) is standardized, and
+    noise_var is the coefficient noise variance for the Wiener shrinkage of
+    the search. Noise-free input gets neither, and noise_var is None: clean
+    projections vanish outside the support, so the corner statistics that
+    drive both are degenerate there. The stack is transformed in blocks of
+    images (pool.row_blocks).
     """
     noisy_input = np.isfinite(config.snr)
     # preprocess checks each block too, but names images by their index in it
     check_finite(images)
-    noise_psd = None
-    if config.whiten and noisy_input:
-        noise_psd, _ = estimate_noise_psd(images, config.support_radius)
     coeffs = np.empty((len(images), basis.n_coeffs), dtype=complex)
-    for rows in row_blocks(len(images), _image_bytes(basis.L)):
+    for rows in row_blocks(len(images), image_bytes(basis.L)):
         pre = preprocess(
             images[rows],
             config.support_radius,
-            standardize=config.standardize and noisy_input,
-            noise_psd=noise_psd,
+            standardize=noisy_input,
             phase_flip=config.with_ctf,
             profiles=profiles,
             groups=manifest.defocus_group[rows],
         )
         coeffs[rows] = expand_stack(pre, basis)
-    noise_var = None
-    if config.wiener and noisy_input:
-        # standardization scales each image to unit corner (noise) variance
-        noise_var = coeff_noise_variance(basis)
+    # standardization scales each image to unit corner (noise) variance
+    noise_var = coeff_noise_variance(basis) if noisy_input else None
     return coeffs, noise_var
 
 
@@ -107,7 +102,7 @@ def denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config):
     da, dc = denoise_stack(coeffs, ctf_coeffs, graph, basis, filt)
     denoised = np.empty((len(da), basis.L, basis.L))
     effective = np.empty_like(denoised)
-    for rows in row_blocks(len(da), _image_bytes(basis.L)):
+    for rows in row_blocks(len(da), image_bytes(basis.L)):
         C = reconstruct_grid(dc[rows], basis).real
         denoised[rows] = ctf_correct(reconstruct_grid(da[rows], basis), C,
                                      1e-2 * np.max(C**2, axis=(-2, -1)))
@@ -120,14 +115,14 @@ def evaluate_stack(denoised, reference):
 
     The affine fit removes the arbitrary scale and offset introduced by
     standardization; without it MSE comparisons are meaningless. The stacks
-    may be float32: each block of images (graph.row_blocks) is converted to
+    may be float32: each block of images (pool.row_blocks) is converted to
     float64 on its own, so no float64 copy of a whole stack is made.
     """
     if denoised.shape != reference.shape:
         raise ValueError(f"shape mismatch {denoised.shape} vs {reference.shape}")
     n, L = len(reference), reference.shape[-1]
     scores = {name: np.empty(n) for name in ("mse", "psnr", "ssim")}
-    for block in row_blocks(n, _image_bytes(L)):
+    for block in row_blocks(n, image_bytes(L)):
         ref = reference[block].astype(float)
         fitted = fit_to_reference(denoised[block], ref)
         scores["mse"][block] = mse(fitted, ref)

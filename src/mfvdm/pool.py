@@ -1,11 +1,16 @@
-"""Order-preserving map over a fork process pool, and the process-wide
-worker and OpenBLAS thread cap.
+"""Order-preserving map over a fork process pool, the process-wide worker
+and OpenBLAS thread cap, and the sizes of row blocks.
 
 The projections of the simulator, the row ranges of the initial RID search
 and the per-frequency eigensolves are independent tasks. `fork_map` runs such
 tasks on worker processes that inherit the large shared operands by fork, so
 only the small task descriptions and the results are pickled. `set_threads`
 caps the workers of every later `fork_map` call in the process.
+
+Work over the rows of a stack or a graph (the simulator's and preprocessing's
+image transforms, the RID search, the affinity ranking, the edge alignment)
+runs in `row_blocks`, sized so that one block's temporaries stay within
+BLOCK_BYTES: peak memory then grows with neither n nor n^2.
 """
 
 import ctypes
@@ -15,7 +20,12 @@ import signal
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["fork_map", "set_threads", "set_blas_threads"]
+__all__ = ["fork_map", "set_threads", "set_blas_threads", "BLOCK_BYTES", "block_rows",
+           "row_blocks", "image_bytes"]
+
+# Byte budget for the temporaries of one block of rows, images or edges; it
+# sets every block size of row_blocks.
+BLOCK_BYTES = 16 * 2**20
 
 _PR_SET_PDEATHSIG = 1   # linux/prctl.h
 # OpenBLAS names its thread setter with or without the scipy wheels' prefix
@@ -104,3 +114,30 @@ def set_blas_threads(n):
             setter(n)
         count += bool(setters)
     return count
+
+
+def block_rows(bytes_per_row, fixed_bytes=0):
+    """Rows per block so that one block's temporaries, bytes_per_row a row
+    plus fixed_bytes, stay within BLOCK_BYTES (at least one row)."""
+    return max(1, int((BLOCK_BYTES - fixed_bytes) // max(bytes_per_row, 1)))
+
+
+def row_blocks(n, bytes_per_row, fixed_bytes=0):
+    """Slices covering range(n) in order, in blocks of at most
+    max(block_rows(bytes_per_row, fixed_bytes), 2) rows whose sizes differ
+    by at most one. No block holds a single row unless n is 1: BLAS
+    multiplies one row by its vector path, whose last bits differ from those
+    of the matrix path that larger blocks take."""
+    count = max(1, min(-(-n // block_rows(bytes_per_row, fixed_bytes)), n // 2))
+    size, extra = divmod(n, count)
+    starts = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
+
+
+def image_bytes(L):
+    """Bytes of the temporaries per image of a block of Fourier transforms:
+    about five complex L x L grids, the transforms and their fftshift copies
+    (tracemalloc: 75-85 KB per image at L = 33 for preprocess +
+    expand_stack, or reconstruct_grid + ctf_correct). The simulator's CTF
+    and noise passes and evaluate_stack's fit and SSIM need less."""
+    return 5 * 16 * L * L

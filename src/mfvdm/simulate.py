@@ -2,8 +2,8 @@
 
 Produces a phantom volume, tomographic projections at Haar-random 3D
 orientations, CTF modulation by defocus group, additive noise at a prescribed
-SNR, and the standard preprocessing chain (standardization, whitening, phase
-flipping). Everything is deterministic in the seed (Philox counter-based RNG).
+SNR, and the preprocessing (standardization and phase flipping).
+Everything is deterministic in the seed (Philox counter-based RNG).
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import freq_grid, ft_grid, ift_grid
-from .pool import fork_map
+from .pool import fork_map, image_bytes, row_blocks
 
 __all__ = [
     "CTFProfile",
@@ -24,7 +24,6 @@ __all__ = [
     "ctf_grid",
     "add_noise",
     "shift_image",
-    "estimate_noise_psd",
     "check_finite",
     "preprocess",
     "default_defocus_groups",
@@ -34,15 +33,6 @@ __all__ = [
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _image_bytes(L):
-    """Bytes of the temporaries per image of a block of Fourier transforms:
-    about five complex L x L grids, the transforms and their fftshift copies
-    (tracemalloc: 75-85 KB per image at L = 33 for preprocess +
-    expand_stack, or reconstruct_grid + ctf_correct). The simulator's CTF
-    and noise passes and evaluate_stack's fit and SSIM need less."""
-    return 5 * 16 * L * L
 
 
 @dataclass(frozen=True)
@@ -134,15 +124,10 @@ def sample_rotations(n, seed):
     """Haar-uniform rotations via QR of Gaussian matrices; deterministic in seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _rng(seed)
-    out = np.empty((n, 3, 3))
-    for i in range(n):
-        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-        q = q * np.sign(np.diag(r))[None, :]
-        if np.linalg.det(q) < 0:
-            q[:, 2] = -q[:, 2]
-        out[i] = q
-    return out
+    q, r = np.linalg.qr(_rng(seed).normal(size=(n, 3, 3)))
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 2] *= -1
+    return q
 
 
 def project(volume, rotation):
@@ -202,8 +187,6 @@ def add_noise(images, snr, seed, model="white"):
     is drawn over the whole stack at once, filtered a block of images at a
     time and scaled and added in place: the result is the noise array.
     """
-    from .graph import row_blocks  # graph imports io, which imports this module
-
     if snr <= 0:
         raise ValueError("snr must be > 0")
     if model not in ("white", "colored"):
@@ -216,7 +199,7 @@ def add_noise(images, snr, seed, model="white"):
         f1, f2 = freq_grid(L)
         filt = np.sqrt(1.0 / (1.0 + (np.hypot(f1, f2) / 0.1) ** 2))
         stack = noise.reshape(-1, L, L)
-        for rows in row_blocks(len(stack), _image_bytes(L)):
+        for rows in row_blocks(len(stack), image_bytes(L)):
             stack[rows] = ift_grid(ft_grid(stack[rows]) * filt).real
         noise *= np.sqrt(sigma2 / noise.var())
     else:
@@ -232,41 +215,6 @@ def _corner_mask(L, support_radius):
     return np.hypot(X, Y) > support_radius
 
 
-def _radial_bins(L):
-    """Radial frequency bin (0 .. L // 2) of each point of the centered grid."""
-    f1, f2 = freq_grid(L)
-    nbin = L // 2 + 1
-    return np.minimum((np.hypot(f1, f2) * 2 * (nbin - 1)).astype(int), nbin - 1)
-
-
-def estimate_noise_psd(images, support_radius):
-    """Radial noise power spectrum from the signal-free corner region.
-
-    Average masked periodogram over the stack, normalized by the retained
-    pixel fraction, then radially binned. The periodograms are formed and
-    summed one image at a time, in index order: the same sum, bit for bit,
-    as a mean over the stack's first axis, without a whole-stack transform.
-    """
-    images = np.asarray(images)
-    L = images.shape[-1]
-    mask = _corner_mask(L, support_radius)
-    if not mask.any():
-        raise ValueError("no corner pixels outside the support radius")
-    frac = mask.mean()
-    stack = images.reshape(-1, L, L)
-    total = np.zeros((L, L))
-    for image in stack:
-        masked = np.asarray(image, dtype=float) * mask
-        masked -= masked.sum() / mask.sum()
-        masked *= mask
-        total += np.abs(ft_grid(masked)) ** 2 / (L * L * frac)
-    mean_p = total / len(stack)
-    bins = _radial_bins(L)
-    psd = np.bincount(bins.ravel(), weights=mean_p.ravel(), minlength=L // 2 + 1)
-    psd /= np.bincount(bins.ravel(), minlength=L // 2 + 1)
-    return psd, bins
-
-
 def check_finite(images):
     """Raise ValueError naming the first image with a non-finite pixel."""
     finite = np.isfinite(images).all(axis=(-2, -1))
@@ -274,24 +222,18 @@ def check_finite(images):
         raise ValueError(f"image {int(np.flatnonzero(~finite)[0])} has non-finite pixels")
 
 
-def preprocess(images, support_radius, *, standardize=True, noise_psd=None,
-               phase_flip=False, profiles=None, groups=None):
-    """Standardization, optional whitening, optional phase flipping.
+def preprocess(images, support_radius, *, standardize=True, phase_flip=False,
+               profiles=None, groups=None):
+    """Optional phase flipping, then optional standardization.
 
-    Whitening divides each image's Fourier transform by the square root of
-    noise_psd, the radial noise PSD from estimate_noise_psd (None: no
-    whitening); a stack processed in blocks passes every block the PSD of
-    the whole stack. Phase flipping multiplies by sign(CTF) of the image's
-    defocus group. Raises ValueError naming the first image with a
-    non-finite pixel.
+    Phase flipping multiplies by sign(CTF) of the image's defocus group.
+    Standardization scales each image to zero mean and unit variance over
+    its corners, outside support_radius. Raises ValueError naming the first
+    image with a non-finite pixel.
     """
     images = np.asarray(images, dtype=float).copy()
     check_finite(images)
     L = images.shape[-1]
-    if noise_psd is not None:
-        psd = np.asarray(noise_psd, dtype=float)
-        weight = 1.0 / np.sqrt(np.maximum(psd[_radial_bins(L)], 1e-12 * psd.max()))
-        images = ift_grid(ft_grid(images) * weight).real
     if phase_flip:
         if profiles is None or groups is None:
             raise ValueError("phase flipping requires CTF profiles and group ids")
@@ -336,17 +278,15 @@ def simulate_dataset(n, L, seed, snr, *, support_radius=None, bandlimit=0.5,
     ctf_clean: CTF-modulated but noise-free; noisy: with additive noise.
     Optional shift_px injects uniform per-image translations in [-shift_px, shift_px].
     The shift and CTF passes transform a block of images at a time
-    (graph.row_blocks) into the preallocated stacks; each image's transform
+    (pool.row_blocks) into the preallocated stacks; each image's transform
     is independent of the others, so the blocks do not change the result.
     """
-    from .graph import row_blocks  # graph imports io, which imports this module
-
     if support_radius is None:
         support_radius = (L - 1) / 2
     vol = make_phantom(L, seed, n_blobs=n_blobs, support_radius=support_radius)
     rotations = sample_rotations(n, seed + 1)
     clean = project_stack(vol, rotations)
-    blocks = row_blocks(n, _image_bytes(L))
+    blocks = row_blocks(n, image_bytes(L))
     if shift_px:
         rng = _rng(seed + 4)
         shifts = rng.uniform(-shift_px, shift_px, size=(n, 2))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import grid_angle, rotation_table, row_blocks, smallest_s, symmetrize
-from .pool import fork_map
+from .graph import grid_angle, rotation_table, smallest_s, symmetrize
+from .pool import fork_map, row_blocks
 
 __all__ = [
     "SpectralBundle",

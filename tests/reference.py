@@ -8,8 +8,7 @@ from scipy.signal import fftconvolve
 
 from mfvdm.basis import BasisError, freq_grid, ft_grid, ift_grid, reconstruct_grid
 from mfvdm.graph import viewing_angle
-from mfvdm.simulate import (_rng, ctf_grid, default_defocus_groups, make_phantom, project,
-                            sample_rotations)
+from mfvdm.simulate import _rng, ctf_grid, default_defocus_groups, make_phantom, project
 from mfvdm.spectral import _affinity_factors, _affinity_rows
 
 
@@ -84,6 +83,21 @@ def rid_align(coeffs_i, coeffs_j, basis, fft_size=256):
 # --------------------------------------------------------------------------
 # simulate
 
+def sample_rotations(n, seed):
+    """``mfvdm.simulate.sample_rotations`` one matrix at a time: QR of a
+    Gaussian 3 x 3, columns signed by diag(R), the third column flipped
+    when the determinant is negative."""
+    rng = _rng(seed)
+    out = np.empty((n, 3, 3))
+    for i in range(n):
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))[None, :]
+        if np.linalg.det(q) < 0:
+            q[:, 2] = -q[:, 2]
+        out[i] = q
+    return out
+
+
 def apply_ctf(image, profile):
     """Pointwise Fourier-domain CTF modulation; output is real."""
     grid = ctf_grid(profile, image.shape[-1])
@@ -100,9 +114,10 @@ def shift_image(image, shift):
 def simulate_stacks(n, L, seed, snr, *, support_radius=None, n_blobs=30, n_defocus_groups=20,
                     noise_model="white", with_ctf=True, shift_px=0.0):
     """(clean, ctf_clean, noisy) of ``mfvdm.simulate_dataset`` (default
-    bandlimit), with every pass over the whole stack: the projections one
-    view at a time, the shifts one image at a time, then one CTF transform
-    and one noise filter of the whole stack, and the noise added to a copy."""
+    bandlimit), with every pass over the whole stack: the rotations drawn
+    and the projections made one view at a time, the shifts one image at a
+    time, then one CTF transform and one noise filter of the whole stack,
+    and the noise added to a copy."""
     if support_radius is None:
         support_radius = (L - 1) / 2
     vol = make_phantom(L, seed, n_blobs=n_blobs, support_radius=support_radius)

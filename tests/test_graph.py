@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import mfvdm.graph
+import mfvdm.pool
 from mfvdm.basis import expand_stack
 from mfvdm.graph import (
     ViewGraph,
@@ -51,11 +51,11 @@ def test_search_chunk_invariant(tiny_dataset, basis17, monkeypatch):
     # energy_fraction of 0.9
     n_freqs = np.unique(basis17.ks[_select_columns(basis17, coeffs, 0.9)]).size
     row_bytes, fixed = search_bytes(n, n_freqs, 256)
-    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", fixed + n * row_bytes)
+    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + n * row_bytes)
     whole = initial_nn_search(coeffs, basis17, s=8)
     for rows in (1, 7):
-        monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", fixed + rows * row_bytes)
-        assert mfvdm.graph.block_rows(row_bytes, fixed) == rows
+        monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + rows * row_bytes)
+        assert mfvdm.pool.block_rows(row_bytes, fixed) == rows
         g = initial_nn_search(coeffs, basis17, s=8)
         np.testing.assert_array_equal(g.indptr, whole.indptr)
         np.testing.assert_array_equal(g.indices, whole.indices)
@@ -72,10 +72,10 @@ def test_search_blocks_never_hold_one_row(tiny_dataset, basis17, monkeypatch):
     n = coeffs.shape[0]
     n_freqs = np.unique(basis17.ks[_select_columns(basis17, coeffs, 0.9)]).size
     row_bytes, fixed = search_bytes(n, n_freqs, 256)
-    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", fixed + n * row_bytes)
+    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + n * row_bytes)
     whole = initial_nn_search(coeffs, basis17, s=8)
-    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", fixed + 59 * row_bytes)
-    assert mfvdm.graph.block_rows(row_bytes, fixed) == 59
+    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + 59 * row_bytes)
+    assert mfvdm.pool.block_rows(row_bytes, fixed) == 59
     blocked = initial_nn_search(coeffs, basis17, s=8)
     for name in ("indptr", "indices", "angles", "dists"):
         np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name), err_msg=name)

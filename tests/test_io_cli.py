@@ -137,7 +137,7 @@ def test_threads_zero_lifts_config_cap(tmp_path):
 
 @pytest.mark.parametrize("data", [
     {"with_ctf": "no"}, {"with_ctf": 1}, {"s": 50.0}, {"threads": 1.5}, {"L": "33"},
-    {"n": True}, {"snr": "0.1"}, {"snr": False}, {"noise_model": 1}, {"wiener": None},
+    {"n": True}, {"snr": "0.1"}, {"snr": False}, {"noise_model": 1}, {"with_ctf": None},
 ])
 def test_config_rejects_wrong_types(tmp_path, data):
     """Each field takes a value of its annotated type; a float field also
@@ -309,6 +309,22 @@ def test_config_validation():
         RunConfig(bandlimit=0)
 
 
+@pytest.mark.parametrize("data", [{"n_blobs": 0}, {"n_blobs": -3}, {"shift_px": float("nan")},
+                                  {"shift_px": float("inf")}, {"shift_px": -0.5}])
+def test_cli_rejects_invalid_simulation_fields(tmp_path, capsys, data):
+    """A phantom with no blobs, or a NaN, infinite or negative shift, is
+    refused by RunConfig, naming the field, before simulate writes any
+    file: the run directory is not even made."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    (name,) = data
+    outdir = tmp_path / "run"
+    assert main(["--config", str(path), "simulate", str(outdir)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{name} must be ")
+    assert not outdir.exists()
+
+
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
     outdir = str(tmp_path_factory.mktemp("run"))
@@ -443,15 +459,16 @@ def test_config_mismatch_is_named(cli_run, tmp_path, capsys):
 
 def test_removed_config_keys_are_named(cli_run, tmp_path, capsys):
     """A run directory whose config.json holds keys RunConfig no longer has
-    (phase_flip, energy_fraction, initial_fft_size, t, fft_size and eps,
-    written before those settings were removed) is refused by file and key,
-    with the advice to rerun simulate; a --config file holding one of them
-    is an unknown key."""
+    (phase_flip, energy_fraction, initial_fft_size, t, fft_size, eps,
+    standardize, whiten and wiener, written before those settings were
+    removed) is refused by file and key, with the advice to rerun simulate;
+    a --config file holding them names them as unknown keys."""
     outdir, _, cfg_path = cli_run
     d = tmp_path / "run"
     shutil.copytree(outdir, d)
     old = dict(json.loads((d / "config.json").read_text()), phase_flip=True,
-               energy_fraction=0.9, initial_fft_size=256, t=1, fft_size=1024, eps=0.0)
+               energy_fraction=0.9, initial_fft_size=256, t=1, fft_size=1024, eps=0.0,
+               standardize=True, whiten=False, wiener=True)
     (d / "config.json").write_text(json.dumps(old))
     for stage in ["classify", "denoise"]:
         assert main(["--config", cfg_path, stage, str(d)]) == 1
@@ -459,10 +476,13 @@ def test_removed_config_keys_are_named(cli_run, tmp_path, capsys):
         assert err["error"] == "ConfigMismatchError"
         assert err["message"] == (f"{d / 'config.json'} holds keys RunConfig does not have: "
                                   "energy_fraction, eps, fft_size, initial_fft_size, "
-                                  "phase_flip, t; rerun simulate to rewrite it")
+                                  "phase_flip, standardize, t, whiten, wiener; "
+                                  "rerun simulate to rewrite it")
     path = tmp_path / "old.json"
-    path.write_text(json.dumps({"n": 30, "energy_fraction": 0.9}))
-    with pytest.raises(ValueError, match="^unknown config keys: energy_fraction$"):
+    path.write_text(json.dumps({"n": 30, "energy_fraction": 0.9, "standardize": True,
+                                "whiten": False, "wiener": True}))
+    with pytest.raises(ValueError, match="^unknown config keys: energy_fraction, "
+                                         "standardize, whiten, wiener$"):
         load_config(path)
 
 

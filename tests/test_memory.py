@@ -10,19 +10,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import mfvdm.graph
+import mfvdm.pool
 from mfvdm import RunConfig, expand_stack, simulate_dataset
-from mfvdm.graph import initial_nn_search, row_blocks, symmetrize
+from mfvdm.graph import initial_nn_search, symmetrize
 from mfvdm.io import write_stack
 from mfvdm.pipeline import (
-    _image_bytes,
     absolute_ctf_coeffs,
     classify,
     denoise_and_correct,
     evaluate_stack,
     prepare_coeffs,
 )
-from mfvdm.pool import set_threads
+from mfvdm.pool import image_bytes, row_blocks, set_threads
 from mfvdm.simulate import DatasetManifest, default_defocus_groups
 
 # Peak traced allocation of classify on the 200-image stack below: 19 MB
@@ -72,8 +71,7 @@ def test_stack_transforms_peak_allocation_bounded(basis33):
                                defocus_group=rng.integers(0, 4, size=STACK_N))
     # the filtered kind averages over neighbors without eigensolves; a ring
     # of five neighbors a side keeps every node connected
-    config = RunConfig(n=STACK_N, snr=0.1, n_defocus_groups=4, whiten=True, wiener=False,
-                       filter_kind=4)
+    config = RunConfig(n=STACK_N, snr=0.1, n_defocus_groups=4, filter_kind=4)
     profiles = default_defocus_groups(4)
     assert _traced_peak_mb(prepare_coeffs, images, manifest, profiles, basis33,
                            config) < PREPARE_BOUND_MB
@@ -114,8 +112,8 @@ def test_evaluate_peak_allocation_bounded():
     assert _traced_peak_mb(evaluate_stack, denoised, ref) < EVAL_BOUND_MB
 
 
-@pytest.mark.parametrize("whiten_and_flip", [True, False])
-def test_stack_transforms_do_not_depend_on_blocks(whiten_and_flip, tiny_dataset, basis17,
+@pytest.mark.parametrize("with_ctf", [True, False])
+def test_stack_transforms_do_not_depend_on_blocks(with_ctf, tiny_dataset, basis17,
                                                   monkeypatch):
     """One block and five give bitwise-equal coefficients, denoised images,
     effective CTFs and image scores. 57 images in blocks of 14 would leave a
@@ -124,10 +122,10 @@ def test_stack_transforms_do_not_depend_on_blocks(whiten_and_flip, tiny_dataset,
     manifest = dataclasses.replace(ds["manifest"], rotations=ds["manifest"].rotations[:n],
                                    defocus_group=ds["manifest"].defocus_group[:n])
     config = RunConfig(n=n, L=17, support_radius=8.0, s=8, m=20, n_defocus_groups=4,
-                       whiten=whiten_and_flip, with_ctf=whiten_and_flip)
+                       with_ctf=with_ctf)
     outputs = []
-    for block_bytes in (2**40, rows * _image_bytes(17)):
-        monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", block_bytes)
+    for block_bytes in (2**40, rows * image_bytes(17)):
+        monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", block_bytes)
         coeffs, _ = prepare_coeffs(ds["noisy"][:n], manifest, ds["profiles"], basis17, config)
         graph = initial_nn_search(coeffs, basis17, config.s)
         ctf = absolute_ctf_coeffs(manifest, ds["profiles"], basis17, config)
@@ -135,7 +133,7 @@ def test_stack_transforms_do_not_depend_on_blocks(whiten_and_flip, tiny_dataset,
         scores, _ = evaluate_stack(denoised, ds["clean"][:n])
         outputs.append((coeffs, denoised, effective, [list(r.values()) for r in scores]))
     assert n % rows == 1
-    blocks = row_blocks(n, rows * _image_bytes(17))
+    blocks = row_blocks(n, rows * image_bytes(17))
     assert len(blocks) >= 4 and min(b.stop - b.start for b in blocks) > 1
     for one, many in zip(*outputs):
         np.testing.assert_array_equal(many, one)

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-import mfvdm.graph
+import mfvdm.pool
 import mfvdm.simulate
 from mfvdm.simulate import (
-    _image_bytes,
     CTFProfile,
     add_noise,
     ctf_grid,
     ctf_value,
     default_defocus_groups,
-    estimate_noise_psd,
     make_phantom,
     preprocess,
     project,
@@ -22,8 +20,11 @@ from mfvdm.simulate import (
 )
 from mfvdm import RunConfig
 from mfvdm.basis import expand_stack
+from mfvdm.graph import coeff_noise_variance
 from mfvdm.pipeline import prepare_coeffs
+from mfvdm.pool import image_bytes
 from reference import apply_ctf, rotate_image, simulate_stacks
+from reference import sample_rotations as sample_rotations_ref
 
 
 def test_ctf_value_oracle():
@@ -115,6 +116,15 @@ def test_sample_rotations_proper():
     assert np.linalg.norm(Rs[:, :, 2].mean(axis=0)) < 0.3
 
 
+@pytest.mark.parametrize("n", [1, 7, 60, 1000])
+def test_sample_rotations_match_reference(n):
+    """The stacked QR and sign fixes give the one-matrix-at-a-time loop's
+    rotations bit for bit, signs of zeros included."""
+    got, want = sample_rotations(n, seed=n), sample_rotations_ref(n, seed=n)
+    assert got.shape == (n, 3, 3)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_add_noise_snr():
     rng = np.random.Generator(np.random.Philox(9))
     clean = rng.normal(size=(200, 17, 17))
@@ -141,14 +151,6 @@ def test_shift_image_integer_matches_roll():
     shifted = shift_image(img, (2.0, -3.0))
     np.testing.assert_allclose(shifted, np.roll(img, (2, -3), axis=(0, 1)),
                                atol=1e-10)
-
-
-def test_estimate_noise_psd_flat_for_white():
-    rng = np.random.Generator(np.random.Philox(14))
-    noise = rng.normal(size=(300, 17, 17))
-    psd, _ = estimate_noise_psd(noise, support_radius=6.0)
-    # white noise: flat radial PSD at the pixel variance
-    assert np.abs(psd[1:] - 1.0).max() < 0.25
 
 
 def test_preprocess_standardize(tiny_dataset):
@@ -179,14 +181,29 @@ def test_preprocess_phase_flip(tiny_dataset):
 
 @pytest.mark.parametrize("with_ctf", [True, False])
 def test_prepare_coeffs_flips_phases_with_ctf(with_ctf, tiny_dataset, basis17):
-    """prepare_coeffs phase-flips exactly when the data were CTF-modulated."""
+    """prepare_coeffs phase-flips exactly when the data were CTF-modulated.
+    Noisy input (finite SNR) is standardized to zero mean and unit variance
+    over the corners and gets the coefficient noise variance for the Wiener
+    shrinkage; noise-free input (infinite SNR) gets neither."""
     ds = tiny_dataset
-    config = RunConfig(n=60, L=17, support_radius=8.0, snr=ds["snr"], s=8,
-                       n_defocus_groups=4, with_ctf=with_ctf)
-    coeffs, _ = prepare_coeffs(ds["noisy"], ds["manifest"], ds["profiles"], basis17, config)
-    pre = preprocess(ds["noisy"], 8.0, phase_flip=with_ctf, profiles=ds["profiles"],
-                     groups=ds["manifest"].defocus_group)
-    np.testing.assert_array_equal(coeffs, expand_stack(pre, basis17))
+    mask = mfvdm.simulate._corner_mask(17, 8.0)
+    for snr in (ds["snr"], np.inf):
+        noisy_input = bool(np.isfinite(snr))
+        config = RunConfig(n=60, L=17, support_radius=8.0, snr=snr, s=8,
+                           n_defocus_groups=4, with_ctf=with_ctf)
+        coeffs, noise_var = prepare_coeffs(ds["noisy"], ds["manifest"], ds["profiles"],
+                                           basis17, config)
+        pre = preprocess(ds["noisy"], 8.0, standardize=noisy_input, phase_flip=with_ctf,
+                         profiles=ds["profiles"], groups=ds["manifest"].defocus_group)
+        np.testing.assert_array_equal(coeffs, expand_stack(pre, basis17))
+        corner_sd = pre[:, mask].std(axis=1)
+        if noisy_input:
+            np.testing.assert_allclose(pre[:, mask].mean(axis=1), 0.0, atol=1e-10)
+            np.testing.assert_allclose(corner_sd, 1.0, atol=1e-10)
+            np.testing.assert_array_equal(noise_var, coeff_noise_variance(basis17))
+        else:
+            assert not np.allclose(corner_sd, 1.0, atol=1e-10)
+            assert noise_var is None
 
 
 def test_preprocess_rejects_non_finite(tiny_dataset):
@@ -226,7 +243,7 @@ def test_simulate_blocks_match_whole_stack(case, monkeypatch):
     """The simulator's passes over blocks of images give the three stacks
     of whole-stack passes bit for bit. 45 images in blocks of at most 7,
     and projection tasks of 16 views, so that the blocks do not line up."""
-    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", 7 * _image_bytes(17))
+    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", 7 * image_bytes(17))
     monkeypatch.setattr(mfvdm.simulate, "PROJECT_BLOCK", 16)
     kw = {"snr": 0.2, "support_radius": 8.0, "n_defocus_groups": 4, "n_blobs": 10, **case}
     got = simulate_dataset(45, 17, seed=21, **kw)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import mfvdm.graph
+import mfvdm.pool
 import mfvdm.spectral
 from mfvdm import expand_stack, simulate_dataset
 from mfvdm.graph import ViewGraph, initial_nn_search
@@ -390,7 +390,7 @@ def test_refine_blocks_match_dense_reference(block_bytes, monkeypatch):
     # smaller-index rule decides the result
     ranked = -np.sort(-A, axis=1)
     assert (ranked[:, s - 1] == ranked[:, s]).any()
-    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", block_bytes)
     got = refine_neighbors(bundle, s)
     for i in range(bundle.n):
         np.testing.assert_array_equal(neighbors(got, i), expected[i])
@@ -399,7 +399,7 @@ def test_refine_blocks_match_dense_reference(block_bytes, monkeypatch):
 def test_refine_matches_dense_reference(demo_graph, monkeypatch):
     bundle = _full_bundle(demo_graph, 4)
     _, expected = _dense_refine(bundle, 6)
-    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", 64 * demo_graph.n * 7)
+    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", 64 * demo_graph.n * 7)
     got = refine_neighbors(bundle, 6)
     for i in range(bundle.n):
         np.testing.assert_array_equal(neighbors(got, i), expected[i])
@@ -421,11 +421,11 @@ def test_refine_and_align_leave_no_one_row_block(demo_graph, monkeypatch):
     monkeypatch.setattr(mfvdm.spectral, "_affinity_rows", recording)
     graphs = []
     for block_bytes in (2**40, 64 * n * (n - 1)):
-        monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", block_bytes)
         graphs.append(refine_neighbors(bundle, 6))
     n_edges = graphs[0].indices.size // 2
     for g, block_bytes in zip(graphs, (2**40, (n_edges - 1) * align_edge_bytes(4, n, 1024))):
-        monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", block_bytes)
         align_graph(bundle, g, fft_size=1024)
     assert n % (n - 1) == 1 and n_edges % (n_edges - 1) == 1
     assert sizes == [n, n // 2, n // 2]
@@ -438,8 +438,8 @@ def _check_align_blocks(demo_graph, monkeypatch, fft_size):
     bundle = _full_bundle(demo_graph, 5)
     g = refine_neighbors(bundle, 6)
     # a few dozen edges per block
-    monkeypatch.setattr(mfvdm.graph, "BLOCK_BYTES", 40 * align_edge_bytes(5, bundle.m, fft_size))
-    assert mfvdm.graph.block_rows(align_edge_bytes(5, bundle.m, fft_size)) == 40
+    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", 40 * align_edge_bytes(5, bundle.m, fft_size))
+    assert mfvdm.pool.block_rows(align_edge_bytes(5, bundle.m, fft_size)) == 40
     align_graph(bundle, g, fft_size=fft_size)
     for i, j, alpha in g.edges():
         if i < j:
