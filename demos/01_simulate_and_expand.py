@@ -42,7 +42,7 @@ print(f"coefficient round-trip error {np.abs(a - a2).max():.3e}")
 # carries the distance and the angle that rotates the copy back.
 alpha = np.deg2rad(40.0)
 pair = np.stack([a[0], rotate_coeffs(a[0], basis, alpha)])
-graph = initial_nn_search(pair, basis, s=1, fft_size=1024, energy_fraction=1.0)
+graph = initial_nn_search(pair, basis, s=1, fft_size=1024)
 d, ahat = graph.dists[0], graph.angles[0]
 print(f"rotated copy: RID = {d:.3e}, recovered angle {np.rad2deg(-ahat):.2f} deg "
       f"(expected 40.00)")

@@ -1,6 +1,7 @@
 """Spectral-graph denoising with CTF correction.
 
-Filters the noisy expansion coefficients through the refined neighbor graph
+Filters the expansion coefficients, shrunk by the steerable PCA of
+prepare_coeffs, through the refined neighbor graph
 (smooth-then-sharpen filter, truncated spectrum), deconvolves each image by
 its filtered effective CTF, and compares image quality against the clean
 reference before and after.
@@ -18,8 +19,8 @@ clean, _, noisy, profiles, manifest = simulate_dataset(
     support_radius=config.support_radius,
 )
 basis = build_basis(config.L, config.bandlimit, config.support_radius)
-coeffs, noise_var = prepare_coeffs(noisy, manifest, profiles, basis, config)
-_, _, refined = classify(coeffs, basis, config, noise_var=noise_var)
+coeffs, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
+_, _, refined = classify(coeffs, basis, config)
 
 ctf_coeffs = absolute_ctf_coeffs(manifest, profiles, basis, config)
 denoised, _ = denoise_and_correct(coeffs, ctf_coeffs, refined, basis, config)

@@ -14,11 +14,11 @@ from .basis import (
     reconstruct,
     reconstruct_grid,
     rotate_coeffs,
+    steerable_pca,
 )
 from .denoise import FilterSpec, apply_spectral_filter, ctf_correct, denoise_stack
 from .graph import (
     ViewGraph,
-    coeff_noise_variance,
     initial_nn_search,
     read_graph_csv,
     symmetrize,

@@ -27,6 +27,9 @@ __all__ = [
     "reconstruct",
     "reconstruct_grid",
     "rotate_coeffs",
+    "corner_mask",
+    "noise_covariance",
+    "steerable_pca",
     "freq_grid",
     "ft_grid",
     "ift_grid",
@@ -262,3 +265,54 @@ def reconstruct(coeffs, basis):
 def rotate_coeffs(coeffs, basis, alpha):
     """Coefficient action of rotating the image counter-clockwise by alpha."""
     return coeffs * np.exp(-1j * basis.ks * alpha)
+
+
+def corner_mask(L, support_radius):
+    """(L, L) mask of the pixels outside the particle support radius, the
+    corners over which preprocess standardizes an image."""
+    x = np.arange(L) - (L - 1) / 2
+    return np.hypot(x[:, None], x[None, :]) > support_radius
+
+
+def noise_covariance(basis, k):
+    """(p_k, p_k) covariance of the frequency-k coefficients of unit white
+    pixel noise less its mean over the m corner pixels (corner_mask), as
+    preprocess standardizes it: that noise has covariance I + (s s^T -
+    c c^T) / m, s and c the indicators of the support and of the corners.
+    With S_k the frequency-k rows of coeff_solver and the centred DFT F
+    (F F^H = L^2 I) the covariance is the real matrix L^2 S_k S_k^H +
+    (w w^H - v v^H) / m, w = S_k F s and v = S_k F c."""
+    solver = basis.coeff_solver[basis.k_slice(k)]
+    corner = corner_mask(basis.L, basis.support_radius)
+    w, v = (solver @ ft_grid(1.0 * mask).ravel()[basis.grid_index] for mask in (~corner, corner))
+    outer = np.outer(w, np.conj(w)) - np.outer(v, np.conj(v))
+    return (basis.L ** 2 * solver @ np.conj(solver.T) + outer / corner.sum()).real
+
+
+def steerable_pca(coeffs, basis):
+    """Shrink the (n, n_coeffs) coefficients of images standardized by
+    preprocess in place, a frequency block at a time; returns the rank kept
+    per k. Each block is whitened by its noise_covariance N_k, the k = 0
+    block centred first. The real part of its sample covariance keeps the
+    eigenvalues above the Marchenko-Pastur edge (1 + sqrt(p_k / n_k))^2,
+    n_k = n real samples at k = 0 and 2n otherwise; each kept direction is
+    weighted by l / (l + 1), l the spiked-model signal eigenvalue of its
+    sample eigenvalue (Zhao, Shkolnisky & Singer 2016; Donoho, Gavish &
+    Johnstone 2018), and the block is mapped back by N_k^(1/2)."""
+    n = coeffs.shape[0]
+    ranks = np.zeros(basis.k_max + 1, dtype=int)
+    for k in range(basis.k_max + 1):
+        sl = basis.k_slice(k)
+        mean = coeffs[:, sl].mean(axis=0) if k == 0 else 0.0
+        block = coeffs[:, sl] - mean
+        d, u = np.linalg.eigh(noise_covariance(basis, k))
+        whiten = (u / np.sqrt(d)) @ u.T
+        lam, v = np.linalg.eigh(whiten @ (np.conj(block.T) @ block).real @ whiten / n)
+        gamma = (sl.stop - sl.start) / (n if k == 0 else 2 * n)
+        keep = lam > (1.0 + np.sqrt(gamma)) ** 2
+        b = lam[keep] - 1.0 - gamma
+        ell = 0.5 * (b + np.sqrt(b ** 2 - 4.0 * gamma))
+        shrink = whiten @ (v[:, keep] * (ell / (ell + 1.0))) @ v[:, keep].T @ (u * np.sqrt(d)) @ u.T
+        coeffs[:, sl] = block @ shrink + mean
+        ranks[k] = keep.sum()
+    return ranks

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import expand_stack
+from .basis import expand_stack  # noqa: F401 - unused; perfbench/tracing.py wraps it here
 from .io import FormatError, atomic_open
 from .pool import fork_map, row_blocks
 
@@ -19,9 +19,8 @@ from .pool import fork_map, row_blocks
 # (at least one), so that the pooled search ranks the serial search's blocks
 SEARCH_TASK_ROWS = 128
 
-__all__ = ["ViewGraph", "symmetrize", "initial_nn_search", "coeff_noise_variance",
-           "viewing_angle", "true_alignment", "write_graph_csv",
-           "read_graph_csv"]
+__all__ = ["ViewGraph", "symmetrize", "initial_nn_search", "viewing_angle",
+           "true_alignment", "write_graph_csv", "read_graph_csv"]
 
 
 @dataclass
@@ -79,28 +78,6 @@ def symmetrize(n, src, dst, angles=None, dists=None):
     return ViewGraph(indptr=indptr, indices=cols[perm], angles=angles, dists=dists)
 
 
-def _select_columns(basis, coeffs, energy_fraction):
-    """Columns capturing the top energy fraction across the dataset
-    (k > 0 columns weighted twice for the implied negative frequency)."""
-    weight = np.where(basis.ks == 0, 1.0, 2.0)
-    energy = (np.abs(coeffs) ** 2).sum(axis=0) * weight
-    order = np.argsort(energy)[::-1]
-    csum = np.cumsum(energy[order])
-    keep = order[: int(np.searchsorted(csum, energy_fraction * csum[-1])) + 1]
-    return np.sort(keep)
-
-
-def coeff_noise_variance(basis):
-    """Per-column coefficient variance induced by unit-variance white pixel
-    noise, estimated by expanding 256 Gaussian images drawn from Philox(0).
-    Scale by the pixel noise variance for other noise levels (expansion is
-    linear)."""
-    rng = np.random.Generator(np.random.Philox(0))
-    noise = rng.normal(size=(256, basis.L, basis.L))
-    a = expand_stack(noise, basis)
-    return (np.abs(a) ** 2).mean(axis=0)
-
-
 def smallest_s(keys, s):
     """Per row of keys, the column indices of the s smallest values in
     ascending order, ties broken by the smaller index: the first s columns
@@ -146,16 +123,14 @@ def grid_angle(t, fft_size):
     return np.where(alpha > np.pi, alpha - 2.0 * np.pi, alpha)
 
 
-def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise_var=None):
+def initial_nn_search(coeffs, basis, s, fft_size=256):
     """Brute-force all-pairs RID ranking; s smallest distances per node.
 
     Ties broken by smaller index. Returns the symmetrized ViewGraph.
-    When noise_var (per-column coefficient noise variance) is given, columns
-    are shrunk by the Wiener factor sig/(sig + noise) before ranking, which
-    suppresses the noise-dominated high frequencies at low SNR.
+    Every frequency whose coefficient block is not all zero is ranked.
 
     The correlation of two images over the fft_size-point rotation grid is
-    a trigonometric polynomial in the kept frequencies: the real and
+    a trigonometric polynomial in the ranked frequencies: the real and
     imaginary parts of each pair's per-k cross-spectra times one
     rotation_table, a real matrix product. Rows are ranked a block at a
     time (pool.row_blocks); each block's temporaries stay within
@@ -170,20 +145,13 @@ def initial_nn_search(coeffs, basis, s, fft_size=256, energy_fraction=0.9, noise
         raise ValueError(f"need at least s+1={s + 1} images, got {n}")
     if fft_size < 2 * basis.k_max + 1:
         raise ValueError(f"fft_size must be >= {2 * basis.k_max + 1}")
-    if noise_var is not None:
-        noise_var = np.asarray(noise_var, dtype=float)
-        sig = np.maximum((np.abs(coeffs) ** 2).mean(axis=0) - noise_var, 0.0)
-        coeffs = coeffs * (sig / (sig + noise_var))[None, :]
-    cols = _select_columns(basis, coeffs, energy_fraction)
-    sub = coeffs[:, cols]
-    ks = basis.ks[cols]
-    eps = np.where(ks == 0, 1.0, 2.0)
-    sq = (np.abs(sub) ** 2) @ eps
+    freqs = np.flatnonzero([coeffs[:, basis.k_slice(k)].any() for k in range(basis.k_max + 1)])
+    # column-major: BLAS then sums each row's terms in column order
+    sq = np.asfortranarray(np.abs(coeffs) ** 2) @ np.where(basis.ks == 0, 1.0, 2.0)
 
-    # per kept frequency, its coefficient block and conjugate transpose, for
-    # fast cross-spectra; the k > 0 terms count their conjugate twice
-    freqs = np.unique(ks)
-    blocks = [(sub[:, ks == k], np.conj(sub[:, ks == k]).T) for k in freqs]
+    # per ranked frequency, its coefficient block and conjugate transpose,
+    # for fast cross-spectra; the k > 0 terms count their conjugate twice
+    blocks = [(b, np.conj(b).T) for b in (coeffs[:, basis.k_slice(k)].copy() for k in freqs)]
     table = rotation_table(freqs, fft_size, np.where(freqs == 0, 1.0, 2.0))
     chunks = row_blocks(n, *search_bytes(n, freqs.size, fft_size))
     per_task = max(1, SEARCH_TASK_ROWS // (chunks[0].stop - chunks[0].start))

@@ -222,8 +222,8 @@ def _is_of_type(value, kind):
 class RunConfig:
     """Every pipeline setting that changes a result; validated before any
     stage runs. Preprocessing follows the data: phase flipping follows
-    with_ctf, and standardization, the Wiener shrinkage and the search's
-    energy cut follow snr (pipeline.prepare_coeffs, classify). The rotation
+    with_ctf, and standardization and the steerable PCA of the
+    coefficients follow snr (pipeline.prepare_coeffs). The rotation
     grids and the CTF-correction regularizer are constants of the code."""
 
     L: int = 33

@@ -11,9 +11,9 @@ import os
 import numpy as np
 
 from . import io as mfio
-from .basis import build_basis, expand_disk_function, expand_stack, reconstruct_grid
+from .basis import build_basis, expand_disk_function, expand_stack, reconstruct_grid, steerable_pca
 from .denoise import FilterSpec, ctf_correct, denoise_stack
-from .graph import coeff_noise_variance, initial_nn_search, read_graph_csv, write_graph_csv
+from .graph import initial_nn_search, read_graph_csv, write_graph_csv
 from .metrics import fit_to_reference, mse, psnr, ssim_stack
 from .pool import image_bytes, row_blocks
 from .simulate import check_finite, ctf_value, default_defocus_groups, preprocess, simulate_dataset
@@ -33,15 +33,15 @@ __all__ = [
 
 
 def prepare_coeffs(images, manifest, profiles, basis, config):
-    """Preprocess a noisy stack and expand it; returns (coeffs, noise_var).
+    """Preprocess a noisy stack and expand it; returns (coeffs, ranks).
 
     Phase flipping runs exactly when the data were CTF-modulated
-    (config.with_ctf). Noisy input (finite SNR) is standardized, and
-    noise_var is the coefficient noise variance for the Wiener shrinkage of
-    the search. Noise-free input gets neither, and noise_var is None: clean
-    projections vanish outside the support, so the corner statistics that
-    drive both are degenerate there. The stack is transformed in blocks of
-    images (pool.row_blocks).
+    (config.with_ctf). Noisy input (finite SNR) is standardized to unit
+    corner (noise) variance, and its coefficients are shrunk in place by
+    basis.steerable_pca, whose rank kept per k is ranks. Noise-free input
+    gets neither, and ranks is None: clean projections vanish outside the
+    support, so the corner statistics are degenerate there. The stack is
+    transformed in blocks of images (pool.row_blocks).
     """
     noisy_input = np.isfinite(config.snr)
     # preprocess checks each block too, but names images by their index in it
@@ -57,24 +57,17 @@ def prepare_coeffs(images, manifest, profiles, basis, config):
             groups=manifest.defocus_group[rows],
         )
         coeffs[rows] = expand_stack(pre, basis)
-    # standardization scales each image to unit corner (noise) variance
-    noise_var = coeff_noise_variance(basis) if noisy_input else None
-    return coeffs, noise_var
+    return coeffs, steerable_pca(coeffs, basis) if noisy_input else None
 
 
 def classify(coeffs, basis, config, noise_var=None):
     """Initial RID graph, spectral refinement, and eigenvector alignment.
 
     Returns (initial_graph, bundle, refined_graph); the refined graph carries
-    estimated alignment angles on every edge. The search keeps the columns
-    holding 90% of the coefficient energy, or every column for noise-free
-    input (infinite SNR), which has no noise-dominated ones.
+    estimated alignment angles on every edge. noise_var is ignored: it is
+    kept for perfbench/worker.py, which passes prepare_coeffs' second value.
     """
-    initial = initial_nn_search(
-        coeffs, basis, config.s,
-        energy_fraction=0.9 if np.isfinite(config.snr) else 1.0,
-        noise_var=noise_var,
-    )
+    initial = initial_nn_search(coeffs, basis, config.s)
     bundle = compute_bundle(initial, config.k_tilde, config.m)
     refined = refine_neighbors(bundle, config.s)
     align_graph(bundle, refined)
@@ -176,9 +169,9 @@ def run_classify(config, outdir):
     directory's config.json on a simulation field, and io.FormatError if
     its basis.npz is missing or does not match config."""
     noisy, manifest, profiles, basis = _load_dataset(config, outdir)
-    coeffs, noise_var = prepare_coeffs(noisy, manifest, profiles, basis, config)
+    coeffs, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
     del noisy   # the stack is not read again: release it before the search
-    initial, _, refined = classify(coeffs, basis, config, noise_var=noise_var)
+    initial, _, refined = classify(coeffs, basis, config)
     write_graph_csv(initial, _p(outdir, "initial_graph.csv"))
     write_graph_csv(refined, _p(outdir, "refined_graph.csv"))
     return initial, refined

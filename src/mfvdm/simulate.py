@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import freq_grid, ft_grid, ift_grid
+from .basis import corner_mask, freq_grid, ft_grid, ift_grid
 from .pool import fork_map, image_bytes, row_blocks
 
 __all__ = [
@@ -208,13 +208,6 @@ def add_noise(images, snr, seed, model="white"):
     return noise
 
 
-def _corner_mask(L, support_radius):
-    c = (L - 1) / 2
-    x = np.arange(L) - c
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    return np.hypot(X, Y) > support_radius
-
-
 def check_finite(images):
     """Raise ValueError naming the first image with a non-finite pixel."""
     finite = np.isfinite(images).all(axis=(-2, -1))
@@ -242,7 +235,7 @@ def preprocess(images, support_radius, *, standardize=True, phase_flip=False,
         spectra *= signs[groups]
         images = ift_grid(spectra).real
     if standardize:
-        mask = _corner_mask(L, support_radius)
+        mask = corner_mask(L, support_radius)
         if not mask.any():
             raise ValueError("no corner pixels outside the support radius")
         mu = images[..., mask].mean(axis=-1)
@@ -280,7 +273,12 @@ def simulate_dataset(n, L, seed, snr, *, support_radius=None, bandlimit=0.5,
     The shift and CTF passes transform a block of images at a time
     (pool.row_blocks) into the preallocated stacks; each image's transform
     is independent of the others, so the blocks do not change the result.
+    Raises ValueError naming snr or shift_px when it is NaN or out of range.
     """
+    if not snr > 0:
+        raise ValueError(f"snr must be > 0 (or inf for noise-free), got {snr}")
+    if not 0.0 <= shift_px < np.inf:
+        raise ValueError(f"shift_px must be finite and >= 0, got {shift_px}")
     if support_radius is None:
         support_radius = (L - 1) / 2
     vol = make_phantom(L, seed, n_blobs=n_blobs, support_radius=support_radius)

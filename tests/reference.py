@@ -6,9 +6,10 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 from scipy.signal import fftconvolve
 
-from mfvdm.basis import BasisError, freq_grid, ft_grid, ift_grid, reconstruct_grid
+from mfvdm.basis import BasisError, expand_stack, freq_grid, ft_grid, ift_grid, reconstruct_grid
 from mfvdm.graph import viewing_angle
-from mfvdm.simulate import _rng, ctf_grid, default_defocus_groups, make_phantom, project
+from mfvdm.simulate import (_rng, ctf_grid, default_defocus_groups, make_phantom, preprocess,
+                            project)
 from mfvdm.spectral import _affinity_factors, _affinity_rows
 
 
@@ -78,6 +79,23 @@ def rid_align(coeffs_i, coeffs_j, basis, fft_size=256):
     if alpha > np.pi:
         alpha -= 2.0 * np.pi
     return float(np.sqrt(max(d2, 0.0))), float(alpha)
+
+
+def coeff_noise_covariance(basis, draws=4000, block=500):
+    """Monte Carlo estimate of the per-k coefficient covariance of
+    unit-variance white pixel noise standardized over the corners
+    (``mfvdm.preprocess``): the real part of A_k^H A_k / draws for the
+    frequency-k coefficients A_k of draws Gaussian images from Philox(0),
+    expanded block images at a time. A list over k = 0..k_max."""
+    rng = _rng(0)
+    sums = [0.0] * (basis.k_max + 1)
+    for _ in range(draws // block):
+        noise = preprocess(rng.normal(size=(block, basis.L, basis.L)), basis.support_radius)
+        a = expand_stack(noise, basis)
+        for k in range(basis.k_max + 1):
+            ak = a[:, basis.k_slice(k)]
+            sums[k] = sums[k] + (np.conj(ak.T) @ ak).real
+    return [c / draws for c in sums]
 
 
 # --------------------------------------------------------------------------

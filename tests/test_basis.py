@@ -11,12 +11,16 @@ from mfvdm.basis import (
     build_basis,
     expand_stack,
     ft_grid,
+    corner_mask,
     ift_grid,
+    noise_covariance,
     reconstruct,
     rotate_coeffs,
+    steerable_pca,
 )
-from mfvdm.simulate import simulate_dataset
-from reference import expand, full_sq_norm, pinv_solver, rid_align, rotate_image
+from mfvdm.simulate import preprocess, simulate_dataset
+from reference import (coeff_noise_covariance, expand, full_sq_norm, pinv_solver, rid_align,
+                       rotate_image)
 
 
 def test_build_validation():
@@ -206,3 +210,70 @@ def test_shape_mismatch_raises(basis17):
     with pytest.raises(BasisError):
         rid_align(np.zeros(basis17.n_coeffs, dtype=complex),
                   np.zeros(basis17.n_coeffs, dtype=complex), basis17, fft_size=8)
+
+
+def test_noise_covariance_is_the_impulse_sum(basis17):
+    """Less its corner mean, unit white noise n is P n, P = I - 1 c^T / m
+    (c the corner indicator, m its count), so its coefficient covariance is
+    exactly the sum of a a^H over the coefficients a of the L^2 images
+    P e_x (e_x a unit impulse). The sum is real, and equals
+    noise_covariance."""
+    L = basis17.L
+    corner = corner_mask(L, basis17.support_radius).ravel()
+    images = np.eye(L * L) - np.outer(corner / corner.sum(), np.ones(L * L))
+    a = expand_stack(images.reshape(-1, L, L), basis17)
+    for k in range(basis17.k_max + 1):
+        ak = a[:, basis17.k_slice(k)]
+        exact = np.conj(ak.T) @ ak
+        assert np.abs(exact.imag).max() < 1e-12 * np.abs(exact).max()
+        np.testing.assert_allclose(noise_covariance(basis17, k), exact.real, rtol=0, atol=1e-12)
+
+
+def _within_sampling_error(mc, cov, samples):
+    """Whether every entry of a Monte Carlo covariance mc is within 5
+    standard errors sqrt((C_ii C_jj + C_ij^2) / samples) of cov."""
+    d = np.diag(cov)
+    return bool((np.abs(mc - cov) <= 5 * np.sqrt((np.outer(d, d) + cov ** 2) / samples)).all())
+
+
+def test_noise_covariance_matches_monte_carlo(basis33):
+    """At L = 33 the per-k covariance, off-diagonal terms included, lies
+    within sampling error of a 4000-image Monte Carlo estimate over
+    standardized noise (preprocess), with 4000 real samples at k = 0 and
+    8000 at k > 0. The white-noise part L^2 S_k S_k^H alone does not: at
+    k = 0 it misses the corner mean's direction."""
+    mc = coeff_noise_covariance(basis33)
+    for k in range(basis33.k_max + 1):
+        assert _within_sampling_error(mc[k], noise_covariance(basis33, k),
+                                      4000 if k == 0 else 8000), k
+    solver = basis33.coeff_solver[basis33.k_slice(0)]
+    assert not _within_sampling_error(mc[0], 33 ** 2 * (solver @ np.conj(solver.T)).real, 4000)
+
+
+def test_steerable_pca_keeps_little_of_white_noise(basis33):
+    """On 1000 standardized images of pure white noise, steerable_pca keeps
+    at most 24 of 312 directions, none at k = 0, where the corner mean adds
+    a noise direction, and under 0.1% of the coefficient energy. Six noise
+    seeds kept 7-20 directions and 0.017-0.079% of the energy; whitening
+    by the white-noise part of the covariance alone kept k = 0's noise
+    direction in each, and 0.59-0.72%."""
+    noise = np.random.Generator(np.random.Philox(0)).normal(size=(1000, 33, 33))
+    a = expand_stack(preprocess(noise, 16.0), basis33)
+    energy = (np.abs(a) ** 2).sum()
+    ranks = steerable_pca(a, basis33)
+    assert ranks.shape == (basis33.k_max + 1,)
+    assert ranks.sum() <= 24 and ranks[0] == 0
+    assert (np.abs(a) ** 2).sum() < 1e-3 * energy
+
+
+def test_steerable_pca_commutes_with_rotation(tiny_dataset, basis17):
+    """Rotating every image in-plane, each by its own angle, rotates the
+    shrunk coefficients the same way: each frequency block is mapped by one
+    real matrix, and the sample covariance does not see the rotations."""
+    a = expand_stack(preprocess(tiny_dataset["noisy"], 8.0), basis17)
+    alpha = np.random.Generator(np.random.Philox(5)).uniform(-np.pi, np.pi, size=(len(a), 1))
+    rotated = rotate_coeffs(a, basis17, alpha)
+    ranks = steerable_pca(a, basis17)
+    np.testing.assert_array_equal(steerable_pca(rotated, basis17), ranks)
+    assert 0 < ranks.sum() < basis17.n_coeffs
+    np.testing.assert_allclose(rotated, rotate_coeffs(a, basis17, alpha), atol=1e-12)

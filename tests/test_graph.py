@@ -7,8 +7,6 @@ import mfvdm.pool
 from mfvdm.basis import expand_stack
 from mfvdm.graph import (
     ViewGraph,
-    _select_columns,
-    coeff_noise_variance,
     initial_nn_search,
     read_graph_csv,
     search_bytes,
@@ -33,8 +31,7 @@ def _rz(gamma):
 
 def test_search_finds_rotated_copies(rotated_copies, basis17):
     rc = rotated_copies
-    graph = initial_nn_search(rc["coeffs"], basis17, s=rc["n_copy"] - 1,
-                              energy_fraction=1.0)
+    graph = initial_nn_search(rc["coeffs"], basis17, s=rc["n_copy"] - 1)
     truth = rc["graph"]
     np.testing.assert_array_equal(graph.indptr, truth.indptr)
     np.testing.assert_array_equal(graph.indices, truth.indices)
@@ -47,10 +44,9 @@ def test_search_chunk_invariant(tiny_dataset, basis17, monkeypatch):
     graph."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
     n = coeffs.shape[0]
-    # the search's temporaries at its default fft_size of 256 and
-    # energy_fraction of 0.9
-    n_freqs = np.unique(basis17.ks[_select_columns(basis17, coeffs, 0.9)]).size
-    row_bytes, fixed = search_bytes(n, n_freqs, 256)
+    # the search's temporaries at its default fft_size of 256, ranking every
+    # frequency (none of the blocks is zero)
+    row_bytes, fixed = search_bytes(n, basis17.k_max + 1, 256)
     monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + n * row_bytes)
     whole = initial_nn_search(coeffs, basis17, s=8)
     for rows in (1, 7):
@@ -70,8 +66,7 @@ def test_search_blocks_never_hold_one_row(tiny_dataset, basis17, monkeypatch):
     the one-block search's bit for bit."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
     n = coeffs.shape[0]
-    n_freqs = np.unique(basis17.ks[_select_columns(basis17, coeffs, 0.9)]).size
-    row_bytes, fixed = search_bytes(n, n_freqs, 256)
+    row_bytes, fixed = search_bytes(n, basis17.k_max + 1, 256)
     monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + n * row_bytes)
     whole = initial_nn_search(coeffs, basis17, s=8)
     monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + 59 * row_bytes)
@@ -164,64 +159,38 @@ def test_graph_csv_round_trip(demo_graph, tmp_path):
     np.testing.assert_array_equal(back.dists, demo_graph.dists)
 
 
-def test_coeff_noise_variance_positive(basis17):
-    v = coeff_noise_variance(basis17)
-    assert v.shape == (basis17.n_coeffs,)
-    assert np.all(v > 0)
-
-
-def test_wiener_weighting_no_signal_loss(rotated_copies, basis17):
-    """With near-zero noise variance the Wiener path reduces to the plain
-    search."""
-    rc = rotated_copies
-    tiny = np.full(basis17.n_coeffs, 1e-12)
-    s = rc["n_copy"] - 1
-    g1 = initial_nn_search(rc["coeffs"], basis17, s=s, energy_fraction=1.0)
-    g2 = initial_nn_search(rc["coeffs"], basis17, s=s, energy_fraction=1.0,
-                           noise_var=tiny)
-    np.testing.assert_array_equal(g1.indptr, g2.indptr)
-    np.testing.assert_array_equal(g1.indices, g2.indices)
-
-
 def test_search_matches_rid_oracle(tiny_dataset, basis17):
     """Every directed edge of the search carries the scalar RID distance and
     angle of its image pair."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
-    g = initial_nn_search(coeffs, basis17, s=8, energy_fraction=1.0)
+    g = initial_nn_search(coeffs, basis17, s=8)
     for (i, j, alpha), d in zip(g.edges(), g.dists):
         d_ref, alpha_ref = rid_align(coeffs[i], coeffs[j], basis17, fft_size=256)
         assert abs(d - d_ref) <= 1e-12 * d_ref
         assert abs((alpha - alpha_ref + np.pi) % (2 * np.pi) - np.pi) < 1e-12
 
 
-@pytest.mark.parametrize("snr, energy_fraction", [(float("inf"), 1.0), (0.3, 0.9)])
-def test_classify_energy_cut_follows_snr(snr, energy_fraction, tiny_dataset, basis17):
-    """classify ranks noise-free input on every column and noisy input on
-    the columns holding 90% of the coefficient energy; the two cuts give
-    different graphs here."""
+@pytest.mark.parametrize("snr", [0.3, float("inf")])
+def test_classify_searches_the_coefficients_as_given(snr, tiny_dataset, basis17):
+    """classify's initial graph is the search of the coefficients it is
+    given, at any SNR, and it ignores noise_var."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
     config = RunConfig(n=60, L=17, support_radius=8.0, snr=snr, s=8, k_tilde=3, m=20,
                        n_defocus_groups=4)
-    initial, _, _ = classify(coeffs, basis17, config)
-    graphs = {f: initial_nn_search(coeffs, basis17, s=8, energy_fraction=f) for f in (1.0, 0.9)}
+    initial, _, _ = classify(coeffs, basis17, config, noise_var=np.ones(basis17.n_coeffs))
+    want = initial_nn_search(coeffs, basis17, s=8)
     for name in ("indptr", "indices", "angles", "dists"):
-        np.testing.assert_array_equal(getattr(initial, name),
-                                      getattr(graphs[energy_fraction], name), err_msg=name)
-    assert not np.array_equal(graphs[1.0].dists, graphs[0.9].dists)
+        np.testing.assert_array_equal(getattr(initial, name), getattr(want, name), err_msg=name)
 
 
-def _rid_graph(coeffs, basis, s, fft_size, energy_fraction):
+def _rid_graph(coeffs, basis, s, fft_size):
     """The search's graph from the scalar oracle: rid_align on every pair
-    of images, restricted to the kept columns; each row's s smallest
-    distances, ties to the smaller index; then the union of both
-    directions."""
-    masked = np.zeros_like(coeffs)
-    keep = _select_columns(basis, coeffs, energy_fraction)
-    masked[:, keep] = coeffs[:, keep]
+    of images; each row's s smallest distances, ties to the smaller index;
+    then the union of both directions."""
     n = coeffs.shape[0]
     src, dst, angles, dists = [], [], [], []
     for i in range(n):
-        pairs = [rid_align(masked[i], masked[j], basis, fft_size=fft_size) for j in range(n)]
+        pairs = [rid_align(coeffs[i], coeffs[j], basis, fft_size=fft_size) for j in range(n)]
         d = np.array([p[0] for p in pairs])
         d[i] = np.inf
         for j in np.lexsort((np.arange(n), d))[:s]:
@@ -232,20 +201,19 @@ def _rid_graph(coeffs, basis, s, fft_size, energy_fraction):
     return symmetrize(n, src, dst, angles, dists)
 
 
-@pytest.mark.parametrize("energy_fraction, fft_size", [(1.0, 256), (0.6, 256), (1.0, 39)],
+@pytest.mark.parametrize("zeroed, fft_size", [((), 256), ((8, 10, 11, 13, 15, 16, 17, 18, 19), 256),
+                                              ((), 39)],
                          ids=["all-k", "k-gap", "min-grid"])
-def test_search_matches_all_pairs_oracle(energy_fraction, fft_size, tiny_dataset, basis17):
+def test_search_matches_all_pairs_oracle(zeroed, fft_size, tiny_dataset, basis17):
     """The whole graph equals the all-pairs rid_align ranking: with every
-    frequency, with kept frequencies that skip some k (0.6 keeps k = 0-7, 9,
-    12, 14), and on the smallest grid allowed, the odd 2 k_max + 1 points."""
+    frequency, with the blocks of some frequencies zero, so that the ranked
+    ones (k = 0-7, 9, 12, 14) skip some k, and on the smallest grid allowed,
+    the odd 2 k_max + 1 points."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
-    ks = np.unique(basis17.ks[_select_columns(basis17, coeffs, energy_fraction)])
-    if energy_fraction < 1.0:
-        assert ks.size < ks.max() + 1
+    coeffs[:, np.isin(basis17.ks, zeroed)] = 0.0
     assert fft_size >= 2 * basis17.k_max + 1
-    g = initial_nn_search(coeffs, basis17, s=8, fft_size=fft_size,
-                          energy_fraction=energy_fraction)
-    want = _rid_graph(coeffs, basis17, 8, fft_size, energy_fraction)
+    g = initial_nn_search(coeffs, basis17, s=8, fft_size=fft_size)
+    want = _rid_graph(coeffs, basis17, 8, fft_size)
     np.testing.assert_array_equal(g.indptr, want.indptr)
     np.testing.assert_array_equal(g.indices, want.indices)
     np.testing.assert_array_equal(g.angles, want.angles)

@@ -12,7 +12,7 @@ import pytest
 import mfvdm.graph
 import mfvdm.pool
 from mfvdm.basis import expand_stack
-from mfvdm.graph import _select_columns, initial_nn_search, search_bytes
+from mfvdm.graph import initial_nn_search, search_bytes
 from mfvdm.pool import fork_map, set_threads
 from mfvdm.simulate import PROJECT_BLOCK, make_phantom, project, project_stack, sample_rotations
 from mfvdm.spectral import frequency_eigs
@@ -95,8 +95,7 @@ def test_search_pooled_matches_serial(tiny_dataset, basis17, monkeypatch, forks)
     # 3-row blocks, ranked as one task; then 7 task rows, which round down
     # to two blocks. Unrounded tasks would end in 1-row blocks, whose matrix
     # products (and so distances) differ from a 3-row block's in the last bits
-    n_freqs = np.unique(basis17.ks[_select_columns(basis17, coeffs, 0.9)]).size
-    row_bytes, fixed = search_bytes(n, n_freqs, 256)
+    row_bytes, fixed = search_bytes(n, basis17.k_max + 1, 256)
     monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + 3 * row_bytes)
     blocked = initial_nn_search(coeffs, basis17, s=8)
     assert forks == []
@@ -121,8 +120,7 @@ def test_set_threads_caps_every_pool(tiny_dataset, basis17, demo_graph, monkeypa
     rotations = sample_rotations(2 * PROJECT_BLOCK, 4)
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
     # 3-row blocks in 6-row tasks: the 60-image search is 10 tasks
-    n_freqs = np.unique(basis17.ks[_select_columns(basis17, coeffs, 0.9)]).size
-    row_bytes, fixed = search_bytes(coeffs.shape[0], n_freqs, 256)
+    row_bytes, fixed = search_bytes(coeffs.shape[0], basis17.k_max + 1, 256)
     monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + 3 * row_bytes)
     monkeypatch.setattr(mfvdm.graph, "SEARCH_TASK_ROWS", 7)
     loops = [lambda: project_stack(vol, rotations),

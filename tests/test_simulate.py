@@ -19,8 +19,7 @@ from mfvdm.simulate import (
     simulate_dataset,
 )
 from mfvdm import RunConfig
-from mfvdm.basis import expand_stack
-from mfvdm.graph import coeff_noise_variance
+from mfvdm.basis import corner_mask, expand_stack, steerable_pca
 from mfvdm.pipeline import prepare_coeffs
 from mfvdm.pool import image_bytes
 from reference import apply_ctf, rotate_image, simulate_stacks
@@ -155,9 +154,7 @@ def test_shift_image_integer_matches_roll():
 
 def test_preprocess_standardize(tiny_dataset):
     out = preprocess(tiny_dataset["noisy"], 8.0, standardize=True)
-    from mfvdm.simulate import _corner_mask
-
-    mask = _corner_mask(17, 8.0)
+    mask = corner_mask(17, 8.0)
     mu = out[:, mask].mean(axis=1)
     sd = out[:, mask].std(axis=1)
     assert np.abs(mu).max() < 1e-10
@@ -183,27 +180,30 @@ def test_preprocess_phase_flip(tiny_dataset):
 def test_prepare_coeffs_flips_phases_with_ctf(with_ctf, tiny_dataset, basis17):
     """prepare_coeffs phase-flips exactly when the data were CTF-modulated.
     Noisy input (finite SNR) is standardized to zero mean and unit variance
-    over the corners and gets the coefficient noise variance for the Wiener
-    shrinkage; noise-free input (infinite SNR) gets neither."""
+    over the corners, and its coefficients are those of steerable_pca, whose
+    ranks it returns; noise-free input (infinite SNR) gets neither, and its
+    coefficients are returned untouched with None."""
     ds = tiny_dataset
-    mask = mfvdm.simulate._corner_mask(17, 8.0)
+    mask = corner_mask(17, 8.0)
     for snr in (ds["snr"], np.inf):
         noisy_input = bool(np.isfinite(snr))
         config = RunConfig(n=60, L=17, support_radius=8.0, snr=snr, s=8,
                            n_defocus_groups=4, with_ctf=with_ctf)
-        coeffs, noise_var = prepare_coeffs(ds["noisy"], ds["manifest"], ds["profiles"],
-                                           basis17, config)
+        coeffs, ranks = prepare_coeffs(ds["noisy"], ds["manifest"], ds["profiles"],
+                                       basis17, config)
         pre = preprocess(ds["noisy"], 8.0, standardize=noisy_input, phase_flip=with_ctf,
                          profiles=ds["profiles"], groups=ds["manifest"].defocus_group)
-        np.testing.assert_array_equal(coeffs, expand_stack(pre, basis17))
+        want = expand_stack(pre, basis17)
         corner_sd = pre[:, mask].std(axis=1)
         if noisy_input:
             np.testing.assert_allclose(pre[:, mask].mean(axis=1), 0.0, atol=1e-10)
             np.testing.assert_allclose(corner_sd, 1.0, atol=1e-10)
-            np.testing.assert_array_equal(noise_var, coeff_noise_variance(basis17))
+            np.testing.assert_array_equal(ranks, steerable_pca(want, basis17))
+            assert 0 < ranks.sum() < basis17.n_coeffs
         else:
             assert not np.allclose(corner_sd, 1.0, atol=1e-10)
-            assert noise_var is None
+            assert ranks is None
+        np.testing.assert_array_equal(coeffs, want)
 
 
 def test_preprocess_rejects_non_finite(tiny_dataset):
@@ -251,3 +251,14 @@ def test_simulate_blocks_match_whole_stack(case, monkeypatch):
     for name, a, b in zip(("clean", "ctf_clean", "noisy"), got[:3], want):
         assert a.dtype == np.float64 and a.flags.c_contiguous, name
         np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("field, value", [("shift_px", float("nan")), ("shift_px", -1.0),
+                                          ("shift_px", float("inf")), ("snr", float("nan")),
+                                          ("snr", 0.0), ("snr", -1.0)])
+def test_simulate_dataset_rejects_invalid_fields(field, value):
+    """A NaN, infinite or negative shift and a NaN or non-positive SNR raise
+    a ValueError naming the field, before anything is simulated."""
+    kw = {"snr": 0.2, "shift_px": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        simulate_dataset(4, 9, 0, support_radius=4.0, n_blobs=2, **kw)
