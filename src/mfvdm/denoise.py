@@ -22,6 +22,12 @@ __all__ = [
     "ctf_correct",
 ]
 
+# The centred odd-L grid is invariant under 90-degree rotation, so a radial
+# profile such as |CTF| expands to exact zeros off k = 0 (mod 4); in floating
+# point those blocks hold rounding, under 3e-16 of the largest entry
+# (L = 17 and 33). Entries at or below this share of it count as empty.
+CTF_ROUNDING = 1e-12
+
 _FORMULAS = {
     1: lambda lam: lam,
     2: lambda lam: 2.0 * lam - lam**2,
@@ -82,25 +88,34 @@ def _averaging_filter(W, sqrt_d, coeff_block, order):
 
 
 def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
-    """Filter image and absolute-CTF coefficients for every basis frequency.
+    """Filter image and absolute-CTF coefficients for every basis frequency
+    with content.
 
-    Loops k = 0..k_max of the basis (denoising touches every coefficient
-    block, not just the frequencies used for neighbor search). The truncated
-    kinds filter each block as its eigenpairs arrive from frequency_eigs.
-    Returns (denoised coeffs, effective-CTF coeffs) as (n, n_coeffs) arrays.
+    The filter is linear, so a frequency k is solved only when its image
+    block has a nonzero entry or its CTF block one above CTF_ROUNDING of the
+    largest CTF entry; both output blocks of every other k are zeros. The
+    truncated kinds filter each block as its eigenpairs arrive from
+    frequency_eigs. Returns (denoised coeffs, effective-CTF coeffs), both
+    (n, n_coeffs) like the inputs.
     """
     coeffs = np.asarray(coeffs)
     ctf_coeffs = np.asarray(ctf_coeffs)
-    n = coeffs.shape[0]
-    if graph.n != n:
-        raise ValueError(f"graph covers {graph.n} nodes but stack has {n} images")
-    out_a = np.empty_like(coeffs)
-    out_c = np.empty_like(ctf_coeffs)
-    ks = range(basis.k_max + 1)
+    shape = (graph.n, basis.n_coeffs)
+    for name, a in (("coeffs", coeffs), ("ctf_coeffs", ctf_coeffs)):
+        if a.shape != shape:
+            raise ValueError(f"{name} has shape {a.shape}, expected {shape} "
+                             "(graph nodes, basis coefficients)")
+    out_a = np.zeros_like(coeffs)
+    out_c = np.zeros_like(ctf_coeffs)
+    ctf_peaks = [np.abs(ctf_coeffs[:, basis.k_slice(k)]).max(initial=0.0)
+                 for k in range(basis.k_max + 1)]
+    floor = CTF_ROUNDING * max(ctf_peaks)
+    ks = [k for k, peak in enumerate(ctf_peaks)
+          if peak > floor or coeffs[:, basis.k_slice(k)].any()]
     if filt.truncated:
         # this module's own top_eigs binding, so that a wrapper installed
         # here (perfbench/tracing.py) sees the solves made in this process
-        spectra = frequency_eigs(graph, ks, min(filt.m, n), solve=top_eigs)
+        spectra = frequency_eigs(graph, ks, min(filt.m, graph.n), solve=top_eigs)
         for k, (vals, vecs) in zip(ks, spectra):
             sl = basis.k_slice(k)
             out_a[:, sl] = apply_spectral_filter(coeffs[:, sl], vals, vecs, graph.degrees, filt)

@@ -264,6 +264,9 @@ def test_steerable_pca_keeps_little_of_white_noise(basis33):
     assert ranks.shape == (basis33.k_max + 1,)
     assert ranks.sum() <= 24 and ranks[0] == 0
     assert (np.abs(a) ** 2).sum() < 1e-3 * energy
+    # denoise_stack skips these frequencies, so they must be exact zeros
+    for k in range(1, basis33.k_max + 1):
+        assert ranks[k] > 0 or not a[:, basis33.k_slice(k)].any(), k
 
 
 def test_steerable_pca_commutes_with_rotation(tiny_dataset, basis17):

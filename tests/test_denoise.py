@@ -1,14 +1,18 @@
 """Spectral filters: oracle equivalences, fixed points, CTF correction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import mfvdm.denoise
 from mfvdm import RunConfig
 from mfvdm.basis import expand_disk_function, expand_stack, ft_grid, ift_grid
-from mfvdm.denoise import FilterSpec, apply_spectral_filter, ctf_correct, denoise_stack
+from mfvdm.denoise import (CTF_ROUNDING, FilterSpec, _averaging_filter, apply_spectral_filter,
+                           ctf_correct, denoise_stack)
 from mfvdm.pipeline import absolute_ctf_coeffs, denoise_and_correct
-from mfvdm.simulate import ctf_value
+from mfvdm.pool import set_threads
+from mfvdm.simulate import ctf_value, default_defocus_groups
 from mfvdm.spectral import build_frequency_matrix, top_eigs
 from reference import reconstruct_denoised
 
@@ -104,7 +108,8 @@ def test_denoise_fixed_point_on_rotated_copies(rotated_copies, basis17):
 def test_full_spectrum_kinds_build_each_matrix_once(kind, tiny_dataset, demo_graph, basis17,
                                                     monkeypatch):
     """Kinds 4 and 5 build each W_k once and filter both the image and the
-    CTF block with it, k_max + 1 builds in all; each block equals h(S_k)
+    CTF block with it, one build per frequency with content (here every k:
+    the random blocks have content at each); each block equals h(S_k)
     applied with the dense S_k = D^{-1} W_k."""
     built = []
 
@@ -133,6 +138,79 @@ def test_denoise_shape_mismatch(rotated_copies, basis17):
     with pytest.raises(ValueError):
         denoise_stack(rotated_copies["coeffs"][:5], rotated_copies["coeffs"][:5],
                       rotated_copies["graph"], basis17, FilterSpec(kind=2, m=3))
+
+
+@pytest.mark.parametrize("kind", [2, 4])
+def test_denoise_solves_only_frequencies_with_content(kind, tiny_dataset, demo_graph, basis17,
+                                                      monkeypatch):
+    """Frequency k is solved (kinds 1-3) or its W_k built (kinds 4-5) only
+    when its image block is nonzero or its |CTF| block is above rounding.
+    The image blocks of k = 3, 4, 7 and 18 are zeroed here; |CTF| has
+    content only at k = 0 (mod 4), so k = 4 is still solved. Both output
+    blocks of a skipped k are exact zeros. The image output equals a per-k
+    loop over every frequency bit for bit, the CTF output to rounding."""
+    set_threads(1)  # the solves run in this process, where the counters see them
+    ds, g = tiny_dataset, demo_graph
+    config = RunConfig(n=60, L=17, support_radius=8.0, s=8, n_defocus_groups=4)
+    coeffs = expand_stack(ds["noisy"], basis17)
+    for k in (3, 4, 7, 18):
+        coeffs[:, basis17.k_slice(k)] = 0
+    ctf = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, config)
+    ks = range(basis17.k_max + 1)
+    solved = [k for k in ks if k not in (3, 7, 18)]
+    filt = FilterSpec(kind=kind, m=20)
+
+    spectra = [top_eigs(build_frequency_matrix(g, k), filt.m) for k in ks]
+    sqrt_d = np.sqrt(g.degrees)[:, None]
+    expected_a, expected_c = np.zeros_like(coeffs), np.zeros_like(ctf)
+    for k, (vals, vecs) in zip(ks, spectra):
+        sl, W = basis17.k_slice(k), build_frequency_matrix(g, k)
+        for out, block in ((expected_a, coeffs), (expected_c, ctf)):
+            if filt.truncated:
+                out[:, sl] = apply_spectral_filter(block[:, sl], vals, vecs, g.degrees, filt)
+            else:
+                out[:, sl] = _averaging_filter(W, sqrt_d, block[:, sl], 1)
+
+    solves, built = [], []
+
+    def counting_solve(W, m):
+        solves.append(top_eigs(W, m))
+        return solves[-1]
+
+    def counting_build(graph, k):
+        built.append(k)
+        return build_frequency_matrix(graph, k)
+
+    monkeypatch.setattr(mfvdm.denoise, "top_eigs", counting_solve)
+    monkeypatch.setattr(mfvdm.denoise, "build_frequency_matrix", counting_build)
+    da, dc = denoise_stack(coeffs, ctf, g, basis17, filt)
+    if filt.truncated:
+        # the solves come in k order, and each has the spectrum of its own k
+        assert built == [] and len(solves) == len(solved)
+        for (vals, _), k in zip(solves, solved):
+            np.testing.assert_array_equal(vals, spectra[k][0])
+    else:
+        assert solves == [] and built == solved
+    for k in sorted(set(ks) - set(solved)):
+        sl = basis17.k_slice(k)
+        assert not da[:, sl].any() and not dc[:, sl].any(), k
+    np.testing.assert_array_equal(da, expected_a)
+    assert np.abs(dc - expected_c).max() <= 1e-12 * np.abs(expected_c).max()
+
+
+@pytest.mark.parametrize("operand, shape", [("coeffs", (60, 50)), ("ctf_coeffs", (60, 50)),
+                                            ("ctf_coeffs", (59, 76))],
+                         ids=["coeffs-narrow", "ctf-narrow", "ctf-rows"])
+def test_denoise_checks_operand_shapes(operand, shape, demo_graph, basis17):
+    """Both operands must be (graph nodes, basis coefficients): a narrower
+    one would give a narrower output, and its missing blocks would look
+    empty and be skipped."""
+    ops = {"coeffs": _random_block(60, basis17.n_coeffs, seed=8),
+           "ctf_coeffs": _random_block(60, basis17.n_coeffs, seed=9)}
+    ops[operand] = ops[operand][:shape[0], :shape[1]]
+    with pytest.raises(ValueError, match=rf"^{operand} has shape \({shape[0]}, {shape[1]}\), "
+                                         r"expected \(60, 76\)"):
+        denoise_stack(ops["coeffs"], ops["ctf_coeffs"], demo_graph, basis17, FilterSpec(kind=4))
 
 
 def test_ctf_correct_exact_inverse():
@@ -203,3 +281,25 @@ def test_denoise_and_correct_matches_per_image_loop(tiny_dataset, demo_graph, ba
         ref = ift_grid(_grid_reference(da[i], basis17) * C / (C**2 + e)).real
         assert np.abs(eff[i] - C).max() <= 1e-12 * np.abs(C).max()
         assert np.abs(out[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("with_ctf", [True, False])
+@pytest.mark.parametrize("L", [17, 33])
+def test_absolute_ctf_coeffs_have_content_only_at_multiples_of_four(L, with_ctf, basis17,
+                                                                    basis33):
+    """The centred odd-L grid is invariant under 90-degree rotation, so a
+    radial profile expands to zeros off k = 0 (mod 4). Those |CTF| blocks
+    stay at or below CTF_ROUNDING of the largest entry, and denoise_stack
+    skips them when the image block is empty too; every k = 0 (mod 4) block
+    is above it. If a basis change breaks the symmetry, the skipped solves
+    come back, and this test says why. Measured: off-multiple blocks reach
+    at most 2.6e-16 of the largest entry, multiples of four at least 1e-3."""
+    basis = basis17 if L == 17 else basis33
+    groups = 20
+    manifest = SimpleNamespace(n=groups, defocus_group=np.arange(groups))
+    config = RunConfig(L=L, support_radius=(L - 1) / 2, with_ctf=with_ctf)
+    ctf = absolute_ctf_coeffs(manifest, default_defocus_groups(groups), basis, config)
+    floor = CTF_ROUNDING * np.abs(ctf).max()
+    for k in range(basis.k_max + 1):
+        peak = np.abs(ctf[:, basis.k_slice(k)]).max()
+        assert (peak > floor) == (k % 4 == 0), (k, peak / np.abs(ctf).max())
