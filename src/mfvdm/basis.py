@@ -238,11 +238,17 @@ def reconstruct_grid(coeffs, basis):
     Accepts one coefficient vector or an (n, n_coeffs) stack, giving an
     (L, L) or (n, L, L) grid. Includes the implied negative-k terms; for
     conjugate-symmetric coefficient data the result is the transform of a
-    real image.
+    real image. Only the columns of frequency blocks holding a nonzero entry
+    are multiplied: the other blocks add nothing.
     """
     coeffs = np.asarray(coeffs)
-    pos = basis.ks > 0
-    vals = coeffs @ basis.psi_grid.T
+    if coeffs.shape[-1] != basis.n_coeffs:
+        raise BasisError(f"coefficient width {coeffs.shape[-1]} does not match "
+                         f"basis n_coeffs={basis.n_coeffs}")
+    blocks = [coeffs[..., basis.k_slice(k)].any() for k in range(basis.k_max + 1)]
+    cols = np.repeat(blocks, basis.radial_counts)
+    pos = cols & (basis.ks > 0)
+    vals = coeffs[..., cols] @ basis.psi_grid[:, cols].T
     # sum over k<0: a_{-k,q} psi^{-k,q} = (-1)^k conj(a_{k,q} psi^{k,q})
     sign = np.where(basis.ks[pos] % 2 == 0, 1.0, -1.0)
     vals = vals + np.conj(coeffs[..., pos] @ (basis.psi_grid[:, pos] * sign[None, :]).T)

@@ -22,12 +22,6 @@ __all__ = [
     "ctf_correct",
 ]
 
-# The centred odd-L grid is invariant under 90-degree rotation, so a radial
-# profile such as |CTF| expands to exact zeros off k = 0 (mod 4); in floating
-# point those blocks hold rounding, under 3e-16 of the largest entry
-# (L = 17 and 33). Entries at or below this share of it count as empty.
-CTF_ROUNDING = 1e-12
-
 _FORMULAS = {
     1: lambda lam: lam,
     2: lambda lam: 2.0 * lam - lam**2,
@@ -92,11 +86,10 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
     with content.
 
     The filter is linear, so a frequency k is solved only when its image
-    block has a nonzero entry or its CTF block one above CTF_ROUNDING of the
-    largest CTF entry; both output blocks of every other k are zeros. The
-    truncated kinds filter each block as its eigenpairs arrive from
-    frequency_eigs. Returns (denoised coeffs, effective-CTF coeffs), both
-    (n, n_coeffs) like the inputs.
+    block or its CTF block has a nonzero entry; both output blocks of every
+    other k are zeros. The truncated kinds filter each block as its
+    eigenpairs arrive from frequency_eigs. Returns (denoised coeffs,
+    effective-CTF coeffs), both (n, n_coeffs) like the inputs.
     """
     coeffs = np.asarray(coeffs)
     ctf_coeffs = np.asarray(ctf_coeffs)
@@ -107,11 +100,8 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
                              "(graph nodes, basis coefficients)")
     out_a = np.zeros_like(coeffs)
     out_c = np.zeros_like(ctf_coeffs)
-    ctf_peaks = [np.abs(ctf_coeffs[:, basis.k_slice(k)]).max(initial=0.0)
-                 for k in range(basis.k_max + 1)]
-    floor = CTF_ROUNDING * max(ctf_peaks)
-    ks = [k for k, peak in enumerate(ctf_peaks)
-          if peak > floor or coeffs[:, basis.k_slice(k)].any()]
+    ks = [k for k in range(basis.k_max + 1)
+          if coeffs[:, basis.k_slice(k)].any() or ctf_coeffs[:, basis.k_slice(k)].any()]
     if filt.truncated:
         # this module's own top_eigs binding, so that a wrapper installed
         # here (perfbench/tracing.py) sees the solves made in this process
@@ -139,6 +129,6 @@ def ctf_correct(image_ft_grid, ctf_grid, eps):
     """
     C = np.asarray(ctf_grid, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    if (eps <= 0).any():
+    if not (eps > 0).all():
         raise ValueError("regularizer eps must be > 0")
     return ift_grid(image_ft_grid * C / (C**2 + eps[..., None, None])).real

@@ -77,14 +77,18 @@ def classify(coeffs, basis, config, noise_var=None):
 def absolute_ctf_coeffs(manifest, profiles, basis, config):
     """Per-image expansion coefficients of the absolute CTF radial profile
     (after phase flipping the effective transfer function is |CTF|). Without
-    CTF simulation the profile is identically one."""
-    if not config.with_ctf:
+    CTF simulation the profile is identically one. The profile is radial,
+    so only the k = 0 block of its expansion is kept: the other blocks hold
+    just the square grid's 4-fold aliasing, and are written as zeros."""
+    if config.with_ctf:
+        coeffs = np.stack([expand_disk_function(
+            lambda xi, theta: np.abs(ctf_value(prof, xi / prof.pixel_size_A)), basis)
+            for prof in profiles])[manifest.defocus_group]
+    else:
         one = expand_disk_function(lambda xi, theta: np.ones_like(xi), basis)
-        return np.tile(one, (manifest.n, 1))
-    table = np.stack([expand_disk_function(
-        lambda xi, theta: np.abs(ctf_value(prof, xi / prof.pixel_size_A)), basis)
-        for prof in profiles])
-    return table[manifest.defocus_group]
+        coeffs = np.tile(one, (manifest.n, 1))
+    coeffs[:, basis.ks > 0] = 0
+    return coeffs
 
 
 def denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config):

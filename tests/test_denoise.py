@@ -7,9 +7,10 @@ import pytest
 
 import mfvdm.denoise
 from mfvdm import RunConfig
-from mfvdm.basis import expand_disk_function, expand_stack, ft_grid, ift_grid
-from mfvdm.denoise import (CTF_ROUNDING, FilterSpec, _averaging_filter, apply_spectral_filter,
-                           ctf_correct, denoise_stack)
+from mfvdm.basis import (BasisError, expand_disk_function, expand_stack, ft_grid, ift_grid,
+                         reconstruct_grid)
+from mfvdm.denoise import (FilterSpec, _averaging_filter, apply_spectral_filter, ctf_correct,
+                           denoise_stack)
 from mfvdm.pipeline import absolute_ctf_coeffs, denoise_and_correct
 from mfvdm.pool import set_threads
 from mfvdm.simulate import ctf_value, default_defocus_groups
@@ -144,11 +145,11 @@ def test_denoise_shape_mismatch(rotated_copies, basis17):
 def test_denoise_solves_only_frequencies_with_content(kind, tiny_dataset, demo_graph, basis17,
                                                       monkeypatch):
     """Frequency k is solved (kinds 1-3) or its W_k built (kinds 4-5) only
-    when its image block is nonzero or its |CTF| block is above rounding.
-    The image blocks of k = 3, 4, 7 and 18 are zeroed here; |CTF| has
-    content only at k = 0 (mod 4), so k = 4 is still solved. Both output
-    blocks of a skipped k are exact zeros. The image output equals a per-k
-    loop over every frequency bit for bit, the CTF output to rounding."""
+    when its image block or its |CTF| block has a nonzero entry. The image
+    blocks of k = 3, 4, 7 and 18 are zeroed here; |CTF| has content only at
+    k = 0, so none of them is solved. Both output blocks of a skipped k are
+    exact zeros, and both outputs equal a per-k loop over every frequency
+    bit for bit."""
     set_threads(1)  # the solves run in this process, where the counters see them
     ds, g = tiny_dataset, demo_graph
     config = RunConfig(n=60, L=17, support_radius=8.0, s=8, n_defocus_groups=4)
@@ -157,7 +158,7 @@ def test_denoise_solves_only_frequencies_with_content(kind, tiny_dataset, demo_g
         coeffs[:, basis17.k_slice(k)] = 0
     ctf = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, config)
     ks = range(basis17.k_max + 1)
-    solved = [k for k in ks if k not in (3, 7, 18)]
+    solved = [k for k in ks if k not in (3, 4, 7, 18)]
     filt = FilterSpec(kind=kind, m=20)
 
     spectra = [top_eigs(build_frequency_matrix(g, k), filt.m) for k in ks]
@@ -195,7 +196,7 @@ def test_denoise_solves_only_frequencies_with_content(kind, tiny_dataset, demo_g
         sl = basis17.k_slice(k)
         assert not da[:, sl].any() and not dc[:, sl].any(), k
     np.testing.assert_array_equal(da, expected_a)
-    assert np.abs(dc - expected_c).max() <= 1e-12 * np.abs(expected_c).max()
+    np.testing.assert_array_equal(dc, expected_c)
 
 
 @pytest.mark.parametrize("operand, shape", [("coeffs", (60, 50)), ("ctf_coeffs", (60, 50)),
@@ -235,24 +236,35 @@ def test_ctf_correct_regularized_bounded():
         ctf_correct(ft_grid(np.stack([img, img])), np.stack([C, C]), eps=np.array([1e-2, 0.0]))
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.array([1e-2, np.nan])], ids=["scalar", "per-image"])
+def test_ctf_correct_rejects_nan_eps(eps):
+    """A NaN regularizer would deconvolve its images to NaN without error."""
+    img = np.ones((2, 17, 17))
+    with pytest.raises(ValueError, match="eps must be > 0"):
+        ctf_correct(ft_grid(img), np.ones_like(img), eps=eps)
+
+
+def _abs_ctf(prof, with_ctf):
+    """|CTF| of one defocus group as a function of (xi, theta), or one
+    without CTF."""
+    if not with_ctf:
+        return lambda xi, theta: np.ones_like(xi)
+    return lambda xi, theta: np.abs(ctf_value(prof, xi / prof.pixel_size_A))
+
+
 @pytest.mark.parametrize("with_ctf", [True, False])
 def test_absolute_ctf_coeffs_per_image(with_ctf, tiny_dataset, basis17):
-    """Each image's row expands |CTF| of its own defocus group, or one
-    without CTF."""
+    """Each image's row is the k = 0 block of the expansion of |CTF| of its
+    own defocus group, or of one without CTF, and zeros elsewhere."""
     ds = tiny_dataset
     config = RunConfig(n=60, L=17, support_radius=8.0, s=8, n_defocus_groups=4,
                        with_ctf=with_ctf)
     got = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, config)
     assert got.shape == (60, basis17.n_coeffs)
     for i, g in enumerate(ds["manifest"].defocus_group):
-        prof = ds["profiles"][g]
-
-        def profile(xi, theta):
-            if not with_ctf:
-                return np.ones_like(xi)
-            return np.abs(ctf_value(prof, xi / prof.pixel_size_A))
-
-        np.testing.assert_array_equal(got[i], expand_disk_function(profile, basis17))
+        expected = expand_disk_function(_abs_ctf(ds["profiles"][g], with_ctf), basis17)
+        expected[basis17.ks > 0] = 0
+        np.testing.assert_array_equal(got[i], expected)
 
 
 def _grid_reference(a, basis):
@@ -285,21 +297,37 @@ def test_denoise_and_correct_matches_per_image_loop(tiny_dataset, demo_graph, ba
 
 @pytest.mark.parametrize("with_ctf", [True, False])
 @pytest.mark.parametrize("L", [17, 33])
-def test_absolute_ctf_coeffs_have_content_only_at_multiples_of_four(L, with_ctf, basis17,
-                                                                    basis33):
-    """The centred odd-L grid is invariant under 90-degree rotation, so a
-    radial profile expands to zeros off k = 0 (mod 4). Those |CTF| blocks
-    stay at or below CTF_ROUNDING of the largest entry, and denoise_stack
-    skips them when the image block is empty too; every k = 0 (mod 4) block
-    is above it. If a basis change breaks the symmetry, the skipped solves
-    come back, and this test says why. Measured: off-multiple blocks reach
-    at most 2.6e-16 of the largest entry, multiples of four at least 1e-3."""
+def test_absolute_ctf_coeffs_are_radial(L, with_ctf, basis17, basis33):
+    """|CTF| (or one) is radial: every k > 0 block is exact zeros, so that
+    denoise_stack and reconstruct_grid skip it, and the k = 0 block is the
+    k = 0 block of expand_disk_function's fit, bit for bit."""
     basis = basis17 if L == 17 else basis33
     groups = 20
     manifest = SimpleNamespace(n=groups, defocus_group=np.arange(groups))
     config = RunConfig(L=L, support_radius=(L - 1) / 2, with_ctf=with_ctf)
-    ctf = absolute_ctf_coeffs(manifest, default_defocus_groups(groups), basis, config)
-    floor = CTF_ROUNDING * np.abs(ctf).max()
-    for k in range(basis.k_max + 1):
-        peak = np.abs(ctf[:, basis.k_slice(k)]).max()
-        assert (peak > floor) == (k % 4 == 0), (k, peak / np.abs(ctf).max())
+    profiles = default_defocus_groups(groups)
+    ctf = absolute_ctf_coeffs(manifest, profiles, basis, config)
+    assert not ctf[:, basis.ks > 0].any()
+    for row, prof in zip(ctf, profiles):
+        fit = expand_disk_function(_abs_ctf(prof, with_ctf), basis)
+        np.testing.assert_array_equal(row[basis.k_slice(0)], fit[basis.k_slice(0)])
+
+
+def test_reconstruct_grid_skips_zero_blocks(basis17):
+    """Zeroed frequency blocks are left out of the products without changing
+    the grid, for a stack and for one vector; a coefficient width other
+    than the basis's raises BasisError naming both widths."""
+    a = _random_block(3, basis17.n_coeffs, seed=10)
+    for k in (0, 2, 3, basis17.k_max):
+        a[:, basis17.k_slice(k)] = 0
+    a[0, basis17.k_slice(5)] = 0   # a block is kept when any row has content
+    a[2] = 0
+    got = reconstruct_grid(a, basis17)
+    for i in range(3):
+        ref = _grid_reference(a[i], basis17)
+        for grid in (got[i], reconstruct_grid(a[i], basis17)):
+            assert np.abs(grid - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1.0)
+    assert not got[2].any()
+    with pytest.raises(BasisError, match=rf"width {basis17.n_coeffs - 1} does not match "
+                                         rf"basis n_coeffs={basis17.n_coeffs}"):
+        reconstruct_grid(a[:, 1:], basis17)
