@@ -6,18 +6,13 @@ by edge union with the reverse angle negated, so stored angles satisfy
 alpha_ij = -alpha_ji exactly.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import expand_stack  # noqa: F401 - unused; perfbench/tracing.py wraps it here
 from .io import FormatError, atomic_open
-from .pool import fork_map, row_blocks
-
-# rows per task of the pooled RID search, rounded down to whole row blocks
-# (at least one), so that the pooled search ranks the serial search's blocks
-SEARCH_TASK_ROWS = 128
+from .pool import cache_blocks, fork_map, pair_blocks
 
 __all__ = ["ViewGraph", "symmetrize", "initial_nn_search", "viewing_angle",
            "true_alignment", "write_graph_csv", "read_graph_csv"]
@@ -96,25 +91,111 @@ def smallest_s(keys, s):
     return np.take_along_axis(cols, order, axis=1)
 
 
-def search_bytes(n, n_freqs, fft_size):
-    """(bytes per ranked row, bytes per block) of the RID search's
-    temporaries. Each row holds one complex cross-spectrum row, its real and
-    imaginary parts for each of n_freqs frequencies, and the best shift,
-    best value, distance and sort key of each of the n columns; a block
-    holds one row of correlations over the fft_size-point rotation grid."""
-    return n * (16 + 16 * n_freqs + 32), 8 * n * fft_size
+def rank_pairs(n, s, bytes_per_pair, score, shared, mirror=None):
+    """Per row i of a symmetric n x n matrix of keys, the s columns j != i
+    of smallest key, ties broken by the smaller j: [keys, cols, *payload],
+    each (n, s), in ascending key order.
+
+    score(*shared, rows, cols) returns the keys of the pairs rows x cols and
+    any payload arrays of the same shape, within bytes_per_pair a pair.
+    Each unordered pair is scored once, on the side of its smaller index i;
+    row j reads the same key and mirror(payload). The rows are cut into
+    square blocks (pool.pair_blocks), and the block pairs (I <= J) are the
+    tasks of pool.fork_map; a task ranks its pairs for the rows of both of
+    its blocks. The results merge in task order, so each row sees its column
+    blocks in ascending order, and the ranking depends on neither the block
+    size nor the number of workers.
+    """
+    if not 0 < s < n:
+        raise ValueError(f"s={s} must be in 1..{n - 1} for n={n}")
+    blocks = pair_blocks(n, bytes_per_pair)
+    tasks = [(rows, cols) for a, rows in enumerate(blocks) for cols in blocks[a:]]
+    best = None
+    for ranked in fork_map(_rank_block_pair, tasks, shared=(score, shared, s, mirror)):
+        for rows, found in ranked:
+            if best is None:
+                best = [np.zeros((n, s), a.dtype) for a in found]
+                best[0][:] = np.inf
+            merged = [np.concatenate([b[rows], a], axis=1) for b, a in zip(best, found)]
+            order = np.argsort(merged[0], axis=1, kind="stable")[:, :s]
+            for b, a in zip(best, merged):
+                b[rows] = np.take_along_axis(a, order, axis=1)
+    return best
+
+
+def _rank_block_pair(score, shared, s, mirror, pair):
+    """[(rows, [keys, cols, *payload])] of the s smallest keys of each row
+    of both blocks of pair, padded with +inf keys where a block is narrower
+    than s. A diagonal block reads its upper triangle for both rows."""
+    rows, cols = pair
+    keys, *payload = score(*shared, rows, cols)
+    if rows == cols:
+        lower = np.tri(keys.shape[0], k=-1, dtype=bool)
+        keys = np.where(lower, keys.T, keys)
+        np.fill_diagonal(keys, np.inf)
+        sides = [(rows, cols, keys, [np.where(lower, mirror(p.T), p) for p in payload])]
+    else:
+        sides = [(rows, cols, keys, payload),
+                 (cols, rows, keys.T, [mirror(p.T) for p in payload])]
+    ranked = []
+    for here, there, k, p in sides:
+        if k.shape[1] < s:
+            pad = ((0, 0), (0, s - k.shape[1]))
+            k, p = np.pad(k, pad, constant_values=np.inf), [np.pad(a, pad) for a in p]
+        order = smallest_s(k, s)
+        ranked.append((here, [np.take_along_axis(k, order, axis=1), there.start + order,
+                              *(np.take_along_axis(a, order, axis=1) for a in p)]))
+    return ranked
+
+
+def block_product(a, b):
+    """a @ b.T for blocks of rows a and b, with b padded by zero rows to a
+    multiple of 8 for the product and the padding's columns dropped after.
+    OpenBLAS's complex kernel rounds the last (width mod 4) columns of a
+    product differently from the others (Haswell); padded, every column
+    takes the main kernel, so a pair's value does not depend on the block
+    that holds it."""
+    width = b.shape[0]
+    padded = np.zeros((width + -width % 8, b.shape[1]), b.dtype)
+    padded[:width] = b
+    return (a @ padded.T)[:, :width]
+
+
+def search_pair_bytes(n_freqs):
+    """Bytes of the RID search's temporaries per image pair: the real and
+    imaginary parts of its cross-spectra at n_freqs frequencies, one
+    complex cross-spectrum value, and its best grid point, best value,
+    distance, mirrored copies and sort keys."""
+    return 16 * n_freqs + 16 + 64
 
 
 def rotation_table(ks, fft_size, weights):
     """(2K, fft_size) table [w cos(2 pi k t / N); -w sin(2 pi k t / N)] over
     the frequencies ks and grid points t = 0..N-1 (N = fft_size). With the
-    real parts of spectra z(k) in the first K columns of a row and their
-    imaginary parts in the last K, the row times the table is
+    real parts of spectra z(k) in the first K rows of a column and their
+    imaginary parts in the last K, the column times the table is
     Re sum_k w(k) z(k) e^{2 pi i k t / N} on the whole grid."""
     ks = np.asarray(ks)
     phase = 2.0 * np.pi * (np.outer(ks, np.arange(fft_size)) % fft_size) / fft_size
     w = np.asarray(weights, dtype=float)[:, None]
     return np.concatenate([w * np.cos(phase), -w * np.sin(phase)])
+
+
+def grid_argmax(spec, table):
+    """(t, value): per column p of spec (2K, m), the grid point t that
+    maximizes spec[:, p] @ table[:, t], and that maximum. The products are
+    formed for a chunk of columns at a time (pool.cache_blocks) into one
+    reused buffer that stays in cache."""
+    m, fft_size = spec.shape[1], table.shape[1]
+    best_t, best = np.empty(m, dtype=np.intp), np.empty(m)
+    chunks = cache_blocks(m, 8 * fft_size)
+    buf = np.empty((chunks[0].stop - chunks[0].start) * fft_size)
+    for c in chunks:
+        corr = buf[:(c.stop - c.start) * fft_size].reshape(-1, fft_size)
+        np.matmul(spec[:, c].T, table, out=corr)
+        np.argmax(corr, axis=1, out=best_t[c])
+        best[c] = np.take_along_axis(corr, best_t[c, None], axis=1)[:, 0]
+    return best_t, best
 
 
 def grid_angle(t, fft_size):
@@ -131,77 +212,46 @@ def initial_nn_search(coeffs, basis, s, fft_size=256):
 
     The correlation of two images over the fft_size-point rotation grid is
     a trigonometric polynomial in the ranked frequencies: the real and
-    imaginary parts of each pair's per-k cross-spectra times one
-    rotation_table, a real matrix product. Rows are ranked a block at a
-    time (pool.row_blocks); each block's temporaries stay within
-    pool.BLOCK_BYTES.
-    Runs of consecutive blocks, about SEARCH_TASK_ROWS rows each, are the
-    tasks of pool.fork_map; the graph does not depend on the number of
-    workers.
+    imaginary parts of the pair's per-k cross-spectra times one
+    rotation_table, a real matrix product. Each unordered pair is scored
+    once, by rank_pairs: its distance and grid point t on the side of its
+    smaller index, and (N - t) mod N on the other side. The graph does not
+    depend on the block size or the number of workers.
     """
     coeffs = np.asarray(coeffs)
     n = coeffs.shape[0]
-    if n < s + 1:
-        raise ValueError(f"need at least s+1={s + 1} images, got {n}")
     if fft_size < 2 * basis.k_max + 1:
         raise ValueError(f"fft_size must be >= {2 * basis.k_max + 1}")
+    finite = np.isfinite(coeffs).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"image {int(np.flatnonzero(~finite)[0])} has non-finite coefficients")
     freqs = np.flatnonzero([coeffs[:, basis.k_slice(k)].any() for k in range(basis.k_max + 1)])
     # column-major: BLAS then sums each row's terms in column order
     sq = np.asfortranarray(np.abs(coeffs) ** 2) @ np.where(basis.ks == 0, 1.0, 2.0)
 
-    # per ranked frequency, its coefficient block and conjugate transpose,
-    # for fast cross-spectra; the k > 0 terms count their conjugate twice
-    blocks = [(b, np.conj(b).T) for b in (coeffs[:, basis.k_slice(k)].copy() for k in freqs)]
+    # per ranked frequency, its coefficient block; the k > 0 terms count
+    # their conjugate twice
+    blocks = [coeffs[:, basis.k_slice(k)].copy() for k in freqs]
     table = rotation_table(freqs, fft_size, np.where(freqs == 0, 1.0, 2.0))
-    chunks = row_blocks(n, *search_bytes(n, freqs.size, fft_size))
-    per_task = max(1, SEARCH_TASK_ROWS // (chunks[0].stop - chunks[0].start))
-    tasks = [chunks[i:i + per_task] for i in range(0, len(chunks), per_task)]
-    parts = fork_map(_rank_rows, tasks, shared=(blocks, table, sq, s))
-    nb_idx, nb_alpha, nb_dist = (np.concatenate(p) for p in zip(*parts))
-    return symmetrize(n, np.repeat(np.arange(n), s), nb_idx.ravel(),
-                      nb_alpha.ravel(), nb_dist.ravel())
+    d2, nb, t = rank_pairs(n, s, search_pair_bytes(freqs.size), _score_pairs,
+                           (blocks, table, sq), mirror=lambda t: (fft_size - t) % fft_size)
+    return symmetrize(n, np.repeat(np.arange(n), s), nb.ravel(),
+                      grid_angle(t, fft_size).ravel(), np.sqrt(d2).ravel())
 
 
-def _rank_rows(blocks, table, sq, s, chunks):
-    """(indices, angles, distances), each (rows, s), of the s nearest
-    neighbors of the rows of consecutive slices chunks, one chunk at a
-    time."""
-    start, n = chunks[0].start, sq.size
-    n_freqs, fft_size = table.shape[0] // 2, table.shape[1]
-    nb_idx = np.empty((chunks[-1].stop - start, s), dtype=int)
-    nb_alpha = np.empty(nb_idx.shape)
-    nb_dist = np.empty(nb_idx.shape)
-    # the correlations of one row at a time, in one buffer: a chunk's would
-    # pass malloc's mmap threshold at n = 10^4 (41 MB for two rows), be
-    # mapped and page-faulted anew for every chunk and fall out of cache
-    # before argmax reads it, which made the search 1.9x slower per row
-    corr = np.empty((n, fft_size))
-    cols = np.arange(n)
-    for chunk in chunks:
-        lo, hi = chunk.start, chunk.stop
-        spec = np.empty((hi - lo, n, 2 * n_freqs))
-        for r, (b, bh) in enumerate(blocks):
-            c = b[lo:hi] @ bh
-            spec[:, :, r] = c.real
-            spec[:, :, n_freqs + r] = c.imag
-        del c
-        best_t = np.empty((hi - lo, n), dtype=np.intp)
-        best = np.empty((hi - lo, n))
-        for r in range(hi - lo):
-            np.matmul(spec[r], table, out=corr)
-            np.argmax(corr, axis=-1, out=best_t[r])
-            best[r] = corr[cols, best_t[r]]
-        del spec
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * best
-        np.maximum(d2, 0.0, out=d2)
-        r = np.arange(hi - lo)
-        d2[r, lo + r] = np.inf
-        order = smallest_s(d2, s)
-        out = slice(lo - start, hi - start)
-        nb_idx[out] = order
-        nb_dist[out] = np.sqrt(np.take_along_axis(d2, order, axis=1))
-        nb_alpha[out] = grid_angle(np.take_along_axis(best_t, order, axis=1), fft_size)
-    return nb_idx, nb_alpha, nb_dist
+def _score_pairs(blocks, table, sq, rows, cols):
+    """(d^2, t) of the image pairs rows x cols: the squared RID distance and
+    the grid point of the best rotation of each."""
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    # one contiguous row per real or imaginary part
+    spec = np.empty((2 * len(blocks), shape[0] * shape[1]))
+    for r, b in enumerate(blocks):
+        c = block_product(b[rows], np.conj(b[cols]))
+        spec[r].reshape(shape)[:] = c.real
+        spec[len(blocks) + r].reshape(shape)[:] = c.imag
+    best_t, best = grid_argmax(spec, table)
+    d2 = sq[rows, None] + sq[None, cols] - 2.0 * best.reshape(shape)
+    return np.maximum(d2, 0.0, out=d2), best_t.reshape(shape)
 
 
 def viewing_angle(v_i, v_j):
@@ -241,12 +291,10 @@ def write_graph_csv(graph, path):
     unset = [np.nan] * graph.indices.size
     angles = unset if graph.angles is None else graph.angles.tolist()
     dists = unset if graph.dists is None else graph.dists.tolist()
+    rows = zip(graph.rows.tolist(), graph.indices.tolist(), angles, dists, strict=True)
     with atomic_open(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "alpha_ij_radians", "d_rid"])
-        w.writerows([i, j, repr(al), repr(d)] for i, j, al, d in
-                    zip(graph.rows.tolist(), graph.indices.tolist(), angles, dists,
-                        strict=True))
+        fh.write("".join(["i,j,alpha_ij_radians,d_rid\r\n"]
+                         + [f"{i},{j},{al!r},{d!r}\r\n" for i, j, al, d in rows]))
 
 
 def read_graph_csv(path):

@@ -1,31 +1,39 @@
 """Order-preserving map over a fork process pool, the process-wide worker
 and OpenBLAS thread cap, and the sizes of row blocks.
 
-The projections of the simulator, the row ranges of the initial RID search
-and the per-frequency eigensolves are independent tasks. `fork_map` runs such
-tasks on worker processes that inherit the large shared operands by fork, so
-only the small task descriptions and the results are pickled. `set_threads`
-caps the workers of every later `fork_map` call in the process.
+The projections of the simulator, the row-block pairs of the initial RID
+search and of the affinity ranking, and the per-frequency eigensolves are
+independent tasks. `fork_map` runs such tasks on worker processes that
+inherit the large shared operands by fork, so only the small task
+descriptions and the results are pickled. `set_threads` caps the workers of
+every later `fork_map` call in the process.
 
-Work over the rows of a stack or a graph (the simulator's and preprocessing's
-image transforms, the RID search, the affinity ranking, the edge alignment)
-runs in `row_blocks`, sized so that one block's temporaries stay within
-BLOCK_BYTES: peak memory then grows with neither n nor n^2.
+Work over the images of a stack (the simulator's and preprocessing's image
+transforms) runs in `row_blocks`, sized so that one block's temporaries stay
+within BLOCK_BYTES, and work over pairs of images or nodes (the RID search,
+the affinity ranking) in pairs of `pair_blocks`, sized alike: peak memory
+then grows with neither n nor n^2. Work whose temporaries are written and at
+once read back (the correlations over a rotation grid, the edge alignment)
+runs in `cache_blocks`, within CACHE_BYTES.
 """
 
 import ctypes
+import math
 import multiprocessing
 import os
 import signal
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["fork_map", "set_threads", "set_blas_threads", "BLOCK_BYTES", "block_rows",
-           "row_blocks", "image_bytes"]
+__all__ = ["fork_map", "set_threads", "set_blas_threads", "BLOCK_BYTES", "CACHE_BYTES",
+           "row_blocks", "pair_blocks", "cache_blocks", "image_bytes"]
 
-# Byte budget for the temporaries of one block of rows, images or edges; it
-# sets every block size of row_blocks.
+# Byte budget for the temporaries of one block of rows or images, or of one
+# pair of row blocks; it sets the block sizes of row_blocks and pair_blocks.
 BLOCK_BYTES = 16 * 2**20
+# Byte budget for temporaries that are written and at once read back, so
+# that they stay in cache; it sets the block sizes of cache_blocks.
+CACHE_BYTES = 2**20
 
 _PR_SET_PDEATHSIG = 1   # linux/prctl.h
 # OpenBLAS names its thread setter with or without the scipy wheels' prefix
@@ -116,19 +124,30 @@ def set_blas_threads(n):
     return count
 
 
-def block_rows(bytes_per_row, fixed_bytes=0):
-    """Rows per block so that one block's temporaries, bytes_per_row a row
-    plus fixed_bytes, stay within BLOCK_BYTES (at least one row)."""
-    return max(1, int((BLOCK_BYTES - fixed_bytes) // max(bytes_per_row, 1)))
-
-
-def row_blocks(n, bytes_per_row, fixed_bytes=0):
+def row_blocks(n, bytes_per_row):
     """Slices covering range(n) in order, in blocks of at most
-    max(block_rows(bytes_per_row, fixed_bytes), 2) rows whose sizes differ
-    by at most one. No block holds a single row unless n is 1: BLAS
-    multiplies one row by its vector path, whose last bits differ from those
-    of the matrix path that larger blocks take."""
-    count = max(1, min(-(-n // block_rows(bytes_per_row, fixed_bytes)), n // 2))
+    max(BLOCK_BYTES // bytes_per_row, 2) rows whose sizes differ by at most
+    one. No block holds a single row unless n is 1: BLAS multiplies one row
+    by its vector path, whose last bits differ from those of the matrix path
+    that larger blocks take."""
+    return _blocks(n, BLOCK_BYTES // bytes_per_row)
+
+
+def pair_blocks(n, bytes_per_pair):
+    """Square blocks of range(n), cut as row_blocks, so that the
+    temporaries of a pair of blocks, bytes_per_pair for each pair of their
+    rows, stay within BLOCK_BYTES."""
+    return _blocks(n, math.isqrt(BLOCK_BYTES // bytes_per_pair))
+
+
+def cache_blocks(n, bytes_per_row):
+    """Blocks of range(n), cut as row_blocks, whose temporaries,
+    bytes_per_row a row, stay within CACHE_BYTES."""
+    return _blocks(n, CACHE_BYTES // bytes_per_row)
+
+
+def _blocks(n, rows):
+    count = max(1, min(-(-n // max(rows, 1)), n // 2))
     size, extra = divmod(n, count)
     starts = [i * size + min(i, extra) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(starts, starts[1:])]

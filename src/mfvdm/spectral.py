@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import grid_angle, rotation_table, smallest_s, symmetrize
-from .pool import fork_map, row_blocks
+from .graph import block_product, grid_angle, grid_argmax, rank_pairs, rotation_table, symmetrize
+from .pool import cache_blocks, fork_map
 
 __all__ = [
     "SpectralBundle",
@@ -206,44 +206,42 @@ def _affinity_factors(bundle):
     return factors, dropped
 
 
-def _affinity_rows(factors, n, start, stop):
-    """Rows start:stop of the affinity matrix, from the rank-m factors of
-    each P_k; only a (stop - start) x n block is ever formed."""
-    A = np.zeros((stop - start, n))
+def _affinity_block(factors, rows, cols):
+    """The affinities of the node pairs rows x cols, from the rank-m factors
+    of each P_k; only a block of pairs is ever formed."""
+    A = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
     for lam, U, ok, norm in factors:
-        # conj(P_k[rows]); the conjugate keeps U^T a view and |P|^2 unchanged
-        P = (np.conj(U[start:stop]) * lam[None, :]) @ U.T
-        A += np.where(ok[start:stop, None] & ok[None, :],
-                      np.abs(P) ** 2 / (norm[start:stop, None] * norm[None, :]), 0.0)
+        # conj(P_k[rows, cols]), which has the same |P|^2
+        P = block_product(np.conj(U[rows]) * lam[None, :], U[cols])
+        A += np.where(ok[rows, None] & ok[None, cols],
+                      np.abs(P) ** 2 / (norm[rows, None] * norm[None, cols]), 0.0)
     return A
+
+
+def _affinity_keys(factors, rows, cols):
+    return (np.negative(_affinity_block(factors, rows, cols)),)
 
 
 def refine_neighbors(bundle, s):
     """Per node, the s largest-affinity other nodes; ties broken by smaller
     index. Returns a symmetrized ViewGraph with angles unset.
 
-    Affinity rows are formed and ranked a block at a time, so no n x n
-    matrix is held."""
-    n = bundle.n
-    if s >= n:
-        raise ValueError(f"s={s} must be < n={n}")
+    The affinity is symmetric, so graph.rank_pairs forms each block of node
+    pairs once and ranks it for the nodes on both sides; no n x n matrix is
+    held."""
     factors, _ = _affinity_factors(bundle)
-    # per row: P (complex), |P|^2 and its quotient, the mask, A, sort keys
-    nb = np.empty((n, s), dtype=int)
-    for rows in row_blocks(n, 64 * n):
-        A = _affinity_rows(factors, n, rows.start, rows.stop)
-        r = np.arange(rows.stop - rows.start)
-        A[r, rows.start + r] = -np.inf
-        nb[rows] = smallest_s(-A, s)
-    return symmetrize(n, np.repeat(np.arange(n), s), nb.ravel())
+    # per pair: P (complex), |P|^2 and its quotient, the mask, A, sort keys
+    _, nb = rank_pairs(bundle.n, s, 64, _affinity_keys, (factors,))
+    return symmetrize(bundle.n, np.repeat(np.arange(bundle.n), s), nb.ravel())
 
 
-def align_edge_bytes(kmax, m, fft_size):
+def align_edge_bytes(kmax, m):
     """Bytes of align_graph's temporaries per edge: the real and imaginary
-    parts of z(k) for k = 0..kmax, the objective over the fft_size-point
-    rotation grid with its argmax, and three rows of m complex values (the
-    gathered eigenvector rows and their products)."""
-    return 16 * (kmax + 1) + 8 * fft_size + 8 + 48 * m
+    parts of z(k) for k = 0..kmax, the best grid point and value, and three
+    rows of m complex values (the gathered eigenvector rows and their
+    products). The objective over the rotation grid is formed in
+    graph.grid_argmax's chunks."""
+    return 16 * (kmax + 1) + 16 + 48 * m
 
 
 def align_graph(bundle, graph, fft_size=1024):
@@ -254,8 +252,8 @@ def align_graph(bundle, graph, fft_size=1024):
     real and imaginary parts of z times one graph.rotation_table, a real
     matrix product. For a transport-consistent graph P_k(i, j) has phase
     e^{-ik alpha_ij}, so the maximizer recovers the stored angle convention.
-    Vectorized over blocks of edges; fills graph.angles in place, with
-    alpha_ji = -alpha_ij.
+    Vectorized over cache-sized chunks of edges (pool.cache_blocks); fills
+    graph.angles in place, with alpha_ji = -alpha_ij.
     """
     if fft_size <= bundle.k_list.max():
         raise ValueError("fft_size must exceed the largest frequency")
@@ -266,14 +264,13 @@ def align_graph(bundle, graph, fft_size=1024):
                for k, lam, U in zip(bundle.k_list, bundle.eigenvalues, bundle.eigenvectors)]
     table = rotation_table(np.arange(kmax + 1), fft_size, np.ones(kmax + 1))
     alpha = np.empty(ii.size)
-    for rows in row_blocks(ii.size, align_edge_bytes(kmax, bundle.m, fft_size)):
+    for rows in cache_blocks(ii.size, align_edge_bytes(kmax, bundle.m)):
         a, b = ii[rows], jj[rows]
-        Z = np.zeros((a.size, 2 * (kmax + 1)))
+        Z = np.zeros((2 * (kmax + 1), a.size))
         for k, lam, U in factors:
             z = np.sum(lam[None, :] * U[a] * np.conj(U[b]), axis=1)
-            Z[:, k], Z[:, kmax + 1 + k] = z.real, z.imag
-        obj = Z @ table
-        alpha[rows] = grid_angle(np.argmax(obj, axis=1), fft_size)
+            Z[k], Z[kmax + 1 + k] = z.real, z.imag
+        alpha[rows] = grid_angle(grid_argmax(Z, table)[0], fft_size)
     aligned = symmetrize(graph.n, ii, jj, alpha)
     if not (np.array_equal(aligned.indptr, graph.indptr)
             and np.array_equal(aligned.indices, graph.indices)):

@@ -10,7 +10,7 @@ from mfvdm.basis import BasisError, expand_stack, freq_grid, ft_grid, ift_grid, 
 from mfvdm.graph import viewing_angle
 from mfvdm.simulate import (_rng, ctf_grid, default_defocus_groups, make_phantom, preprocess,
                             project)
-from mfvdm.spectral import _affinity_factors, _affinity_rows
+from mfvdm.spectral import _affinity_block, _affinity_factors
 
 
 # --------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def affinity_matrix(bundle):
     the row-block routine of ``refine_neighbors`` run over all rows; returns
     (A, dropped_count)."""
     factors, dropped = _affinity_factors(bundle)
-    return _affinity_rows(factors, bundle.n, 0, bundle.n), dropped
+    return _affinity_block(factors, slice(0, bundle.n), slice(0, bundle.n)), dropped
 
 
 def alignment_spectrum(bundle, i, j):

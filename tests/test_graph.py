@@ -9,7 +9,7 @@ from mfvdm.graph import (
     ViewGraph,
     initial_nn_search,
     read_graph_csv,
-    search_bytes,
+    search_pair_bytes,
     smallest_s,
     symmetrize,
     true_alignment,
@@ -39,24 +39,28 @@ def test_search_finds_rotated_copies(rotated_copies, basis17):
     assert diff.max() < 1e-9
 
 
+def _search_blocks(monkeypatch, basis, rows):
+    """Set BLOCK_BYTES so that the RID search of the tiny stack (every
+    frequency ranked) cuts its rows into blocks of at most rows; None: one
+    block. Returns the blocks."""
+    pair_bytes = search_pair_bytes(basis.k_max + 1)
+    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", 2**40 if rows is None else rows**2 * pair_bytes)
+    return mfvdm.pool.pair_blocks(60, pair_bytes)
+
+
 def test_search_chunk_invariant(tiny_dataset, basis17, monkeypatch):
-    """Ranking one row, a few rows or every row at a time gives the same
-    graph."""
+    """Ranking every row at once, in 2-row blocks, or in ragged blocks
+    narrower than s gives the same graph bit for bit: each pair is scored
+    once, on the side of its smaller index, whatever block holds it."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
-    n = coeffs.shape[0]
-    # the search's temporaries at its default fft_size of 256, ranking every
-    # frequency (none of the blocks is zero)
-    row_bytes, fixed = search_bytes(n, basis17.k_max + 1, 256)
-    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + n * row_bytes)
+    assert len(_search_blocks(monkeypatch, basis17, None)) == 1
     whole = initial_nn_search(coeffs, basis17, s=8)
-    for rows in (1, 7):
-        monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + rows * row_bytes)
-        assert mfvdm.pool.block_rows(row_bytes, fixed) == rows
+    for rows, sizes in ((2, {2}), (7, {6, 7})):
+        blocks = _search_blocks(monkeypatch, basis17, rows)
+        assert {b.stop - b.start for b in blocks} == sizes
         g = initial_nn_search(coeffs, basis17, s=8)
-        np.testing.assert_array_equal(g.indptr, whole.indptr)
-        np.testing.assert_array_equal(g.indices, whole.indices)
-        np.testing.assert_array_equal(g.angles, whole.angles)
-        np.testing.assert_allclose(g.dists, whole.dists, rtol=1e-12)
+        for name in ("indptr", "indices", "angles", "dists"):
+            np.testing.assert_array_equal(getattr(g, name), getattr(whole, name), err_msg=name)
 
 
 def test_search_blocks_never_hold_one_row(tiny_dataset, basis17, monkeypatch):
@@ -65,12 +69,9 @@ def test_search_blocks_never_hold_one_row(tiny_dataset, basis17, monkeypatch):
     vector path, whose distances differ in the last bits. The graph equals
     the one-block search's bit for bit."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
-    n = coeffs.shape[0]
-    row_bytes, fixed = search_bytes(n, basis17.k_max + 1, 256)
-    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + n * row_bytes)
+    _search_blocks(monkeypatch, basis17, None)
     whole = initial_nn_search(coeffs, basis17, s=8)
-    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + 59 * row_bytes)
-    assert mfvdm.pool.block_rows(row_bytes, fixed) == 59
+    assert _search_blocks(monkeypatch, basis17, 59) == [slice(0, 30), slice(30, 60)]
     blocked = initial_nn_search(coeffs, basis17, s=8)
     for name in ("indptr", "indices", "angles", "dists"):
         np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name), err_msg=name)
@@ -114,6 +115,20 @@ def test_search_validation(basis17):
         initial_nn_search(coeffs, basis17, s=4)
     with pytest.raises(ValueError):
         initial_nn_search(coeffs, basis17, s=2, fft_size=8)
+    for s in (0, -1):
+        with pytest.raises(ValueError, match=f"s={s} "):
+            initial_nn_search(coeffs, basis17, s=s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_search_rejects_non_finite_coefficients(bad, tiny_dataset, basis17):
+    """A non-finite coefficient would give non-finite distances; the search
+    names the first image that holds one."""
+    coeffs = expand_stack(tiny_dataset["noisy"], basis17)
+    coeffs[3, 5] = bad
+    coeffs[7, 0] = bad
+    with pytest.raises(ValueError, match="image 3 "):
+        initial_nn_search(coeffs, basis17, s=8)
 
 
 def test_true_alignment_in_plane():
@@ -160,12 +175,14 @@ def test_graph_csv_round_trip(demo_graph, tmp_path):
 
 
 def test_search_matches_rid_oracle(tiny_dataset, basis17):
-    """Every directed edge of the search carries the scalar RID distance and
-    angle of its image pair."""
+    """Every directed edge of the search carries the scalar RID angle of its
+    image pair, and the distance of the pair as scored from its smaller
+    index."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
     g = initial_nn_search(coeffs, basis17, s=8)
     for (i, j, alpha), d in zip(g.edges(), g.dists):
-        d_ref, alpha_ref = rid_align(coeffs[i], coeffs[j], basis17, fft_size=256)
+        _, alpha_ref = rid_align(coeffs[i], coeffs[j], basis17, fft_size=256)
+        d_ref, _ = rid_align(coeffs[min(i, j)], coeffs[max(i, j)], basis17, fft_size=256)
         assert abs(d - d_ref) <= 1e-12 * d_ref
         assert abs((alpha - alpha_ref + np.pi) % (2 * np.pi) - np.pi) < 1e-12
 

@@ -1,6 +1,6 @@
 """The fork pool: order, errors, worker death, the serial path, the
-process-wide worker cap, and bitwise agreement of the pooled projections
-and RID search with their serial runs."""
+process-wide worker cap, and bitwise agreement of the pooled projections,
+RID search and affinity ranking with their serial runs."""
 
 import os
 import threading
@@ -9,13 +9,12 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-import mfvdm.graph
 import mfvdm.pool
 from mfvdm.basis import expand_stack
-from mfvdm.graph import initial_nn_search, search_bytes
+from mfvdm.graph import initial_nn_search, search_pair_bytes
 from mfvdm.pool import fork_map, set_threads
 from mfvdm.simulate import PROJECT_BLOCK, make_phantom, project, project_stack, sample_rotations
-from mfvdm.spectral import frequency_eigs
+from mfvdm.spectral import compute_bundle, frequency_eigs, refine_neighbors
 from test_spectral import _two_cpus
 
 
@@ -87,44 +86,61 @@ def test_project_stack_pooled_matches_serial(forks):
     assert len(forks) == 2
 
 
+def _ragged_blocks(monkeypatch, basis):
+    """BLOCK_BYTES for blocks of at most 7 rows (60 images: 6-7 rows, 45
+    block pairs) in the RID search at every frequency; 4 blocks of 15 rows
+    in the affinity ranking."""
+    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", 49 * search_pair_bytes(basis.k_max + 1))
+
+
 def test_search_pooled_matches_serial(tiny_dataset, basis17, monkeypatch, forks):
+    """The pooled search, ranking block pairs narrower than s in two
+    workers, returns the one-block search's graph bit for bit, as does the
+    same blocking run in this process."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
-    n = coeffs.shape[0]
     serial = initial_nn_search(coeffs, basis17, s=8)
-    assert forks == [], "a stack of one task must start no child"
-    # 3-row blocks, ranked as one task; then 7 task rows, which round down
-    # to two blocks. Unrounded tasks would end in 1-row blocks, whose matrix
-    # products (and so distances) differ from a 3-row block's in the last bits
-    row_bytes, fixed = search_bytes(n, basis17.k_max + 1, 256)
-    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + 3 * row_bytes)
-    blocked = initial_nn_search(coeffs, basis17, s=8)
-    assert forks == []
-    monkeypatch.setattr(mfvdm.graph, "SEARCH_TASK_ROWS", 7)
+    assert forks == [], "a search of one task must start no child"
+    _ragged_blocks(monkeypatch, basis17)
     pooled = initial_nn_search(coeffs, basis17, s=8)
     assert len(forks) == 2
     set_threads(1)
     in_process = initial_nn_search(coeffs, basis17, s=8)
-    np.testing.assert_array_equal(in_process.dists, blocked.dists)
-    for g in (blocked, pooled):
+    for g in (pooled, in_process):
+        for name in ("indptr", "indices", "angles", "dists"):
+            np.testing.assert_array_equal(getattr(g, name), getattr(serial, name), err_msg=name)
+
+
+def test_refine_pooled_matches_serial(demo_graph, basis17, monkeypatch, forks):
+    """Refinement ranks its block pairs in two workers and returns the
+    one-block ranking bit for bit, as does the same blocking in this
+    process."""
+    bundle = compute_bundle(demo_graph, 4, 20)
+    forks.clear()
+    serial = refine_neighbors(bundle, 6)
+    assert forks == []
+    _ragged_blocks(monkeypatch, basis17)
+    pooled = refine_neighbors(bundle, 6)
+    assert len(forks) == 2
+    set_threads(1)
+    in_process = refine_neighbors(bundle, 6)
+    for g in (pooled, in_process):
         np.testing.assert_array_equal(g.indptr, serial.indptr)
         np.testing.assert_array_equal(g.indices, serial.indices)
-        np.testing.assert_array_equal(g.angles, serial.angles)
-    np.testing.assert_array_equal(pooled.dists, blocked.dists)
 
 
 def test_set_threads_caps_every_pool(tiny_dataset, basis17, demo_graph, monkeypatch, forks):
-    """set_threads(1) runs the projections, the RID search and the
-    eigensolves in this process; set_threads(0) lifts the cap, and each of
-    them forks its pool again."""
+    """set_threads(1) runs the projections, the RID search, the affinity
+    ranking and the eigensolves in this process; set_threads(0) lifts the
+    cap, and each of them forks its pool again."""
     vol = make_phantom(17, 3, n_blobs=10, support_radius=8.0)
     rotations = sample_rotations(2 * PROJECT_BLOCK, 4)
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
-    # 3-row blocks in 6-row tasks: the 60-image search is 10 tasks
-    row_bytes, fixed = search_bytes(coeffs.shape[0], basis17.k_max + 1, 256)
-    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", fixed + 3 * row_bytes)
-    monkeypatch.setattr(mfvdm.graph, "SEARCH_TASK_ROWS", 7)
+    set_threads(1)
+    bundle = compute_bundle(demo_graph, 2, 10)
+    _ragged_blocks(monkeypatch, basis17)
     loops = [lambda: project_stack(vol, rotations),
              lambda: initial_nn_search(coeffs, basis17, s=8),
+             lambda: refine_neighbors(bundle, 6),
              lambda: list(frequency_eigs(demo_graph, range(4), 10))]
     for loop in loops:
         set_threads(1)

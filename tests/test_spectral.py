@@ -407,28 +407,29 @@ def test_refine_matches_dense_reference(demo_graph, monkeypatch):
 
 def test_refine_and_align_leave_no_one_row_block(demo_graph, monkeypatch):
     """Block sizes that would leave a one-row tail (60 nodes in blocks of
-    59) give blocks of 30 instead: no affinity block has a single row, whose
-    BLAS product rounds differently, and the graph and its angles equal the
-    one-block result bitwise."""
+    59) give blocks of 30 instead: no affinity block has a single row or
+    column, whose BLAS product rounds differently, and the graph and its
+    angles equal the one-block result bitwise."""
     bundle = _full_bundle(demo_graph, 4)
     n = bundle.n
-    real_rows, sizes = mfvdm.spectral._affinity_rows, []
+    real_block, sizes = mfvdm.spectral._affinity_block, []
 
-    def recording(factors, n, start, stop):
-        sizes.append(stop - start)
-        return real_rows(factors, n, start, stop)
+    def recording(factors, rows, cols):
+        sizes.append((rows.stop - rows.start, cols.stop - cols.start))
+        return real_block(factors, rows, cols)
 
-    monkeypatch.setattr(mfvdm.spectral, "_affinity_rows", recording)
+    monkeypatch.setattr(mfvdm.spectral, "_affinity_block", recording)
+    set_threads(1)   # the recording must run in this process
     graphs = []
-    for block_bytes in (2**40, 64 * n * (n - 1)):
+    for block_bytes in (2**40, 64 * (n - 1) ** 2):
         monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", block_bytes)
         graphs.append(refine_neighbors(bundle, 6))
     n_edges = graphs[0].indices.size // 2
-    for g, block_bytes in zip(graphs, (2**40, (n_edges - 1) * align_edge_bytes(4, n, 1024))):
-        monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", block_bytes)
+    for g, cache_bytes in zip(graphs, (2**40, (n_edges - 1) * align_edge_bytes(4, bundle.m))):
+        monkeypatch.setattr(mfvdm.pool, "CACHE_BYTES", cache_bytes)
         align_graph(bundle, g, fft_size=1024)
-    assert n % (n - 1) == 1 and n_edges % (n_edges - 1) == 1
-    assert sizes == [n, n // 2, n // 2]
+    assert n_edges % (n_edges - 1) == 1
+    assert sizes == [(n, n)] + [(n // 2, n // 2)] * 3
     one, many = graphs
     for name in ("indptr", "indices", "angles"):
         np.testing.assert_array_equal(getattr(many, name), getattr(one, name))
@@ -437,9 +438,10 @@ def test_refine_and_align_leave_no_one_row_block(demo_graph, monkeypatch):
 def _check_align_blocks(demo_graph, monkeypatch, fft_size):
     bundle = _full_bundle(demo_graph, 5)
     g = refine_neighbors(bundle, 6)
-    # a few dozen edges per block
-    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", 40 * align_edge_bytes(5, bundle.m, fft_size))
-    assert mfvdm.pool.block_rows(align_edge_bytes(5, bundle.m, fft_size)) == 40
+    # a few dozen edges per chunk
+    monkeypatch.setattr(mfvdm.pool, "CACHE_BYTES", 40 * align_edge_bytes(5, bundle.m))
+    chunks = mfvdm.pool.cache_blocks(g.indices.size // 2, align_edge_bytes(5, bundle.m))
+    assert len(chunks) > 1 and max(c.stop - c.start for c in chunks) <= 40
     align_graph(bundle, g, fft_size=fft_size)
     for i, j, alpha in g.edges():
         if i < j:
@@ -463,6 +465,9 @@ def test_refine_validation(demo_graph):
     bundle = _full_bundle(demo_graph, 2)
     with pytest.raises(ValueError):
         refine_neighbors(bundle, bundle.n)
+    for s in (0, -1):
+        with pytest.raises(ValueError, match=f"s={s} "):
+            refine_neighbors(bundle, s)
 
 
 def test_vdm_reduction(demo_graph):
