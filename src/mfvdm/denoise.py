@@ -8,7 +8,7 @@ filter applied to absolute-CTF coefficients yields per-image effective CTFs
 used for deconvolution.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,8 +88,8 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
     The filter is linear, so a frequency k is solved only when its image
     block or its CTF block has a nonzero entry; both output blocks of every
     other k are zeros. The truncated kinds filter each block as its
-    eigenpairs arrive from frequency_eigs. Returns (denoised coeffs,
-    effective-CTF coeffs), both (n, n_coeffs) like the inputs.
+    eigenpairs arrive from frequency_eigs (min(m, n) of them). Returns
+    (denoised, effective-CTF) coeffs, both (n, n_coeffs) like the inputs.
     """
     coeffs = np.asarray(coeffs)
     ctf_coeffs = np.asarray(ctf_coeffs)
@@ -105,7 +105,8 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
     if filt.truncated:
         # this module's own top_eigs binding, so that a wrapper installed
         # here (perfbench/tracing.py) sees the solves made in this process
-        spectra = frequency_eigs(graph, ks, min(filt.m, graph.n), solve=top_eigs)
+        filt = replace(filt, m=min(filt.m, graph.n))
+        spectra = frequency_eigs(graph, ks, filt.m, solve=top_eigs)
         for k, (vals, vecs) in zip(ks, spectra):
             sl = basis.k_slice(k)
             out_a[:, sl] = apply_spectral_filter(coeffs[:, sl], vals, vecs, graph.degrees, filt)

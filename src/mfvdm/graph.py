@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import expand_stack  # noqa: F401 - unused; perfbench/tracing.py wraps it here
-from .io import FormatError, atomic_open
+from .io import FormatError, read_csv, write_csv
 from .pool import cache_blocks, fork_map, pair_blocks
 
 __all__ = ["ViewGraph", "symmetrize", "initial_nn_search", "viewing_angle",
@@ -288,13 +288,10 @@ def true_alignment(R_i, R_j):
 
 def write_graph_csv(graph, path):
     """Edge list CSV: i, j, alpha_ij_radians, d_rid (nan where unset)."""
-    unset = [np.nan] * graph.indices.size
-    angles = unset if graph.angles is None else graph.angles.tolist()
-    dists = unset if graph.dists is None else graph.dists.tolist()
-    rows = zip(graph.rows.tolist(), graph.indices.tolist(), angles, dists, strict=True)
-    with atomic_open(path, newline="") as fh:
-        fh.write("".join(["i,j,alpha_ij_radians,d_rid\r\n"]
-                         + [f"{i},{j},{al!r},{d!r}\r\n" for i, j, al, d in rows]))
+    unset = np.full(graph.indices.size, np.nan)
+    write_csv(path, ["i", "j", "alpha_ij_radians", "d_rid"],
+              [graph.rows, graph.indices, unset if graph.angles is None else graph.angles,
+               unset if graph.dists is None else graph.dists])
 
 
 def read_graph_csv(path):
@@ -305,11 +302,7 @@ def read_graph_csv(path):
     self-loops and no repeated rows; d_rid may be nan. Raises FormatError
     otherwise.
     """
-    try:
-        edges = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1, dtype=[
-            ("i", int), ("j", int), ("alpha", float), ("d", float)])
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed row: {exc}") from None
+    edges = read_csv(path, [("i", int), ("j", int), ("alpha", float), ("d", float)])
     if edges.size == 0:
         raise FormatError(f"{path}: no edges")
     i, j, alpha = edges["i"], edges["j"], edges["alpha"]

@@ -1,18 +1,16 @@
-"""On-disk formats: binary image stacks, manifest CSV, basis tables, run
-configuration. Each fact of a run directory is written once: the generation
+"""On-disk formats: binary image stacks, CSV tables, basis tables, JSON
+files. Each fact of a run directory is written once: the generation
 parameters only in config.json, which the readers of the other artifacts
 check them against.
 
 Stack format: a 24-byte header (magic "MFVS", version u16, image count u32,
 side length u32, dtype tag u16 with f32 = 1, 8 reserved zero bytes) followed
-by n*L*L little-endian float32 values, row-major per image. The manifest is a
-CSV of per-image ground truth. Basis tables are an uncompressed .npz archive
-with one entry per BasisTables field. Configs are flat JSON; unknown keys are
-rejected.
+by n*L*L little-endian float32 values, row-major per image. Tables are CSV
+(write_csv), basis tables an uncompressed .npz archive with one entry per
+BasisTables field, and configs flat JSON; unknown config keys are rejected.
 """
 
 import contextlib
-import csv
 import dataclasses
 import json
 import os
@@ -22,6 +20,7 @@ import zipfile
 import numpy as np
 
 from .basis import BasisTables
+from .pool import row_blocks
 from .simulate import DatasetManifest
 
 __all__ = [
@@ -43,8 +42,6 @@ STACK_VERSION = 1
 _DTYPE_F32 = 1
 _HEADER = struct.Struct("<4sHIIH8s")
 assert _HEADER.size == 24
-# write_stack converts and writes the stack in slices of about this many bytes
-STACK_WRITE_BYTES = 4 * 2**20
 
 
 class FormatError(ValueError):
@@ -74,22 +71,21 @@ def atomic_open(path, mode="w", **kwargs):
 
 
 def write_stack(images, path):
-    """Write an (n, L, L) stack as little-endian float32, converting about
-    STACK_WRITE_BYTES of it at a time: no float32 copy of the whole stack
-    is made."""
+    """Write an (n, L, L) stack as little-endian float32, converting a block
+    of images (pool.row_blocks) at a time: no float32 copy of the whole
+    stack is made."""
     images = np.asarray(images)
     if images.ndim != 3 or images.shape[1] != images.shape[2]:
         raise FormatError(f"expected (n, L, L) stack, got shape {images.shape}")
     n, L, _ = images.shape
-    step = max(1, STACK_WRITE_BYTES // max(4 * L * L, 1))
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(STACK_MAGIC, STACK_VERSION, n, L, _DTYPE_F32, b"\0" * 8))
-        for start in range(0, n, step):
-            fh.write(np.ascontiguousarray(images[start:start + step], dtype="<f4"))
+        for rows in row_blocks(n, 4 * L * L):
+            fh.write(np.ascontiguousarray(images[rows], dtype="<f4"))
 
 
 def read_stack(path):
-    """Read a stack file back as float32 (n, L, L)."""
+    """Read a stack file back as float32 (n, L, L), into one buffer."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -101,22 +97,55 @@ def read_stack(path):
             raise FormatError(f"{path}: unsupported version {version}")
         if dtype_tag != _DTYPE_F32:
             raise FormatError(f"{path}: unsupported dtype tag {dtype_tag}")
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if data.size != n * L * L:
-        raise FormatError(f"{path}: expected {n * L * L} values, found {data.size}")
-    return data.reshape(n, L, L).copy()
+        data = np.fromfile(fh, dtype="<f4", count=n * L * L)
+        if data.size != n * L * L:
+            raise FormatError(f"{path}: expected {n * L * L} values, found {data.size}")
+        if fh.read(1):
+            raise FormatError(f"{path}: bytes past the {n * L * L} values")
+    return data.reshape(n, L, L)
+
+
+def write_csv(path, header, columns):
+    """Write the 1-D columns under header, a row block (pool.row_blocks) at a
+    time so that the text is never held whole: a header line, then one line
+    per row, ints as digits and floats by repr (a read returns their float64
+    bits), every line ending in \\r\\n. Raises ValueError, before path is
+    replaced, unless the columns are 1-D, of one length and one per name."""
+    columns = [np.asarray(c) for c in columns]
+    n = columns[0].size if columns else 0
+    if len(columns) != len(header) or any(c.ndim != 1 or c.size != n for c in columns):
+        raise ValueError(f"{header}: need a 1-D column per name, all of one length, got "
+                         f"shapes {[c.shape for c in columns]}")
+    line = ",".join(["%r"] * len(columns)) + "\r\n"
+    with atomic_open(path, newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        # about 100 bytes a value: its Python object, its row tuple's slot, its text
+        for rows in row_blocks(n, 100 * len(columns)):
+            fh.write("".join([line % row for row in zip(*(c[rows].tolist() for c in columns))]))
+
+
+def read_csv(path, dtype):
+    """The rows of a table written by write_csv, as a 1-D array of (often
+    structured) dtype. Raises FormatError for a row that does not parse."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1, dtype=dtype)
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed row: {exc}") from None
+
+
+def write_json(path, obj):
+    """Write obj as JSON indented by 2, with a final newline."""
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def write_manifest(manifest, csv_path):
     """Per-image CSV: index, rotation entries row-major, defocus group."""
-    with atomic_open(csv_path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index"] + [f"R{a}{b}" for a in range(3) for b in range(3)]
-                   + ["defocus_group"])
-        for i in range(manifest.n):
-            row = [i] + [repr(float(x)) for x in manifest.rotations[i].ravel()]
-            row.append(int(manifest.defocus_group[i]))
-            w.writerow(row)
+    write_csv(csv_path,
+              ["index"] + [f"R{a}{b}" for a in range(3) for b in range(3)] + ["defocus_group"],
+              [np.arange(manifest.n), *manifest.rotations.reshape(-1, 9).T,
+               manifest.defocus_group])
 
 
 def read_manifest(csv_path, config):
@@ -125,20 +154,11 @@ def read_manifest(csv_path, config):
     ... in order, a non-finite rotation entry, a defocus group that is not
     an integer in [0, config.n_defocus_groups), or a row count other than
     config.n."""
-    rotations, groups = [], []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        try:
-            for i, row in enumerate(reader):
-                if len(row) != 11 or int(row[0]) != i:
-                    raise ValueError(f"row {i} is not 11 fields led by its index {i}")
-                rotations.append(np.array([float(x) for x in row[1:10]]).reshape(3, 3))
-                groups.append(int(row[10]))
-        except ValueError as exc:
-            raise FormatError(f"{csv_path}: malformed row: {exc}") from None
-    rotations = np.array(rotations).reshape(-1, 3, 3)
-    groups = np.array(groups, dtype=int)
+    table = read_csv(csv_path, [("index", int), ("R", float, (9,)), ("group", int)])
+    misplaced = np.flatnonzero(table["index"] != np.arange(table.size))[:1]
+    if misplaced.size:
+        raise FormatError(f"{csv_path}: malformed row: row {misplaced[0]} is not led by its index")
+    rotations, groups = table["R"].reshape(-1, 3, 3), table["group"]
     if not np.isfinite(rotations).all():
         raise FormatError(f"{csv_path}: non-finite rotation entry")
     outside = (groups < 0) | (groups >= config.n_defocus_groups)
@@ -325,6 +345,4 @@ def check_run_config(config, path):
 
 
 def save_config(config, path):
-    with atomic_open(path) as fh:
-        json.dump(dataclasses.asdict(config), fh, indent=2)
-        fh.write("\n")
+    write_json(path, dataclasses.asdict(config))

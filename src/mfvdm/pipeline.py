@@ -5,7 +5,6 @@ writing checkpoint artifacts, so a pipeline can be resumed from any stage.
 In-memory variants are exposed for library use.
 """
 
-import json
 import os
 
 import numpy as np
@@ -108,7 +107,8 @@ def denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config):
 
 
 def evaluate_stack(denoised, reference):
-    """Per-image metrics after an affine intensity fit, plus dataset means.
+    """Per-image metrics after an affine intensity fit, plus dataset means:
+    ({name: n values}, {"n": n, "mean_<name>": mean}) for mse, psnr, ssim.
 
     The affine fit removes the arbitrary scale and offset introduced by
     standardization; without it MSE comparisons are meaningless. The stacks
@@ -125,10 +125,7 @@ def evaluate_stack(denoised, reference):
         scores["mse"][block] = mse(fitted, ref)
         scores["psnr"][block] = psnr(fitted, ref)
         scores["ssim"][block] = ssim_stack(fitted, ref)
-    rows = [{"index": i, "mse": m, "psnr": p, "ssim": s}
-            for i, (m, p, s) in enumerate(zip(*(v.tolist() for v in scores.values())))]
-    summary = {"n": n, **{f"mean_{name}": float(np.mean(v)) for name, v in scores.items()}}
-    return rows, summary
+    return scores, {"n": n, **{f"mean_{name}": float(np.mean(v)) for name, v in scores.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +194,9 @@ def run_denoise(config, outdir):
 
 def run_evaluate(config, outdir):
     """Per-image metric report (CSV) and dataset summary (JSON)."""
-    import csv as _csv
-
     denoised = mfio.read_stack(_p(outdir, "denoised.stack"))
-    rows, summary = evaluate_stack(denoised, mfio.read_stack(_p(outdir, "clean.stack")))
-    with mfio.atomic_open(_p(outdir, "eval_report.csv"), newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["index", "mse", "psnr", "ssim"])
-        for r in rows:
-            w.writerow([r["index"], repr(r["mse"]), repr(r["psnr"]), repr(r["ssim"])])
-    with mfio.atomic_open(_p(outdir, "eval_summary.json")) as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    scores, summary = evaluate_stack(denoised, mfio.read_stack(_p(outdir, "clean.stack")))
+    mfio.write_csv(_p(outdir, "eval_report.csv"), ["index", *scores],
+                   [np.arange(len(denoised)), *scores.values()])
+    mfio.write_json(_p(outdir, "eval_summary.json"), summary)
     return summary

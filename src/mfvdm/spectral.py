@@ -235,41 +235,39 @@ def refine_neighbors(bundle, s):
     return symmetrize(bundle.n, np.repeat(np.arange(bundle.n), s), nb.ravel())
 
 
-def align_edge_bytes(kmax, m):
+def align_edge_bytes(n_freqs, m):
     """Bytes of align_graph's temporaries per edge: the real and imaginary
-    parts of z(k) for k = 0..kmax, the best grid point and value, and three
-    rows of m complex values (the gathered eigenvector rows and their
-    products). The objective over the rotation grid is formed in
-    graph.grid_argmax's chunks."""
-    return 16 * (kmax + 1) + 16 + 48 * m
+    parts of z(k) for each of the n_freqs frequencies, the best grid point
+    and value, and three rows of m complex values (the gathered eigenvector
+    rows and their products). The objective over the rotation grid is formed
+    in graph.grid_argmax's chunks."""
+    return 16 * n_freqs + 16 + 48 * m
 
 
 def align_graph(bundle, graph, fft_size=1024):
     """Estimate alignment angles for every edge of a refined graph.
 
     Each undirected edge (i < j) takes the argmax over the fft_size-point
-    rotation grid of Re sum_k z(k) e^{ik alpha}, with z(k) = P_k(i, j): the
-    real and imaginary parts of z times one graph.rotation_table, a real
-    matrix product. For a transport-consistent graph P_k(i, j) has phase
-    e^{-ik alpha_ij}, so the maximizer recovers the stored angle convention.
-    Vectorized over cache-sized chunks of edges (pool.cache_blocks); fills
-    graph.angles in place, with alpha_ji = -alpha_ij.
+    rotation grid of Re sum_k z(k) e^{ik alpha}, k in bundle.k_list, with
+    z(k) = P_k(i, j): the real and imaginary parts of z times one
+    graph.rotation_table, a real matrix product. For a transport-consistent
+    graph P_k(i, j) has phase e^{-ik alpha_ij}, so the maximizer recovers
+    the stored angle convention. Vectorized over cache-sized chunks of edges
+    (pool.cache_blocks); fills graph.angles in place, with alpha_ji = -alpha_ij.
     """
     if fft_size <= bundle.k_list.max():
         raise ValueError("fft_size must exceed the largest frequency")
     src, dst = graph.rows, graph.indices
     ii, jj = src[src < dst], dst[src < dst]
-    kmax = int(bundle.k_list.max())
-    factors = [(int(k), lam ** 2, U)
-               for k, lam, U in zip(bundle.k_list, bundle.eigenvalues, bundle.eigenvectors)]
-    table = rotation_table(np.arange(kmax + 1), fft_size, np.ones(kmax + 1))
+    K = bundle.k_list.size
+    table = rotation_table(bundle.k_list, fft_size, np.ones(K))
     alpha = np.empty(ii.size)
-    for rows in cache_blocks(ii.size, align_edge_bytes(kmax, bundle.m)):
+    for rows in cache_blocks(ii.size, align_edge_bytes(K, bundle.m)):
         a, b = ii[rows], jj[rows]
-        Z = np.zeros((2 * (kmax + 1), a.size))
-        for k, lam, U in factors:
-            z = np.sum(lam[None, :] * U[a] * np.conj(U[b]), axis=1)
-            Z[k], Z[kmax + 1 + k] = z.real, z.imag
+        Z = np.empty((2 * K, a.size))
+        for r, (lam, U) in enumerate(zip(bundle.eigenvalues, bundle.eigenvectors)):
+            z = np.sum(lam[None, :] ** 2 * U[a] * np.conj(U[b]), axis=1)
+            Z[r], Z[K + r] = z.real, z.imag
         alpha[rows] = grid_angle(grid_argmax(Z, table)[0], fft_size)
     aligned = symmetrize(graph.n, ii, jj, alpha)
     if not (np.array_equal(aligned.indptr, graph.indptr)

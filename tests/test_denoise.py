@@ -295,6 +295,21 @@ def test_denoise_and_correct_matches_per_image_loop(tiny_dataset, demo_graph, ba
         assert np.abs(out[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_truncation_past_n_keeps_every_eigenpair(tiny_dataset, demo_graph, basis17):
+    """A truncation m past the graph's n nodes keeps all n eigenpairs, as
+    classification does: the kind-2 outputs at m = 80 equal those at m = 60
+    bit for bit (they raised after every solve when m exceeded n)."""
+    ds = tiny_dataset
+    coeffs = expand_stack(ds["noisy"], basis17)
+    at_n, past_n = (RunConfig(n=60, L=17, support_radius=8.0, s=8, m=m, n_defocus_groups=4)
+                    for m in (60, 80))
+    ctf = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, at_n)
+    expected = denoise_and_correct(coeffs, ctf, demo_graph, basis17, at_n)
+    got = denoise_and_correct(coeffs, ctf, demo_graph, basis17, past_n)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("with_ctf", [True, False])
 @pytest.mark.parametrize("L", [17, 33])
 def test_absolute_ctf_coeffs_are_radial(L, with_ctf, basis17, basis33):

@@ -24,10 +24,12 @@ from mfvdm.io import (
     atomic_open,
     load_config,
     read_basis,
+    read_csv,
     read_manifest,
     read_stack,
     save_config,
     write_basis,
+    write_csv,
     write_manifest,
     write_stack,
 )
@@ -69,6 +71,10 @@ def test_stack_errors(tmp_path):
     (tmp_path / "short.stack").write_bytes(data[:10])
     with pytest.raises(FormatError, match="header"):
         read_stack(tmp_path / "short.stack")
+    for extra in (b"\0" * 3, b"\0" * 4):
+        (tmp_path / "long.stack").write_bytes(data + extra)
+        with pytest.raises(FormatError, match="past"):
+            read_stack(tmp_path / "long.stack")
 
 
 def _manifest_config(manifest):
@@ -97,7 +103,7 @@ def test_writes_are_atomic(tmp_path, tiny_dataset, demo_graph):
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     # the rows run out of defocus groups after five images
     short = dataclasses.replace(man, defocus_group=man.defocus_group[:5])
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         write_manifest(short, csv_p)
     # one angle short of the edges
     bad = ViewGraph(indptr=demo_graph.indptr, indices=demo_graph.indices,
@@ -109,6 +115,46 @@ def test_writes_are_atomic(tmp_path, tiny_dataset, demo_graph):
             fh.write("{")
             raise RuntimeError("interrupted")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_write_csv_golden_bytes(tmp_path):
+    """A header line, then ints as digits and floats by repr, every line
+    ending in \\r\\n."""
+    path = tmp_path / "t.csv"
+    write_csv(path, ["i", "x"], [np.array([0, -2, 3, 40, 5, 6, 7]),
+                                 np.array([0.1, -0.0, 5e-324, np.nan, np.inf, -np.inf, 1e300])])
+    assert path.read_bytes() == (b"i,x\r\n0,0.1\r\n-2,-0.0\r\n3,5e-324\r\n40,nan\r\n"
+                                 b"5,inf\r\n6,-inf\r\n7,1e+300\r\n")
+
+
+def test_read_csv_returns_the_written_bits(tmp_path, monkeypatch):
+    """Floats read back with the bits they were written with, over several
+    row blocks."""
+    rng = np.random.Generator(np.random.Philox(8))
+    x = np.concatenate([rng.normal(size=500) * 10.0 ** rng.integers(-300, 300, 500),
+                        [0.1, -0.0, 5e-324, np.nan, np.inf, -np.inf]])
+    i = rng.integers(-2**62, 2**62, x.size)
+    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", 100 * 2 * 100)
+    assert len(mfvdm.pool.row_blocks(x.size, 100 * 2)) > 1
+    path = tmp_path / "t.csv"
+    write_csv(path, ["i", "x"], [i, x])
+    back = read_csv(path, [("i", int), ("x", float)])
+    np.testing.assert_array_equal(back["i"], i)
+    np.testing.assert_array_equal(back["x"].view(np.int64), x.view(np.int64))
+
+
+@pytest.mark.parametrize("columns", [
+    [np.arange(3), np.arange(4.0)], [np.arange(3), np.zeros((3, 1))], [np.arange(3)],
+])
+def test_write_csv_rejects_bad_columns(columns, tmp_path):
+    """Columns of unequal length, not 1-D or not one per header name raise
+    ValueError, and leave the old file and no temporary file behind."""
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [np.arange(2), np.arange(2)])
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], columns)
+    assert os.listdir(tmp_path) == ["t.csv"] and path.read_bytes() == before
 
 
 def test_config_round_trip(tmp_path):

@@ -12,8 +12,8 @@ import pytest
 
 import mfvdm.pool
 from mfvdm import RunConfig, expand_stack, simulate_dataset
-from mfvdm.graph import initial_nn_search, symmetrize
-from mfvdm.io import write_stack
+from mfvdm.graph import initial_nn_search, symmetrize, write_graph_csv
+from mfvdm.io import read_stack, write_stack
 from mfvdm.pipeline import (
     absolute_ctf_coeffs,
     classify,
@@ -131,7 +131,7 @@ def test_stack_transforms_do_not_depend_on_blocks(with_ctf, tiny_dataset, basis1
         ctf = absolute_ctf_coeffs(manifest, ds["profiles"], basis17, config)
         denoised, effective = denoise_and_correct(coeffs, ctf, graph, basis17, config)
         scores, _ = evaluate_stack(denoised, ds["clean"][:n])
-        outputs.append((coeffs, denoised, effective, [list(r.values()) for r in scores]))
+        outputs.append((coeffs, denoised, effective, list(scores.values())))
     assert n % rows == 1
     blocks = row_blocks(n, rows * image_bytes(17))
     assert len(blocks) >= 4 and min(b.stop - b.start for b in blocks) > 1
@@ -150,3 +150,34 @@ def test_write_stack_peak_allocation_bounded(tmp_path):
     with open(path, "rb") as fh:
         fh.seek(24)
         assert fh.read() == stack.astype("<f4").tobytes()
+
+
+def test_read_stack_peak_allocation_bounded(tmp_path, monkeypatch):
+    """Reading a stack fills one float32 buffer: the traced peak stays
+    within 1.1x the stack (8.3 MB here; reading the file's bytes and
+    copying them out peaked at 2x). With blocks of 300 images, writing the
+    float64 stack holds one block's float32 copy, under a quarter of the
+    stack, and the stack reads back bit for bit."""
+    stack = np.random.Generator(np.random.Philox(5)).normal(size=(2000, 33, 33))
+    path, mb = tmp_path / "s.stack", stack.size * 4 / 2**20
+    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", 300 * 4 * 33 * 33)
+    assert len(row_blocks(2000, 4 * 33 * 33)) > 1
+    assert _traced_peak_mb(write_stack, stack, path) < 0.25 * mb
+    assert _traced_peak_mb(read_stack, path) <= 1.1 * mb
+    np.testing.assert_array_equal(read_stack(path), stack.astype(np.float32))
+
+
+# A graph of 200 000 directed edges, a 9.6 MB CSV. Measured peaks of
+# write_graph_csv: 12.7 MB formatting a row block at a time, 49 MB when the
+# whole file's text was built before it was written.
+GRAPH_BOUND_MB = 24
+
+
+def test_write_graph_csv_peak_allocation_bounded(tmp_path):
+    n, half = 20000, 5
+    rng = np.random.Generator(np.random.Philox(7))
+    src = np.repeat(np.arange(n), half)
+    dst = (src + np.tile(np.arange(1, half + 1), n)) % n
+    graph = symmetrize(n, src, dst, rng.uniform(-np.pi, np.pi, src.size), rng.random(src.size))
+    assert graph.indices.size >= 2 * 10**5
+    assert _traced_peak_mb(write_graph_csv, graph, tmp_path / "g.csv") < GRAPH_BOUND_MB
