@@ -98,13 +98,14 @@ def rank_pairs(n, s, bytes_per_pair, score, shared, mirror=None):
 
     score(*shared, rows, cols) returns the keys of the pairs rows x cols and
     any payload arrays of the same shape, within bytes_per_pair a pair.
-    Each unordered pair is scored once, on the side of its smaller index i;
+    Each unordered pair's key is taken on the side of its smaller index i;
     row j reads the same key and mirror(payload). The rows are cut into
     square blocks (pool.pair_blocks), and the block pairs (I <= J) are the
     tasks of pool.fork_map; a task ranks its pairs for the rows of both of
-    its blocks. The results merge in task order, so each row sees its column
-    blocks in ascending order, and the ranking depends on neither the block
-    size nor the number of workers.
+    its blocks; a diagonal block pair is scored in the tiles of
+    _upper_tiles. The results merge in task order, so each row sees its
+    column blocks in ascending order, and the ranking depends on neither
+    the block size nor the number of workers.
     """
     if not 0 < s < n:
         raise ValueError(f"s={s} must be in 1..{n - 1} for n={n}")
@@ -126,15 +127,14 @@ def rank_pairs(n, s, bytes_per_pair, score, shared, mirror=None):
 def _rank_block_pair(score, shared, s, mirror, pair):
     """[(rows, [keys, cols, *payload])] of the s smallest keys of each row
     of both blocks of pair, padded with +inf keys where a block is narrower
-    than s. A diagonal block reads its upper triangle for both rows."""
+    than s. A diagonal pair is scored by _score_square."""
     rows, cols = pair
-    keys, *payload = score(*shared, rows, cols)
     if rows == cols:
-        lower = np.tri(keys.shape[0], k=-1, dtype=bool)
-        keys = np.where(lower, keys.T, keys)
+        keys, *payload = _score_square(score, shared, mirror, rows)
         np.fill_diagonal(keys, np.inf)
-        sides = [(rows, cols, keys, [np.where(lower, mirror(p.T), p) for p in payload])]
+        sides = [(rows, cols, keys, payload)]
     else:
+        keys, *payload = score(*shared, rows, cols)
         sides = [(rows, cols, keys, payload),
                  (cols, rows, keys.T, [mirror(p.T) for p in payload])]
     ranked = []
@@ -146,6 +146,46 @@ def _rank_block_pair(score, shared, s, mirror, pair):
         ranked.append((here, [np.take_along_axis(k, order, axis=1), there.start + order,
                               *(np.take_along_axis(a, order, axis=1) for a in p)]))
     return ranked
+
+
+def _score_square(score, shared, mirror, block):
+    """[keys, *payload] of the pairs block x block, each pair's values
+    taken on the side of its smaller index: a rectangle of _upper_tiles is
+    scored and mirrored to the other side of the diagonal, and a square on
+    the diagonal is scored whole and its upper triangle mirrored to its
+    lower one."""
+    start, n = block.start, block.stop - block.start
+    out = None
+    for rows, cols in _upper_tiles(block, 4):
+        keys, *payload = score(*shared, rows, cols)
+        values = [keys, *payload]
+        mirrored = [keys.T, *(mirror(p.T) for p in payload)]
+        if out is None:
+            out = [np.empty((n, n), v.dtype) for v in values]
+        r = slice(rows.start - start, rows.stop - start)
+        c = slice(cols.start - start, cols.stop - start)
+        lower = np.tri(len(keys), k=-1, dtype=bool) if rows == cols else None
+        for o, v, m in zip(out, values, mirrored):
+            if lower is not None:
+                o[r, r] = np.where(lower, m, v)
+            else:
+                o[r, c], o[c, r] = v, m
+    return out
+
+
+def _upper_tiles(block, depth):
+    """Rectangles (rows, cols), rows above cols, and squares (rows, rows)
+    that cover the pairs i <= j of block x block: the block is halved depth
+    times, and the pairs between two halves are one rectangle. A square
+    holds 1 / 2^depth of the block's rows, so scoring the squares whole
+    adds about 1 / 2^depth to the block's n(n - 1) / 2 pairs. A square of
+    fewer than 4 rows is not halved: no tile has a single row (see
+    pool.row_blocks)."""
+    n = block.stop - block.start
+    if depth == 0 or n < 4:
+        return [(block, block)]
+    top, bottom = slice(block.start, block.start + n // 2), slice(block.start + n // 2, block.stop)
+    return [(top, bottom)] + _upper_tiles(top, depth - 1) + _upper_tiles(bottom, depth - 1)
 
 
 def block_product(a, b):

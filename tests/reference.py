@@ -8,8 +8,7 @@ from scipy.signal import fftconvolve
 
 from mfvdm.basis import BasisError, expand_stack, freq_grid, ft_grid, ift_grid, reconstruct_grid
 from mfvdm.graph import viewing_angle
-from mfvdm.simulate import (_rng, ctf_grid, default_defocus_groups, make_phantom, preprocess,
-                            project)
+from mfvdm.simulate import _rng, ctf_grid, default_defocus_groups, make_phantom, preprocess
 from mfvdm.spectral import _affinity_block, _affinity_factors
 
 
@@ -116,6 +115,19 @@ def sample_rotations(n, seed):
     return out
 
 
+def project_reference(volume, rotation):
+    """X-ray transform by scipy.ndimage.map_coordinates over the whole L^3
+    cube: sample (x, y, z) at x R1 + y R2 + z R3 about the grid centre,
+    trilinear, 0 where a coordinate leaves [0, L - 1], summed over z."""
+    L = volume.shape[0]
+    c = (L - 1) / 2
+    x = np.arange(L) - c
+    R = np.asarray(rotation)[:, :, None, None, None]
+    coords = R[:, 0] * x[:, None, None] + R[:, 1] * x[None, :, None] + R[:, 2] * x + c
+    vals = map_coordinates(volume, coords, order=1, mode="constant", cval=0.0)
+    return vals.sum(axis=2)
+
+
 def apply_ctf(image, profile):
     """Pointwise Fourier-domain CTF modulation; output is real."""
     grid = ctf_grid(profile, image.shape[-1])
@@ -133,13 +145,13 @@ def simulate_stacks(n, L, seed, snr, *, support_radius=None, n_blobs=30, n_defoc
                     noise_model="white", with_ctf=True, shift_px=0.0):
     """(clean, ctf_clean, noisy) of ``mfvdm.simulate_dataset`` (default
     bandlimit), with every pass over the whole stack: the rotations drawn
-    and the projections made one view at a time, the shifts one image at a
-    time, then one CTF transform and one noise filter of the whole stack,
-    and the noise added to a copy."""
+    and the projections made one view at a time by project_reference, the
+    shifts one image at a time, then one CTF transform and one noise filter
+    of the whole stack, and the noise added to a copy."""
     if support_radius is None:
         support_radius = (L - 1) / 2
     vol = make_phantom(L, seed, n_blobs=n_blobs, support_radius=support_radius)
-    clean = np.stack([project(vol, R) for R in sample_rotations(n, seed + 1)])
+    clean = np.stack([project_reference(vol, R) for R in sample_rotations(n, seed + 1)])
     if shift_px:
         shifts = _rng(seed + 4).uniform(-shift_px, shift_px, size=(n, 2))
         clean = np.stack([shift_image(im, sh) for im, sh in zip(clean, shifts)])

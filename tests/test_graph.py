@@ -8,6 +8,7 @@ from mfvdm.basis import expand_stack
 from mfvdm.graph import (
     ViewGraph,
     initial_nn_search,
+    rank_pairs,
     read_graph_csv,
     search_pair_bytes,
     smallest_s,
@@ -18,6 +19,7 @@ from mfvdm.graph import (
 )
 from mfvdm import RunConfig
 from mfvdm.io import FormatError
+from mfvdm.pool import set_threads
 from mfvdm.pipeline import classify
 from mfvdm.simulate import sample_rotations
 from reference import angle, neighbors, rid_align
@@ -75,6 +77,33 @@ def test_search_blocks_never_hold_one_row(tiny_dataset, basis17, monkeypatch):
     blocked = initial_nn_search(coeffs, basis17, s=8)
     for name in ("indptr", "indices", "angles", "dists"):
         np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name), err_msg=name)
+
+
+@pytest.mark.parametrize("bytes_per_pair", [search_pair_bytes(17), 64])
+def test_rank_pairs_scores_each_pair_once(bytes_per_pair):
+    """At the default block budget, 1000 rows in 5 blocks (the search's
+    pair size) or 2 (the affinity's), the score function sees at most
+    1.05 n(n - 1) / 2 pairs, and the ranking is the first s columns of a
+    stable argsort of each row with its diagonal excluded."""
+    n, s = 1000, 8
+    rng = np.random.Generator(np.random.Philox(3))
+    keys = rng.integers(0, 50, size=(n, n)).astype(float)
+    keys = np.triu(keys, 1) + np.triu(keys, 1).T
+    seen = []
+
+    def score(keys, rows, cols):
+        assert rows.stop - rows.start >= 2 and cols.stop - cols.start >= 2
+        seen.append((rows.stop - rows.start) * (cols.stop - cols.start))
+        return (keys[rows, cols],)
+
+    set_threads(1)   # the counting must run in this process
+    got, cols = rank_pairs(n, s, bytes_per_pair, score, (keys,))
+    assert sum(seen) <= 1.05 * n * (n - 1) / 2
+    full = keys.copy()
+    np.fill_diagonal(full, np.inf)
+    want = np.argsort(full, axis=1, kind="stable")[:, :s]
+    np.testing.assert_array_equal(cols, want)
+    np.testing.assert_array_equal(got, np.take_along_axis(full, want, axis=1))
 
 
 @pytest.mark.parametrize("dtype", [int, float])

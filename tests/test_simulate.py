@@ -1,5 +1,7 @@
 """Simulator: CTF, projections, noise, preprocessing, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from mfvdm import RunConfig
 from mfvdm.basis import corner_mask, expand_stack, steerable_pca
 from mfvdm.pipeline import prepare_coeffs
 from mfvdm.pool import image_bytes
-from reference import apply_ctf, rotate_image, simulate_stacks
+from reference import apply_ctf, project_reference, rotate_image, simulate_stacks
 from reference import sample_rotations as sample_rotations_ref
 
 
@@ -43,6 +45,17 @@ def test_ctf_profile_validation():
         CTFProfile(defocus_um=-1.0)
     with pytest.raises(ValueError):
         CTFProfile(defocus_um=1.0, amplitude_contrast=1.5)
+
+
+@pytest.mark.parametrize("field", ["defocus_um", "wavelength_A", "cs_mm", "pixel_size_A",
+                                   "amplitude_contrast"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_ctf_profile_rejects_non_finite(field, value):
+    """A NaN or infinite parameter raises a ValueError naming the field;
+    a NaN defocus used to pass the positivity check and make every CTF
+    value NaN."""
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        CTFProfile(**{"defocus_um": 1.0, field: value})
 
 
 def test_ctf_grid_radial():
@@ -106,6 +119,80 @@ def test_projection_in_plane_rotation():
     assert np.abs(img_j - pred).max() / scale < 0.1
 
 
+def _axis_rotations():
+    """The 24 rotations that map the axes onto the axes: their samples land
+    exactly on the grid's first and last planes."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            R = np.zeros((3, 3))
+            R[[0, 1, 2], perm] = signs
+            if np.linalg.det(R) > 0:
+                out.append(R)
+    return out
+
+
+def _faces_volume():
+    """A random 11^3 volume, nonzero on its faces and corners."""
+    return np.random.Generator(np.random.Philox(30)).normal(size=(11, 11, 11))
+
+
+def _non_finite_volume():
+    vol = _faces_volume()
+    vol[0, 5, 5], vol[10, 3, 7], vol[4, 10, 0] = np.nan, np.inf, -np.inf
+    return vol
+
+
+@pytest.mark.parametrize("make_volume", [
+    lambda: make_phantom(33, 0),
+    lambda: make_phantom(9, 1),
+    lambda: make_phantom(17, 2),
+    lambda: make_phantom(33, 3, support_radius=10.0),
+    _faces_volume,
+    _non_finite_volume,
+    lambda: np.zeros((11, 11, 11)),
+    lambda: np.ones((1, 1, 1)),
+], ids=["default", "L9", "L17", "L33-support10", "faces", "non-finite", "zeros", "L1"])
+def test_project_matches_map_coordinates(make_volume):
+    """The support-restricted kernel equals scipy's map_coordinates over the
+    whole cube bit for bit, signs of zeros and NaNs included, at Haar
+    rotations and at the 24 axis-aligned ones, with and without a shared
+    support."""
+    vol = make_volume()
+    support = mfvdm.simulate._Support(vol)
+    rotations = list(sample_rotations(20, seed=31)) + _axis_rotations()
+    with np.errstate(invalid="ignore"):
+        for R in rotations:
+            want = project_reference(vol, R)
+            assert project(vol, R, support).tobytes() == want.tobytes()
+        R = rotations[0]
+        assert project(vol, R).tobytes() == project_reference(vol, R).tobytes()
+
+
+def test_project_support():
+    """At the defaults the support holds 59% of the cube; an all-zero
+    volume has none and projects to zeros."""
+    assert mfvdm.simulate._Support(make_phantom(33, 0)).samples.size / 33**3 < 0.6
+    zeros = np.zeros((9, 9, 9))
+    assert mfvdm.simulate._Support(zeros).samples.size == 0
+    assert not project(zeros, sample_rotations(1, seed=0)[0]).any()
+
+
+@pytest.mark.parametrize("rotation", [
+    2 * np.eye(3),
+    np.eye(3) + 1e-6,
+    np.diag([1.0, 1.0, np.nan]),
+    np.diag([1.0, 1.0, np.inf]),
+    np.eye(2),
+    np.eye(3, 4),
+], ids=["scaled", "sheared", "nan", "inf", "2x2", "3x4"])
+def test_project_rejects_bad_rotations(rotation):
+    """A rotation that is not a finite orthogonal 3 x 3 matrix raises: the
+    support relies on |R p| = |p|. 2 I used to give a sheared projection."""
+    with pytest.raises(ValueError, match="^rotation must be"):
+        project(make_phantom(9, 0), rotation)
+
+
 def test_sample_rotations_proper():
     Rs = sample_rotations(50, seed=8)
     for R in Rs:
@@ -130,8 +217,9 @@ def test_add_noise_snr():
     noisy = add_noise(clean, snr=0.5, seed=10)
     noise_var = (noisy - clean).var()
     assert abs(noise_var - clean.var() / 0.5) / noise_var < 0.05
-    with pytest.raises(ValueError):
-        add_noise(clean, snr=0.0, seed=0)
+    for snr in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^snr must be > 0"):
+            add_noise(clean, snr=snr, seed=0)
     with pytest.raises(ValueError):
         add_noise(clean, snr=1.0, seed=0, model="pink")
 

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import mfvdm.pool
 import mfvdm.spectral
 from mfvdm import expand_stack, simulate_dataset
-from mfvdm.graph import ViewGraph, initial_nn_search
+from mfvdm.graph import ViewGraph, _upper_tiles, initial_nn_search
 from mfvdm.pool import set_threads
 from mfvdm.spectral import (
     EigsError,
@@ -407,9 +407,10 @@ def test_refine_matches_dense_reference(demo_graph, monkeypatch):
 
 def test_refine_and_align_leave_no_one_row_block(demo_graph, monkeypatch):
     """Block sizes that would leave a one-row tail (60 nodes in blocks of
-    59) give blocks of 30 instead: no affinity block has a single row or
-    column, whose BLAS product rounds differently, and the graph and its
-    angles equal the one-block result bitwise."""
+    59) give blocks of 30 instead, and the tiles of a diagonal block pair
+    hold at least 2 rows: no affinity block has a single row or column,
+    whose BLAS product rounds differently, and the graph and its angles
+    equal the one-block result bitwise."""
     bundle = _full_bundle(demo_graph, 4)
     n = bundle.n
     real_block, sizes = mfvdm.spectral._affinity_block, []
@@ -429,7 +430,13 @@ def test_refine_and_align_leave_no_one_row_block(demo_graph, monkeypatch):
         monkeypatch.setattr(mfvdm.pool, "CACHE_BYTES", cache_bytes)
         align_graph(bundle, g, fft_size=1024)
     assert n_edges % (n_edges - 1) == 1
-    assert sizes == [(n, n)] + [(n // 2, n // 2)] * 3
+
+    def tiles(block):
+        return [(r.stop - r.start, c.stop - c.start) for r, c in _upper_tiles(block, 4)]
+
+    top, bottom = slice(0, n // 2), slice(n // 2, n)
+    assert sizes == tiles(slice(0, n)) + tiles(top) + [(n // 2, n // 2)] + tiles(bottom)
+    assert min(min(size) for size in sizes) == 2
     one, many = graphs
     for name in ("indptr", "indices", "angles"):
         np.testing.assert_array_equal(getattr(many, name), getattr(one, name))
