@@ -5,7 +5,7 @@ normalized frequency matrices: A_hat = D^{-1/2} U h(L) U* D^{1/2} A. The five
 filter kinds pair h(lambda) in {lambda, 2*lambda - lambda^2,
 lambda^3 - 3*lambda^2 + 3*lambda} with truncated or full spectra. The same
 filter applied to absolute-CTF coefficients yields per-image effective CTFs
-used for deconvolution.
+used for deconvolution; |CTF| is radial, so only its k = 0 block is filtered.
 """
 
 from dataclasses import dataclass, replace
@@ -26,9 +26,8 @@ _FORMULAS = {
     1: lambda lam: lam,
     2: lambda lam: 2.0 * lam - lam**2,
     3: lambda lam: lam**3 - 3.0 * lam**2 + 3.0 * lam,
-    4: lambda lam: lam,
-    5: lambda lam: 2.0 * lam - lam**2,
 }
+_FORMULAS.update({4: _FORMULAS[1], 5: _FORMULAS[2]})   # the full-spectrum kinds
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,8 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in _FORMULAS:
             raise ValueError(f"filter kind must be 1..5, got {self.kind}")
+        if self.m < 1:
+            raise ValueError(f"filter truncation m must be >= 1, got {self.m}")
 
     @property
     def truncated(self):
@@ -82,42 +83,38 @@ def _averaging_filter(W, sqrt_d, coeff_block, order):
 
 
 def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
-    """Filter image and absolute-CTF coefficients for every basis frequency
-    with content.
+    """Filter the (n, n_coeffs) image coefficients and the (n, p_0) k = 0
+    block of the absolute-CTF coefficients, the radial |CTF|'s only block.
 
-    The filter is linear, so a frequency k is solved only when its image
-    block or its CTF block has a nonzero entry; both output blocks of every
-    other k are zeros. The truncated kinds filter each block as its
-    eigenpairs arrive from frequency_eigs (min(m, n) of them). Returns
-    (denoised, effective-CTF) coeffs, both (n, n_coeffs) like the inputs.
+    The filter is linear, so k > 0 is solved only when its image block has
+    a nonzero entry, and its output block is zeros otherwise; k = 0 is
+    always solved, for the CTF. The truncated kinds filter each block as its
+    eigenpairs arrive from frequency_eigs (min(m, n) of them). Returns the
+    (denoised, effective-CTF) coeffs, shaped like the inputs.
     """
-    coeffs = np.asarray(coeffs)
-    ctf_coeffs = np.asarray(ctf_coeffs)
-    shape = (graph.n, basis.n_coeffs)
-    for name, a in (("coeffs", coeffs), ("ctf_coeffs", ctf_coeffs)):
-        if a.shape != shape:
-            raise ValueError(f"{name} has shape {a.shape}, expected {shape} "
-                             "(graph nodes, basis coefficients)")
+    coeffs, ctf_coeffs = np.asarray(coeffs), np.asarray(ctf_coeffs)
+    for name, a, width in (("coeffs", coeffs, basis.n_coeffs),
+                           ("ctf_coeffs", ctf_coeffs, basis.k_slice(0).stop)):
+        if a.shape != (graph.n, width):
+            raise ValueError(f"{name} has shape {a.shape}, expected {(graph.n, width)} "
+                             "(graph nodes, basis coefficients or their k = 0 block)")
     out_a = np.zeros_like(coeffs)
-    out_c = np.zeros_like(ctf_coeffs)
-    ks = [k for k in range(basis.k_max + 1)
-          if coeffs[:, basis.k_slice(k)].any() or ctf_coeffs[:, basis.k_slice(k)].any()]
+    ks = [k for k in range(basis.k_max + 1) if k == 0 or coeffs[:, basis.k_slice(k)].any()]
     if filt.truncated:
         # this module's own top_eigs binding, so that a wrapper installed
         # here (perfbench/tracing.py) sees the solves made in this process
         filt = replace(filt, m=min(filt.m, graph.n))
-        spectra = frequency_eigs(graph, ks, filt.m, solve=top_eigs)
-        for k, (vals, vecs) in zip(ks, spectra):
-            sl = basis.k_slice(k)
-            out_a[:, sl] = apply_spectral_filter(coeffs[:, sl], vals, vecs, graph.degrees, filt)
-            out_c[:, sl] = apply_spectral_filter(ctf_coeffs[:, sl], vals, vecs, graph.degrees, filt)
+        operators = frequency_eigs(graph, ks, filt.m, solve=top_eigs)
+        apply = lambda spectrum, block: apply_spectral_filter(block, *spectrum, graph.degrees, filt)
     else:
-        order = 1 if filt.kind == 4 else 2
-        sqrt_d = np.sqrt(graph.degrees)[:, None]
-        for k in ks:
-            W, sl = build_frequency_matrix(graph, k), basis.k_slice(k)
-            out_a[:, sl] = _averaging_filter(W, sqrt_d, coeffs[:, sl], order)
-            out_c[:, sl] = _averaging_filter(W, sqrt_d, ctf_coeffs[:, sl], order)
+        order, sqrt_d = 1 if filt.kind == 4 else 2, np.sqrt(graph.degrees)[:, None]
+        operators = (build_frequency_matrix(graph, k) for k in ks)
+        apply = lambda W, block: _averaging_filter(W, sqrt_d, block, order)
+    for k, op in zip(ks, operators):
+        sl = basis.k_slice(k)
+        out_a[:, sl] = apply(op, coeffs[:, sl])
+        if k == 0:
+            out_c = apply(op, ctf_coeffs)
     return out_a, out_c
 
 

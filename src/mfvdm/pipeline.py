@@ -74,32 +74,32 @@ def classify(coeffs, basis, config, noise_var=None):
 
 
 def absolute_ctf_coeffs(manifest, profiles, basis, config):
-    """Per-image expansion coefficients of the absolute CTF radial profile
-    (after phase flipping the effective transfer function is |CTF|). Without
-    CTF simulation the profile is identically one. The profile is radial,
-    so only the k = 0 block of its expansion is kept: the other blocks hold
-    just the square grid's 4-fold aliasing, and are written as zeros."""
+    """Per-image (n, p_0) k = 0 block of the expansion of the absolute CTF
+    radial profile (after phase flipping the effective transfer function is
+    |CTF|). Without CTF simulation the profile is identically one. The
+    profile is radial, so the other blocks of its fit hold just the square
+    grid's 4-fold aliasing, and are dropped."""
+    k0 = basis.k_slice(0)
     if config.with_ctf:
-        coeffs = np.stack([expand_disk_function(
-            lambda xi, theta: np.abs(ctf_value(prof, xi / prof.pixel_size_A)), basis)
+        return np.stack([expand_disk_function(
+            lambda xi, theta: np.abs(ctf_value(prof, xi / prof.pixel_size_A)), basis)[k0]
             for prof in profiles])[manifest.defocus_group]
-    else:
-        one = expand_disk_function(lambda xi, theta: np.ones_like(xi), basis)
-        coeffs = np.tile(one, (manifest.n, 1))
-    coeffs[:, basis.ks > 0] = 0
-    return coeffs
+    one = expand_disk_function(lambda xi, theta: np.ones_like(xi), basis)[k0]
+    return np.tile(one, (manifest.n, 1))
 
 
 def denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config):
-    """Graph-filter the coefficients, then deconvolve each image by its
-    filtered effective CTF C with eps = 1e-2 max(C^2), a block of images at
-    a time. Returns (denoised images, effective CTF grids)."""
+    """Graph-filter the coefficients and the (n, p_0) |CTF| block, then
+    deconvolve each image by its effective CTF C with eps = 1e-2 max(C^2),
+    a block of images at a time. Returns (denoised images, effective CTFs)."""
     filt = FilterSpec(kind=config.filter_kind, m=config.m)
     da, dc = denoise_stack(coeffs, ctf_coeffs, graph, basis, filt)
     denoised = np.empty((len(da), basis.L, basis.L))
     effective = np.empty_like(denoised)
     for rows in row_blocks(len(da), image_bytes(basis.L)):
-        C = reconstruct_grid(dc[rows], basis).real
+        ctf_block = np.zeros((rows.stop - rows.start, basis.n_coeffs), dtype=dc.dtype)
+        ctf_block[:, basis.k_slice(0)] = dc[rows]
+        C = reconstruct_grid(ctf_block, basis).real
         denoised[rows] = ctf_correct(reconstruct_grid(da[rows], basis), C,
                                      1e-2 * np.max(C**2, axis=(-2, -1)))
         effective[rows] = C

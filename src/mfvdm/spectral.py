@@ -59,6 +59,8 @@ def build_frequency_matrix(graph, k):
     on the graph's edges; Hermitian by the angle antisymmetry of the graph."""
     import scipy.sparse as sp  # imported on use: see basis.build_basis
 
+    if graph.angles is None:
+        raise ValueError("graph has no alignment angles: run align_graph on it first")
     deg = graph.degrees
     if (deg == 0).any():
         bad = int(np.flatnonzero(deg == 0)[0])
@@ -136,8 +138,8 @@ def top_eigs(W, m):
     thick-restart Lanczos from a start vector drawn from Philox(0).
     """
     n = W.shape[0]
-    if m > n:
-        raise ValueError(f"m={m} exceeds matrix size n={n}")
+    if not 1 <= m <= n:
+        raise ValueError(f"m={m} is not in 1..n for the matrix size n={n}")
     if m > n // 4 or n <= 400:
         vals, vecs = np.linalg.eigh(W.toarray())
         vals, vecs = vals[::-1][:m], vecs[:, ::-1][:, :m]

@@ -32,6 +32,18 @@ def test_filter_spec_validation():
     assert not FilterSpec(kind=4).truncated
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_filter_spec_rejects_m_below_one(m, demo_graph):
+    """A truncation m < 1 is named, not filtered with a wrong number of
+    eigenpairs: m = -3 kept n - 3 eigenpairs in the dense branch and then
+    dropped 3 more, and m = 0 failed in a numpy reduction."""
+    for kind in (2, 4):
+        with pytest.raises(ValueError, match=rf"^filter truncation m must be >= 1, got {m}$"):
+            FilterSpec(kind=kind, m=m)
+    with pytest.raises(ValueError, match=rf"^m={m} is not in 1\.\.n for the matrix size n=60$"):
+        top_eigs(build_frequency_matrix(demo_graph, 1), m)
+
+
 def test_filter_responses():
     lam = np.array([0.0, 0.5, 1.0])
     np.testing.assert_allclose(FilterSpec(kind=1).response(lam), lam)
@@ -94,24 +106,24 @@ def test_denoise_fixed_point_on_rotated_copies(rotated_copies, basis17):
     unchanged: every neighbor carries the same signal after alignment."""
     rc = rotated_copies
     coeffs = rc["coeffs"]
-    ctf_coeffs = np.zeros_like(coeffs)
-    ctf_coeffs[:, basis17.ks == 0] = 1.0
+    ctf_coeffs = np.ones((len(coeffs), basis17.k_slice(0).stop), dtype=complex)
     da, dc = denoise_stack(coeffs, ctf_coeffs, rc["graph"], basis17,
                            FilterSpec(kind=4))
     imgs = reconstruct_denoised(coeffs, basis17)
     imgs2 = reconstruct_denoised(da, basis17)
     err = np.mean((imgs - imgs2) ** 2)
     assert err < 1e-6
+    assert dc.shape == ctf_coeffs.shape
     assert np.isfinite(da).all() and np.isfinite(dc).all()
 
 
 @pytest.mark.parametrize("kind", [4, 5])
 def test_full_spectrum_kinds_build_each_matrix_once(kind, tiny_dataset, demo_graph, basis17,
                                                     monkeypatch):
-    """Kinds 4 and 5 build each W_k once and filter both the image and the
-    CTF block with it, one build per frequency with content (here every k:
-    the random blocks have content at each); each block equals h(S_k)
-    applied with the dense S_k = D^{-1} W_k."""
+    """Kinds 4 and 5 build each W_k once and filter the image block with
+    it, and at k = 0 the (n, p_0) CTF block too, one build per frequency
+    with content (here every k: the random blocks have content at each);
+    each block equals h(S_k) applied with the dense S_k = D^{-1} W_k."""
     built = []
 
     def counting(graph, k):
@@ -120,19 +132,23 @@ def test_full_spectrum_kinds_build_each_matrix_once(kind, tiny_dataset, demo_gra
 
     monkeypatch.setattr(mfvdm.denoise, "build_frequency_matrix", counting)
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
-    ctf = _random_block(demo_graph.n, basis17.n_coeffs, seed=7)
+    ctf = _random_block(demo_graph.n, basis17.k_slice(0).stop, seed=7)
     da, dc = denoise_stack(coeffs, ctf, demo_graph, basis17, FilterSpec(kind=kind))
     assert built == list(range(basis17.k_max + 1))
+    assert dc.shape == ctf.shape
     n = demo_graph.n
     for k in range(basis17.k_max + 1):
         W = np.zeros((n, n), dtype=complex)
         W[demo_graph.rows, demo_graph.indices] = np.exp(-1j * k * demo_graph.angles)
         S, sl = W / demo_graph.degrees[:, None], basis17.k_slice(k)
-        for got, block in ((da, coeffs), (dc, ctf)):
-            expected = S @ block[:, sl]
+        checks = [(da[:, sl], coeffs[:, sl], coeffs)]
+        if k == 0:
+            checks.append((dc, ctf, ctf))
+        for got, block, whole in checks:
+            expected = S @ block
             if kind == 5:
                 expected = 2.0 * expected - S @ expected
-            assert np.abs(got[:, sl] - expected).max() < 1e-10 * np.abs(block).max()
+            assert np.abs(got - expected).max() < 1e-10 * np.abs(whole).max()
 
 
 def test_denoise_shape_mismatch(rotated_copies, basis17):
@@ -145,11 +161,11 @@ def test_denoise_shape_mismatch(rotated_copies, basis17):
 def test_denoise_solves_only_frequencies_with_content(kind, tiny_dataset, demo_graph, basis17,
                                                       monkeypatch):
     """Frequency k is solved (kinds 1-3) or its W_k built (kinds 4-5) only
-    when its image block or its |CTF| block has a nonzero entry. The image
-    blocks of k = 3, 4, 7 and 18 are zeroed here; |CTF| has content only at
-    k = 0, so none of them is solved. Both output blocks of a skipped k are
-    exact zeros, and both outputs equal a per-k loop over every frequency
-    bit for bit."""
+    when k = 0, for the (n, p_0) |CTF| block, or its image block has a
+    nonzero entry. The image blocks of k = 3, 4, 7 and 18 are zeroed here,
+    so none of them is solved. The output block of a skipped k is exact
+    zeros, and the image output equals a per-k loop over every frequency
+    bit for bit, the CTF output the k = 0 step of that loop."""
     set_threads(1)  # the solves run in this process, where the counters see them
     ds, g = tiny_dataset, demo_graph
     config = RunConfig(n=60, L=17, support_radius=8.0, s=8, n_defocus_groups=4)
@@ -163,14 +179,14 @@ def test_denoise_solves_only_frequencies_with_content(kind, tiny_dataset, demo_g
 
     spectra = [top_eigs(build_frequency_matrix(g, k), filt.m) for k in ks]
     sqrt_d = np.sqrt(g.degrees)[:, None]
-    expected_a, expected_c = np.zeros_like(coeffs), np.zeros_like(ctf)
+    expected_a = np.zeros_like(coeffs)
     for k, (vals, vecs) in zip(ks, spectra):
         sl, W = basis17.k_slice(k), build_frequency_matrix(g, k)
-        for out, block in ((expected_a, coeffs), (expected_c, ctf)):
-            if filt.truncated:
-                out[:, sl] = apply_spectral_filter(block[:, sl], vals, vecs, g.degrees, filt)
-            else:
-                out[:, sl] = _averaging_filter(W, sqrt_d, block[:, sl], 1)
+        a, c = (apply_spectral_filter(block, vals, vecs, g.degrees, filt) if filt.truncated
+                else _averaging_filter(W, sqrt_d, block, 1) for block in (coeffs[:, sl], ctf))
+        expected_a[:, sl] = a
+        if k == 0:
+            expected_c = c
 
     solves, built = [], []
 
@@ -193,24 +209,27 @@ def test_denoise_solves_only_frequencies_with_content(kind, tiny_dataset, demo_g
     else:
         assert solves == [] and built == solved
     for k in sorted(set(ks) - set(solved)):
-        sl = basis17.k_slice(k)
-        assert not da[:, sl].any() and not dc[:, sl].any(), k
+        assert not da[:, basis17.k_slice(k)].any(), k
+    assert ctf.shape == dc.shape == (g.n, basis17.k_slice(0).stop)
     np.testing.assert_array_equal(da, expected_a)
     np.testing.assert_array_equal(dc, expected_c)
 
 
-@pytest.mark.parametrize("operand, shape", [("coeffs", (60, 50)), ("ctf_coeffs", (60, 50)),
-                                            ("ctf_coeffs", (59, 76))],
-                         ids=["coeffs-narrow", "ctf-narrow", "ctf-rows"])
+@pytest.mark.parametrize("operand, shape", [("coeffs", (60, 50)), ("ctf_coeffs", (60, 5)),
+                                            ("ctf_coeffs", (59, 8)), ("ctf_coeffs", (60, 76))],
+                         ids=["coeffs-narrow", "ctf-narrow", "ctf-rows", "ctf-full-width"])
 def test_denoise_checks_operand_shapes(operand, shape, demo_graph, basis17):
-    """Both operands must be (graph nodes, basis coefficients): a narrower
-    one would give a narrower output, and its missing blocks would look
-    empty and be skipped."""
-    ops = {"coeffs": _random_block(60, basis17.n_coeffs, seed=8),
-           "ctf_coeffs": _random_block(60, basis17.n_coeffs, seed=9)}
-    ops[operand] = ops[operand][:shape[0], :shape[1]]
+    """The image operand must be (graph nodes, basis coefficients) and the
+    CTF operand (graph nodes, p_0), its k = 0 block: a narrower image
+    operand would give a narrower output, and its missing blocks would look
+    empty and be skipped. A full-width (60, 76) CTF operand, the format
+    that held zeros in every k > 0 block, is rejected too."""
+    widths = {"coeffs": basis17.n_coeffs, "ctf_coeffs": basis17.k_slice(0).stop}
+    assert widths == {"coeffs": 76, "ctf_coeffs": 8}
+    ops = {name: _random_block(60, w, seed=8 + i) for i, (name, w) in enumerate(widths.items())}
+    ops[operand] = _random_block(*shape, seed=10)
     with pytest.raises(ValueError, match=rf"^{operand} has shape \({shape[0]}, {shape[1]}\), "
-                                         r"expected \(60, 76\)"):
+                                         rf"expected \(60, {widths[operand]}\)"):
         denoise_stack(ops["coeffs"], ops["ctf_coeffs"], demo_graph, basis17, FilterSpec(kind=4))
 
 
@@ -255,16 +274,15 @@ def _abs_ctf(prof, with_ctf):
 @pytest.mark.parametrize("with_ctf", [True, False])
 def test_absolute_ctf_coeffs_per_image(with_ctf, tiny_dataset, basis17):
     """Each image's row is the k = 0 block of the expansion of |CTF| of its
-    own defocus group, or of one without CTF, and zeros elsewhere."""
+    own defocus group, or of one without CTF; the operand is (n, p_0)."""
     ds = tiny_dataset
     config = RunConfig(n=60, L=17, support_radius=8.0, s=8, n_defocus_groups=4,
                        with_ctf=with_ctf)
     got = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, config)
-    assert got.shape == (60, basis17.n_coeffs)
+    assert got.shape == (60, basis17.k_slice(0).stop)
     for i, g in enumerate(ds["manifest"].defocus_group):
         expected = expand_disk_function(_abs_ctf(ds["profiles"][g], with_ctf), basis17)
-        expected[basis17.ks > 0] = 0
-        np.testing.assert_array_equal(got[i], expected)
+        np.testing.assert_array_equal(got[i], expected[basis17.k_slice(0)])
 
 
 def _grid_reference(a, basis):
@@ -287,8 +305,10 @@ def test_denoise_and_correct_matches_per_image_loop(tiny_dataset, demo_graph, ba
     ctf = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, config)
     out, eff = denoise_and_correct(coeffs, ctf, demo_graph, basis17, config)
     da, dc = denoise_stack(coeffs, ctf, demo_graph, basis17, FilterSpec(kind=2, m=20))
+    dc_full = np.zeros_like(da)
+    dc_full[:, basis17.k_slice(0)] = dc
     for i in range(coeffs.shape[0]):
-        C = _grid_reference(dc[i], basis17).real
+        C = _grid_reference(dc_full[i], basis17).real
         e = 1e-2 * np.max(C**2)
         ref = ift_grid(_grid_reference(da[i], basis17) * C / (C**2 + e)).real
         assert np.abs(eff[i] - C).max() <= 1e-12 * np.abs(C).max()
@@ -313,19 +333,19 @@ def test_truncation_past_n_keeps_every_eigenpair(tiny_dataset, demo_graph, basis
 @pytest.mark.parametrize("with_ctf", [True, False])
 @pytest.mark.parametrize("L", [17, 33])
 def test_absolute_ctf_coeffs_are_radial(L, with_ctf, basis17, basis33):
-    """|CTF| (or one) is radial: every k > 0 block is exact zeros, so that
-    denoise_stack and reconstruct_grid skip it, and the k = 0 block is the
-    k = 0 block of expand_disk_function's fit, bit for bit."""
+    """|CTF| (or one) is radial: the operand holds only the (n, p_0) k = 0
+    block, no k > 0 block for denoise_stack and reconstruct_grid to skip,
+    and it is the k = 0 block of expand_disk_function's fit, bit for bit."""
     basis = basis17 if L == 17 else basis33
     groups = 20
     manifest = SimpleNamespace(n=groups, defocus_group=np.arange(groups))
     config = RunConfig(L=L, support_radius=(L - 1) / 2, with_ctf=with_ctf)
     profiles = default_defocus_groups(groups)
     ctf = absolute_ctf_coeffs(manifest, profiles, basis, config)
-    assert not ctf[:, basis.ks > 0].any()
+    assert ctf.shape == (groups, basis.k_slice(0).stop)
     for row, prof in zip(ctf, profiles):
         fit = expand_disk_function(_abs_ctf(prof, with_ctf), basis)
-        np.testing.assert_array_equal(row[basis.k_slice(0)], fit[basis.k_slice(0)])
+        np.testing.assert_array_equal(row, fit[basis.k_slice(0)])
 
 
 def test_reconstruct_grid_skips_zero_blocks(basis17):

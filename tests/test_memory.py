@@ -55,8 +55,10 @@ def test_classify_peak_allocation_bounded(basis17):
 
 
 # 800 images of 33 x 33 pixels, 6.6 MB as float64. Measured peaks with the
-# 16 MB BLOCK_BYTES: prepare_coeffs 19 MB, denoise_and_correct 38 MB (of
-# which 21 MB are its two output stacks and the filtered coefficients).
+# 16 MB BLOCK_BYTES: prepare_coeffs 19 MB, denoise_and_correct 35 MB (of
+# which 18 MB are its two output stacks and the filtered coefficients) with
+# the (n, p_0) |CTF| block, 38 MB when the CTF operand and its filtered
+# copy were (n, n_coeffs) matrices (the coefficients stood in for |CTF|).
 # Transforming the whole stack at once they were 67 MB and 81 MB.
 STACK_N = 800
 PREPARE_BOUND_MB = 30
@@ -79,7 +81,8 @@ def test_stack_transforms_peak_allocation_bounded(basis33):
     src = np.repeat(np.arange(STACK_N), 5)
     dst = (src + np.tile(np.arange(1, 6), STACK_N)) % STACK_N
     graph = symmetrize(STACK_N, src, dst, angles=np.zeros(src.size))
-    assert _traced_peak_mb(denoise_and_correct, coeffs, coeffs, graph, basis33,
+    ctf_coeffs = absolute_ctf_coeffs(manifest, profiles, basis33, config)
+    assert _traced_peak_mb(denoise_and_correct, coeffs, ctf_coeffs, graph, basis33,
                            config) < DENOISE_BOUND_MB
 
 

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 import mfvdm.pool
 import mfvdm.spectral
 from mfvdm import expand_stack, simulate_dataset
+from mfvdm.denoise import FilterSpec, denoise_stack
 from mfvdm.graph import ViewGraph, _upper_tiles, initial_nn_search
 from mfvdm.pool import set_threads
 from mfvdm.spectral import (
@@ -267,6 +268,25 @@ def test_isolated_node_rejected():
                   angles=np.array([0.1, -0.1]))
     with pytest.raises(ValueError, match="isolated"):
         build_frequency_matrix(g, 1)
+
+
+@pytest.mark.parametrize("kind", [2, 4])
+def test_graph_without_angles_rejected(kind, demo_graph, basis17):
+    """A graph whose angles are unset, such as refine_neighbors' output
+    before align_graph, is rejected by name in build_frequency_matrix, and
+    so in compute_bundle and denoise_stack (both filter branches), also
+    from a pool worker; it failed with a TypeError multiplying by None."""
+    refined = refine_neighbors(compute_bundle(demo_graph, 2, 10), 5)
+    assert refined.angles is None
+    match = r"^graph has no alignment angles: run align_graph on it first$"
+    with pytest.raises(ValueError, match=match):
+        build_frequency_matrix(refined, 1)
+    with pytest.raises(ValueError, match=match):
+        compute_bundle(refined, 2, 10)
+    coeffs = np.ones((refined.n, basis17.n_coeffs), dtype=complex)
+    ctf = np.ones((refined.n, basis17.k_slice(0).stop), dtype=complex)
+    with pytest.raises(ValueError, match=match):
+        denoise_stack(coeffs, ctf, refined, basis17, FilterSpec(kind=kind, m=10))
 
 
 def test_embedding_dot_matches_matrix_power(demo_graph):
