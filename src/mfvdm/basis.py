@@ -7,11 +7,10 @@ Rotating an image counter-clockwise by alpha multiplies a_{k,q} by
 exp(-i*k*alpha), which makes the correlation of two images over rotations
 a 1D Fourier sum over k.
 
-BasisTables holds the radial counts p_k and the two grid operators: psi_grid,
-which needs scipy's Bessel functions, and coeff_solver, the k >= 0 rows of the
-grid basis's least-squares solver, solved from its Gram matrix. The column
-frequencies and the in-disk grid points follow from the counts and from
-(L, bandlimit).
+BasisTables holds the radial counts p_k and the two grid operators: psi_grid
+and coeff_solver, the k >= 0 rows of the grid basis's least-squares solver,
+solved from its Gram matrix. The column frequencies and the in-disk grid
+points follow from the counts and from (L, bandlimit).
 """
 
 from dataclasses import dataclass, field
@@ -120,6 +119,9 @@ def build_basis(L, bandlimit, support_radius):
     Retains every (k, q) whose Bessel zero satisfies
     R_{k,q} <= 2*pi*bandlimit*support_radius.
     """
+    if not isinstance(L, (int, np.integer)):
+        raise BasisError(f"image size must be an integer, got {L!r}")
+    L = int(L)
     if L < 3 or L % 2 == 0:
         raise BasisError(f"image size must be odd and >= 3, got {L}")
     if not (0.0 < bandlimit <= 0.5):
@@ -128,30 +130,16 @@ def build_basis(L, bandlimit, support_radius):
         raise BasisError(
             f"support radius must be in (0, {(L - 1) / 2}], got {support_radius}"
         )
-    # scipy is imported where it is used, so that `import mfvdm` and the
-    # stages that never call it (evaluate; classify and denoise, which read
-    # the basis from the run directory) do not pay for its import
-    from scipy.special import jn_zeros, jv
-
     c_max = 2.0 * np.pi * bandlimit * support_radius
-    if jn_zeros(0, 1)[0] > c_max:
+    zeros = _bessel_zeros(c_max)
+    if not zeros:
         raise BasisError("no admissible basis functions; enlarge bandlimit or radius")
-
-    # per k, a generous batch of zeros trimmed to the admissibility cutoff
-    n_guess = max(4, int(c_max / np.pi) + 4)
-    zeros = []
-    while True:
-        zk = jn_zeros(len(zeros), n_guess)
-        zk = zk[zk <= c_max]
-        if zk.size == 0:
-            break
-        zeros.append(zk)
     radial_counts = np.array([zk.size for zk in zeros])
 
     ks = np.repeat(np.arange(len(zeros)), radial_counts)
     zero_flat = np.concatenate(zeros)
     # orthonormal under the measure xi dxi dtheta on the disk of radius kappa
-    norms = 1.0 / (bandlimit * np.sqrt(np.pi) * np.abs(jv(ks + 1, zero_flat)))
+    norms = 1.0 / (bandlimit * np.sqrt(np.pi) * np.abs(_bessel(ks + 1, zero_flat)))
 
     # Cartesian frequency grid points inside the disk, for expansion/reconstruction
     f1, f2 = freq_grid(L)
@@ -162,7 +150,7 @@ def build_basis(L, bandlimit, support_radius):
     # the grid holds few distinct radii: evaluate the Bessel functions once
     # per radius and gather
     radii, at = np.unique(g_xi, return_inverse=True)
-    radial_g = jv(ks[None, :], zero_flat[None, :] * radii[:, None] / bandlimit)[at]
+    radial_g = _bessel(ks, zero_flat * radii[:, None] / bandlimit)[at]
     phase_g = (1j ** ks)[None, :] * np.exp(1j * ks[None, :] * g_th[:, None])
     psi_grid = norms[None, :] * radial_g * phase_g
 
@@ -181,32 +169,123 @@ def build_basis(L, bandlimit, support_radius):
         support_radius=float(support_radius),
         radial_counts=radial_counts,
         psi_grid=psi_grid,
-        coeff_solver=_solver_rows(psi_full, ks.size),
+        coeff_solver=_solver_rows(psi_full, np.concatenate([ks, -ks[pos]]), ks.size),
     )
 
 
-def _solver_rows(psi, rows):
-    """The first rows rows of the least-squares solver (psi^H psi)^-1 psi^H
-    of a complex grid basis psi (n_points, n_columns), from the inverse of
-    its Gram matrix G = psi^H psi.
-
-    The sampled Fourier-Bessel basis is nearly orthogonal (cond(psi) is 1.2
-    at L = 33), so the normal equations lose no digits that matter. Raises
-    BasisError when G is singular or its reciprocal 1-norm condition number
-    1 / (|G|_1 |G^-1|_1) is below GRAM_RCOND: psi is then (nearly) rank
-    deficient.
+def _bessel(order, x):
+    """Bessel functions of the first kind J_order(x) at points x >= 0, for
+    integer orders order >= 0 broadcast against x: one backward (Miller)
+    recurrence J_{k-1} = (2k/x) J_k - J_{k+1} over all points from an order
+    past both max(order) and max(x), where J_k(x) decays faster than any
+    rounding error, normalised by J_0 + 2 sum_k J_2k = 1. A point whose
+    values approach overflow is rescaled, together with what it has stored
+    so far; x = 0 gives J_0 = 1 and J_k = 0.
     """
-    psi_h = np.conj(psi.T)
-    gram = psi_h @ psi
-    try:
-        inverse = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        raise BasisError("grid basis is rank deficient: its Gram matrix is singular") from None
-    rcond = 1.0 / (np.linalg.norm(gram, 1) * np.linalg.norm(inverse, 1))
+    order, x = np.broadcast_arrays(np.asarray(order), np.asarray(x, dtype=float))
+    top = max(int(order.max(initial=0)), int(np.ceil(x.max(initial=0.0))))
+    # the truncation error J_start / Y_start at x <= top falls below 1e-16
+    # once start - top exceeds about 10 top^(1/3)
+    start = top + int(12.0 * top ** (1.0 / 3.0)) + 4
+    two_over_x = 2.0 / np.where(x > 0.0, x, 1.0).ravel()
+    # the points of each order k, stored as the recurrence passes k
+    by_order = np.argsort(order, axis=None, kind="stable")
+    bounds = np.searchsorted(order.ravel()[by_order], np.arange(start + 2))
+    out = np.zeros(x.size)
+    upper = np.zeros(x.size)   # J_{k+1}, unnormalised
+    cur = np.ones(x.size)      # J_k, unnormalised
+    total = np.zeros(x.size)
+    for k in range(start, -1, -1):
+        at = by_order[bounds[k]:bounds[k + 1]]
+        out[at] = cur[at]
+        if k == 0:
+            break
+        if k % 2 == 0:
+            total += cur
+        upper, cur = cur, k * two_over_x * cur - upper
+        huge = np.abs(cur) > 1e200
+        if huge.any():
+            for a in (cur, upper, total, out):
+                a[huge] *= 1e-200
+    out /= 2.0 * total + cur
+    out = out.reshape(x.shape)
+    out[x == 0.0] = order[x == 0.0] == 0
+    return out
+
+
+def _bessel_zeros(c_max):
+    """The zeros j_{k,q} <= c_max of J_k, one ascending array per k =
+    0, 1, ... up to the last k with such a zero. Consecutive zeros of J_k
+    are more than pi apart, so on a grid of spacing below pi each sign
+    change of J_k brackets exactly one zero; a few safeguarded Newton
+    steps, with J_k' = (k/x) J_k - J_{k+1}, then polish it."""
+    # j_{k,1} > k, so no order above c_max has a zero below it. J_k > 0 on
+    # (0, j_{k,1}) and J_k(0) = 0 has no sign bit, so the grid starts at
+    # x = 0 without a sign change; j_{k,1} > 3 for k >= 1, so only k = 0
+    # brackets a zero from x = 0, where J_0 = 1
+    ks = np.arange(int(c_max) + 1)
+    grid = np.linspace(0.0, c_max, int(np.ceil(c_max / 3.0)) + 1)
+    table = _bessel(ks[:, None], grid)
+    k_at, left = np.nonzero(np.signbit(table[:, :-1]) != np.signbit(table[:, 1:]))
+    if k_at.size == 0:
+        return []
+    lo, hi = grid[left], grid[left + 1]
+    f_lo, f_hi = table[k_at, left], table[k_at, left + 1]
+    lo_sign = np.signbit(f_lo)
+    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)   # secant start
+    for _ in range(50):
+        jk, jk1 = _bessel(np.stack([k_at, k_at + 1]), x)
+        # shrink the bracket to the side where J_k still changes sign
+        below = np.signbit(jk) == lo_sign
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        step = jk / (k_at / x * jk - jk1)
+        newton = x - step
+        # a step within rounding of x is taken even if it leaves the bracket
+        done = np.abs(step) <= 4.0 * np.finfo(float).eps * x
+        x = np.where(done | ((newton >= lo) & (newton <= hi)), newton, 0.5 * (lo + hi))
+        if done.all():
+            break
+    return np.split(x, np.flatnonzero(np.diff(k_at)) + 1)
+
+
+def _solver_rows(psi, freqs, rows):
+    """The first rows rows of the least-squares solver (psi^H psi)^-1 psi^H
+    of a complex grid basis psi (n_points, n_columns) whose columns have
+    signed angular frequencies freqs, from the inverse of its Gram matrix
+    G = psi^H psi.
+
+    The in-disk grid is invariant under quarter turns, so columns whose
+    frequencies differ mod 4 are orthogonal and G is block diagonal; its
+    mirror symmetry makes each block real. Each block is inverted on its
+    own, in real arithmetic. The sampled Fourier-Bessel basis is nearly
+    orthogonal (cond(psi) is 1.2 at L = 33), so the normal equations lose
+    no digits that matter. Raises BasisError when a block is singular or
+    the reciprocal 1-norm condition number 1 / (|G|_1 |G^-1|_1) of G is
+    below GRAM_RCOND (each 1-norm is the largest over the blocks): psi is
+    then (nearly) rank deficient.
+    """
+    solver = np.empty((rows, psi.shape[0]), dtype=complex)
+    gram_norm = inverse_norm = 0.0
+    for cls in range(4):
+        cols = np.flatnonzero(freqs % 4 == cls)
+        if cols.size == 0:
+            continue
+        block = psi[:, cols]
+        block_h = np.conj(block.T)
+        gram = (block_h @ block).real
+        try:
+            inverse = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            raise BasisError("grid basis is rank deficient: its Gram matrix is singular") from None
+        gram_norm = max(gram_norm, np.linalg.norm(gram, 1))
+        inverse_norm = max(inverse_norm, np.linalg.norm(inverse, 1))
+        kept = cols < rows
+        solver[cols[kept]] = inverse[kept] @ block_h
+    rcond = 1.0 / (gram_norm * inverse_norm)
     if not rcond >= GRAM_RCOND:
         raise BasisError(f"grid basis is ill-conditioned: reciprocal condition number "
                          f"{rcond:.3g} of its Gram matrix is below {GRAM_RCOND}")
-    return inverse[:rows] @ psi_h
+    return solver
 
 
 def expand_stack(images, basis):

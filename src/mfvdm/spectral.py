@@ -52,12 +52,16 @@ MATVECS_PER_ROW = 10
 # top_eigs raises EigsError when an explicit residual |W u - lambda u|
 # exceeds this, whichever branch solved
 RESIDUAL_TOL = 1e-8
+# whether frequency_eigs ran before in this process
+_solved_before = False
 
 
 def build_frequency_matrix(graph, k):
     """n x n complex CSR matrix with entries e^{-ik alpha_ij}/sqrt(deg_i deg_j)
     on the graph's edges; Hermitian by the angle antisymmetry of the graph."""
-    import scipy.sparse as sp  # imported on use: see basis.build_basis
+    # imported on use, so that `import mfvdm` and the stages that solve no
+    # eigenproblem (simulate, evaluate) do not pay for scipy's import
+    import scipy.sparse as sp
 
     if graph.angles is None:
         raise ValueError("graph has no alignment angles: run align_graph on it first")
@@ -161,6 +165,14 @@ def frequency_eigs(graph, ks, m, *, solve=None):
     no per-k seed, so the eigenpairs are the same bits whether the solves
     run pooled or in this process.
     """
+    # The first call leaves scipy.sparse to its workers, which keeps its
+    # 20 MB out of a process that solves once (a CLI stage). A process that
+    # solves again imports it here, so that its later pools inherit it
+    # instead of each worker importing it anew (0.1 s a pool).
+    global _solved_before
+    if _solved_before:
+        import scipy.sparse  # noqa: F401
+    _solved_before = True
     return fork_map(_solve_frequency, [int(k) for k in ks],
                     shared=(graph, m, solve or top_eigs))
 

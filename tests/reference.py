@@ -5,8 +5,10 @@ written for clarity rather than speed."""
 import numpy as np
 from scipy.ndimage import map_coordinates
 from scipy.signal import fftconvolve
+from scipy.special import jn_zeros, jv
 
-from mfvdm.basis import BasisError, expand_stack, freq_grid, ft_grid, ift_grid, reconstruct_grid
+from mfvdm.basis import (BasisError, BasisTables, _disk_index, expand_stack, freq_grid, ft_grid,
+                         ift_grid, reconstruct_grid)
 from mfvdm.graph import viewing_angle
 from mfvdm.simulate import _rng, ctf_grid, default_defocus_groups, make_phantom, preprocess
 from mfvdm.spectral import _affinity_block, _affinity_factors
@@ -15,14 +17,57 @@ from mfvdm.spectral import _affinity_block, _affinity_factors
 # --------------------------------------------------------------------------
 # basis
 
+def bessel_zeros(c_max):
+    """The zeros j_{k,q} <= c_max of J_k by scipy's jn_zeros, one ascending
+    array per k = 0, 1, ... up to the last k with such a zero."""
+    n_guess = max(4, int(c_max / np.pi) + 4)
+    zeros = []
+    while True:
+        zk = jn_zeros(len(zeros), n_guess)
+        zk = zk[zk <= c_max]
+        if zk.size == 0:
+            return zeros
+        zeros.append(zk)
+
+
+def reference_basis(L, bandlimit, support_radius):
+    """The basis tables of build_basis from scipy's Bessel functions (jn_zeros,
+    jv) and the inverse of the whole complex Gram matrix of the full +-k grid
+    basis, without its quarter-turn blocks."""
+    c_max = 2.0 * np.pi * bandlimit * support_radius
+    zeros = bessel_zeros(c_max)
+    if not zeros:
+        raise BasisError("no admissible basis functions; enlarge bandlimit or radius")
+    radial_counts = np.array([zk.size for zk in zeros])
+    ks = np.repeat(np.arange(len(zeros)), radial_counts)
+    zero_flat = np.concatenate(zeros)
+    norms = 1.0 / (bandlimit * np.sqrt(np.pi) * np.abs(jv(ks + 1, zero_flat)))
+    f1, f2 = freq_grid(L)
+    grid_index = _disk_index(L, bandlimit)
+    g_xi = np.hypot(f1, f2).ravel()[grid_index]
+    g_th = np.arctan2(f2.ravel()[grid_index], f1.ravel()[grid_index])
+    radial_g = jv(ks[None, :], zero_flat[None, :] * g_xi[:, None] / bandlimit)
+    phase_g = (1j ** ks)[None, :] * np.exp(1j * ks[None, :] * g_th[:, None])
+    psi_grid = norms[None, :] * radial_g * phase_g
+    psi_full = full_grid_basis(psi_grid, ks)
+    psi_h = np.conj(psi_full.T)
+    solver = np.linalg.inv(psi_h @ psi_full)[:ks.size] @ psi_h
+    return BasisTables(L=L, bandlimit=float(bandlimit), support_radius=float(support_radius),
+                       radial_counts=radial_counts, psi_grid=psi_grid, coeff_solver=solver)
+
+
+def full_grid_basis(psi_grid, ks):
+    """The full +-k grid basis: the k >= 0 columns psi_grid, then
+    psi^{-k,q} = (-1)^k conj(psi^{k,q}) for k > 0."""
+    pos = ks > 0
+    sign = np.where(ks[pos] % 2 == 0, 1.0, -1.0)
+    return np.concatenate([psi_grid, sign * np.conj(psi_grid[:, pos])], axis=1)
+
+
 def pinv_solver(basis):
-    """Pseudo-inverse (numpy's SVD-based pinv) of the full +-k grid basis:
-    the k >= 0 columns psi_grid, then psi^{-k,q} = (-1)^k conj(psi^{k,q})
-    for k > 0. Shape (n_coeffs + n_pos, n_inside)."""
-    pos = basis.ks > 0
-    sign = np.where(basis.ks[pos] % 2 == 0, 1.0, -1.0)
-    psi_full = np.concatenate([basis.psi_grid, sign * np.conj(basis.psi_grid[:, pos])], axis=1)
-    return np.linalg.pinv(psi_full, rcond=1e-10)
+    """Pseudo-inverse (numpy's SVD-based pinv) of the full +-k grid basis
+    (full_grid_basis). Shape (n_coeffs + n_pos, n_inside)."""
+    return np.linalg.pinv(full_grid_basis(basis.psi_grid, basis.ks), rcond=1e-10)
 
 
 def expand(image, basis):

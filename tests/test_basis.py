@@ -5,8 +5,11 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import jn_zeros, jv
 
+from mfvdm import RunConfig
 from mfvdm.basis import (
     BasisError,
+    _bessel,
+    _bessel_zeros,
     _solver_rows,
     build_basis,
     expand_stack,
@@ -18,12 +21,18 @@ from mfvdm.basis import (
     rotate_coeffs,
     steerable_pca,
 )
+from mfvdm.io import read_basis, write_basis
 from mfvdm.simulate import preprocess, simulate_dataset
-from reference import (coeff_noise_covariance, expand, full_sq_norm, pinv_solver, rid_align,
-                       rotate_image)
+from reference import (bessel_zeros, coeff_noise_covariance, expand, full_grid_basis, full_sq_norm,
+                       pinv_solver, reference_basis, rid_align, rotate_image)
+
+# (L, bandlimit, support_radius) over which build_basis is checked against
+# the scipy build of tests/reference.py
+SWEEP = [(L, bandlimit, support_radius) for L in (5, 9, 17, 33, 49)
+         for bandlimit in (0.3, 0.4, 0.5) for support_radius in ((L - 1) / 3, (L - 1) / 2)]
 
 
-def test_build_validation():
+def test_build_validation(tmp_path):
     with pytest.raises(BasisError):
         build_basis(16, 0.5, 8.0)      # even size
     with pytest.raises(BasisError):
@@ -34,6 +43,71 @@ def test_build_validation():
         build_basis(17, 0.5, 9.0)      # support outside the image
     with pytest.raises(BasisError):
         build_basis(3, 0.01, 1.0)      # no admissible functions
+    with pytest.raises(BasisError, match="must be an integer"):
+        build_basis(33.5, 0.5, 16.0)   # would sample a half-pixel-offset grid
+    with pytest.raises(BasisError, match="must be an integer"):
+        build_basis(17.0, 0.5, 8.0)    # would be stored with a float64 L
+    # numpy integers are accepted and stored as int
+    basis = build_basis(np.int64(17), 0.5, 8.0)
+    assert type(basis.L) is int
+    write_basis(basis, tmp_path / "basis.npz")
+    back = read_basis(tmp_path / "basis.npz", RunConfig(L=17, bandlimit=0.5, support_radius=8.0))
+    np.testing.assert_array_equal(back.coeff_solver, basis.coeff_solver)
+
+
+@pytest.mark.parametrize("L, bandlimit, support_radius", SWEEP)
+def test_build_matches_reference(L, bandlimit, support_radius):
+    """The numpy build has the counts of the scipy build (reference_basis),
+    and its psi_grid and coeff_solver agree to 1e-13 of their largest
+    entry."""
+    basis = build_basis(L, bandlimit, support_radius)
+    ref = reference_basis(L, bandlimit, support_radius)
+    np.testing.assert_array_equal(basis.radial_counts, ref.radial_counts)
+    for name in ("psi_grid", "coeff_solver"):
+        a, b = getattr(basis, name), getattr(ref, name)
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
+
+
+@pytest.mark.parametrize("L, bandlimit, support_radius", SWEEP)
+def test_bessel_matches_scipy(L, bandlimit, support_radius):
+    """On [0, c_max] the Miller table agrees with scipy's jv to 1e-14 for
+    k = 0..k_max + 1, and the zeros with jn_zeros to 1e-13 relative."""
+    c_max = 2.0 * np.pi * bandlimit * support_radius
+    zeros, ref = _bessel_zeros(c_max), bessel_zeros(c_max)
+    assert [zk.size for zk in zeros] == [zk.size for zk in ref]
+    for zk, rk in zip(zeros, ref):
+        assert (np.abs(zk - rk) <= 1e-13 * rk).all()
+    ks = np.arange(len(ref) + 1)[:, None]
+    x = np.linspace(0.0, c_max, 1001)
+    assert np.abs(_bessel(ks, x) - jv(ks, x)).max() <= 1e-14
+
+
+def test_zeros_clear_the_cutoff():
+    """Over the sweep no Bessel zero lies within 1e-4 of c_max, relative
+    (the closest, j_{10,10} at L = 49, bandlimit 0.3, radius 24, is 1.6e-4
+    away), so zeros that agree to 1e-13 cannot be admitted differently."""
+    margins = []
+    for _, bandlimit, support_radius in SWEEP:
+        c_max = 2.0 * np.pi * bandlimit * support_radius
+        for k in range(int(c_max) + 2):
+            margins.append(np.abs(jn_zeros(k, int(c_max / np.pi) + 3) - c_max).min() / c_max)
+    assert min(margins) > 1e-4
+
+
+@pytest.mark.parametrize("L, bandlimit, support_radius", SWEEP)
+def test_gram_splits_into_quarter_turn_blocks(L, bandlimit, support_radius):
+    """Entries of the full +-k Gram matrix between columns whose signed
+    frequencies differ mod 4 are at most 1e-13 of its largest diagonal
+    entry, and so are the imaginary parts within a block: the blocks that
+    _solver_rows inverts in real arithmetic lose nothing."""
+    basis = build_basis(L, bandlimit, support_radius)
+    psi = full_grid_basis(basis.psi_grid, basis.ks)
+    freqs = np.concatenate([basis.ks, -basis.ks[basis.ks > 0]])
+    gram = np.conj(psi.T) @ psi
+    scale = np.abs(np.diag(gram)).max()
+    same = freqs[:, None] % 4 == freqs[None, :] % 4
+    assert np.abs(gram[~same]).max(initial=0.0) <= 1e-13 * scale
+    assert np.abs(gram[same].imag).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("name", ["basis17", "basis33", "bandlimit 0.35"])
@@ -49,14 +123,14 @@ def test_coeff_solver_matches_pinv(name, request):
 def test_solver_rejects_rank_deficient_basis(basis17):
     """A repeated column makes the Gram matrix singular, a nearly repeated
     one ill-conditioned: both raise BasisError instead of solving."""
-    psi = basis17.psi_grid
+    psi, ks = basis17.psi_grid, basis17.ks
     repeated = np.concatenate([psi, psi[:, 3:4]], axis=1)
     near = repeated.copy()
     near[0, -1] += 1e-9
     for bad in (repeated, near):
         with pytest.raises(BasisError, match="grid basis is"):
-            _solver_rows(bad, basis17.n_coeffs)
-    assert np.isfinite(_solver_rows(psi, basis17.n_coeffs)).all()
+            _solver_rows(bad, np.append(ks, ks[3]), basis17.n_coeffs)
+    assert np.isfinite(_solver_rows(psi, ks, basis17.n_coeffs)).all()
 
 
 def _radial_zeros(basis, k):

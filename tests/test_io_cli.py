@@ -543,6 +543,20 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_basis_and_simulate_load_no_scipy(tmp_path):
+    """build_basis computes its Bessel functions in numpy, so building a
+    basis and running the simulate stage import no scipy module at all."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfvdm.__file__)))
+    code = ("import sys, mfvdm, mfvdm.pipeline\n"
+            "mfvdm.build_basis(33, 0.5, 16.0)\n"
+            "config = mfvdm.RunConfig(n=8, L=17, support_radius=8.0, s=4, m=4)\n"
+            "mfvdm.pipeline.run_simulate(config, sys.argv[1])\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_run_simulate_passes_the_simulate_fields(monkeypatch, tmp_path):
     """run_simulate calls simulate_dataset with the config's values of
     exactly SIMULATE_FIELDS, by name."""

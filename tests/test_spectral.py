@@ -263,6 +263,29 @@ def test_pool_workers_die_with_caller():
     assert not orphans
 
 
+def test_second_pooled_solve_imports_scipy_sparse_in_caller():
+    """The first pooled frequency_eigs call leaves scipy.sparse to its
+    workers, so a process that solves once never holds it; the second
+    imports it in the caller, whose later workers inherit it."""
+    script = "\n".join([
+        "import os, sys",
+        "import numpy as np",
+        "from mfvdm.graph import ViewGraph",
+        "from mfvdm.spectral import frequency_eigs",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "g = ViewGraph(indptr=np.array([0, 1, 2]), indices=np.array([1, 0]),",
+        "              angles=np.array([0.1, -0.1]))",
+        "for _ in range(2):",
+        "    vals = [v for v, _ in frequency_eigs(g, range(2), 1)]",
+        "    print('scipy.sparse' in sys.modules, np.round(vals, 12).tolist())",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out.splitlines() == ["False [[1.0], [1.0]]", "True [[1.0], [1.0]]"]
+
+
 def test_isolated_node_rejected():
     g = ViewGraph(indptr=np.array([0, 1, 2, 2]), indices=np.array([1, 0]),
                   angles=np.array([0.1, -0.1]))
