@@ -77,9 +77,11 @@ def _disk_index(L, bandlimit):
 class BasisTables:
     """Immutable tables for one (L, bandlimit, support_radius) basis.
 
-    The fields are what basis.npz stores; the column frequencies ks, k_max
-    and grid_index follow from them. Expand and reconstruct are matrix
-    products. Safe to share across threads.
+    build_basis makes them from those three parameters alone, so each
+    pipeline stage that expands or reconstructs builds its own; nothing
+    stores them. The column frequencies ks, k_max and grid_index follow
+    from the fields. Expand and reconstruct are matrix products. Safe to
+    share across threads.
     """
 
     L: int
@@ -147,21 +149,14 @@ def build_basis(L, bandlimit, support_radius):
     grid_index = _disk_index(L, bandlimit)
     g_xi = rad.ravel()[grid_index]
     g_th = np.arctan2(f2.ravel()[grid_index], f1.ravel()[grid_index])
-    # the grid holds few distinct radii: evaluate the Bessel functions once
-    # per radius and gather
+    # psi^{k,q}(xi, theta) = norm_{k,q} J_k(R_{k,q} xi / bandlimit) i^k
+    # exp(i k theta), formed in one array. The grid holds few distinct
+    # radii: the Bessel functions are evaluated once per radius and gathered
     radii, at = np.unique(g_xi, return_inverse=True)
-    radial_g = _bessel(ks, zero_flat * radii[:, None] / bandlimit)[at]
-    phase_g = (1j ** ks)[None, :] * np.exp(1j * ks[None, :] * g_th[:, None])
-    psi_grid = norms[None, :] * radial_g * phase_g
-
-    # expansion solves a least-squares fit against the in-disk grid samples,
-    # so expand is an exact left inverse of reconstruct on the basis span.
-    # Columns for k < 0 use psi^{-k,q} = (-1)^k conj(psi^{k,q}); for real
-    # images their coefficients are the conjugates of the k > 0 ones, so
-    # only the solver's k >= 0 rows are kept.
-    pos = ks > 0
-    sign = np.where(ks[pos] % 2 == 0, 1.0, -1.0)
-    psi_full = np.concatenate([psi_grid, sign[None, :] * np.conj(psi_grid[:, pos])], axis=1)
+    psi_grid = 1j * ks[None, :] * g_th[:, None]
+    np.exp(psi_grid, out=psi_grid)
+    psi_grid *= 1j ** ks
+    psi_grid *= _bessel(ks, zero_flat * radii[:, None] / bandlimit)[at] * norms
 
     return BasisTables(
         L=L,
@@ -169,7 +164,7 @@ def build_basis(L, bandlimit, support_radius):
         support_radius=float(support_radius),
         radial_counts=radial_counts,
         psi_grid=psi_grid,
-        coeff_solver=_solver_rows(psi_full, np.concatenate([ks, -ks[pos]]), ks.size),
+        coeff_solver=_solver_rows(psi_grid, ks),
     )
 
 
@@ -248,39 +243,45 @@ def _bessel_zeros(c_max):
     return np.split(x, np.flatnonzero(np.diff(k_at)) + 1)
 
 
-def _solver_rows(psi, freqs, rows):
-    """The first rows rows of the least-squares solver (psi^H psi)^-1 psi^H
-    of a complex grid basis psi (n_points, n_columns) whose columns have
-    signed angular frequencies freqs, from the inverse of its Gram matrix
-    G = psi^H psi.
+def _solver_rows(psi, ks):
+    """The k >= 0 rows of the least-squares solver (psi_full^H psi_full)^-1
+    psi_full^H of the full +-k grid basis psi_full, from the inverse of its
+    Gram matrix G. psi (n_points, n_columns) holds its k >= 0 columns, of
+    angular frequencies ks >= 0; its k < 0 columns are psi^{-k,q} =
+    (-1)^k conj(psi^{k,q}), and for real images their coefficients are the
+    conjugates of the k > 0 ones, so only the k >= 0 rows are returned.
+    Expansion is then an exact left inverse of reconstruction on the
+    basis span.
 
     The in-disk grid is invariant under quarter turns, so columns whose
-    frequencies differ mod 4 are orthogonal and G is block diagonal; its
-    mirror symmetry makes each block real. Each block is inverted on its
-    own, in real arithmetic. The sampled Fourier-Bessel basis is nearly
-    orthogonal (cond(psi) is 1.2 at L = 33), so the normal equations lose
-    no digits that matter. Raises BasisError when a block is singular or
-    the reciprocal 1-norm condition number 1 / (|G|_1 |G^-1|_1) of G is
-    below GRAM_RCOND (each 1-norm is the largest over the blocks): psi is
-    then (nearly) rank deficient.
+    signed frequencies differ mod 4 are orthogonal and G is block diagonal;
+    its mirror symmetry makes each block real. Each block is assembled from
+    psi's columns and inverted on its own, in real arithmetic. The sampled
+    Fourier-Bessel basis is nearly orthogonal (cond(psi_full) is 1.2 at
+    L = 33), so the normal equations lose no digits that matter. Raises
+    BasisError when a block is singular or the reciprocal 1-norm condition
+    number 1 / (|G|_1 |G^-1|_1) of G is below GRAM_RCOND (each 1-norm is
+    the largest over the blocks): psi_full is then (nearly) rank deficient.
     """
-    solver = np.empty((rows, psi.shape[0]), dtype=complex)
+    solver = np.empty((ks.size, psi.shape[0]), dtype=complex)
+    pos = np.flatnonzero(ks > 0)
     gram_norm = inverse_norm = 0.0
     for cls in range(4):
-        cols = np.flatnonzero(freqs % 4 == cls)
-        if cols.size == 0:
+        own, mirrored = np.flatnonzero(ks % 4 == cls), pos[-ks[pos] % 4 == cls]
+        if own.size + mirrored.size == 0:
             continue
-        block = psi[:, cols]
-        block_h = np.conj(block.T)
-        gram = (block_h @ block).real
+        sign = np.where(ks[mirrored] % 2 == 0, 1.0, -1.0)
+        # the block's columns, one per row
+        columns = np.concatenate([psi[:, own].T, sign[:, None] * np.conj(psi[:, mirrored].T)])
+        block_h = np.conj(columns)
+        gram = (block_h @ columns.T).real
         try:
             inverse = np.linalg.inv(gram)
         except np.linalg.LinAlgError:
             raise BasisError("grid basis is rank deficient: its Gram matrix is singular") from None
         gram_norm = max(gram_norm, np.linalg.norm(gram, 1))
         inverse_norm = max(inverse_norm, np.linalg.norm(inverse, 1))
-        kept = cols < rows
-        solver[cols[kept]] = inverse[kept] @ block_h
+        solver[own] = inverse[:own.size] @ block_h
     rcond = 1.0 / (gram_norm * inverse_norm)
     if not rcond >= GRAM_RCOND:
         raise BasisError(f"grid basis is ill-conditioned: reciprocal condition number "

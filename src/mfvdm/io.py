@@ -1,13 +1,13 @@
-"""On-disk formats: binary image stacks, CSV tables, basis tables, JSON
-files. Each fact of a run directory is written once: the generation
-parameters only in config.json, which the readers of the other artifacts
-check them against.
+"""On-disk formats: binary image stacks, CSV tables, JSON files. Each fact
+of a run directory is written once: the generation parameters only in
+config.json, which the readers of the other artifacts check them against.
+The run directory holds no derived table: later stages rebuild the basis
+from the config that check_run_config guards.
 
 Stack format: a 24-byte header (magic "MFVS", version u16, image count u32,
 side length u32, dtype tag u16 with f32 = 1, 8 reserved zero bytes) followed
 by n*L*L little-endian float32 values, row-major per image. Tables are CSV
-(write_csv), basis tables an uncompressed .npz archive with one entry per
-BasisTables field, and configs flat JSON; unknown config keys are rejected.
+(write_csv) and configs flat JSON; unknown config keys are rejected.
 """
 
 import contextlib
@@ -15,11 +15,9 @@ import dataclasses
 import json
 import os
 import struct
-import zipfile
 
 import numpy as np
 
-from .basis import BasisTables
 from .pool import row_blocks
 from .simulate import DatasetManifest
 
@@ -29,8 +27,6 @@ __all__ = [
     "read_stack",
     "write_manifest",
     "read_manifest",
-    "write_basis",
-    "read_basis",
     "load_config",
     "save_config",
     "STACK_MAGIC",
@@ -169,63 +165,6 @@ def read_manifest(csv_path, config):
         raise FormatError(f"{csv_path}: {rotations.shape[0]} rows, but the config "
                           f"has n {config.n}")
     return DatasetManifest(rotations=rotations, defocus_group=groups)
-
-
-# the dtype of each BasisTables field in basis.npz
-_BASIS_DTYPES = {"L": np.int64, "bandlimit": np.float64, "support_radius": np.float64,
-                 "radial_counts": np.int64, "psi_grid": np.complex128,
-                 "coeff_solver": np.complex128}
-
-
-def write_basis(basis, path):
-    """Write basis tables to path as an uncompressed .npz archive."""
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, **{name: getattr(basis, name) for name in _BASIS_DTYPES})
-
-
-def read_basis(path, config):
-    """BasisTables from a basis.npz written by write_basis, for config's L,
-    bandlimit and support_radius. Raises FormatError for a missing or
-    unreadable file, a missing or extra entry, an entry of the wrong dtype
-    or shape, a non-finite entry, or tables built for other parameters.
-    Archives whose coeff_solver still holds the k < 0 rows fail the shape
-    check; simulate rewrites them."""
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            t = {name: npz[name] for name in npz.files}
-    except FileNotFoundError:
-        raise FormatError(f"{path}: no basis tables; rerun simulate to write them") from None
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise FormatError(f"{path}: not a readable .npz archive: {exc}") from None
-    if set(t) != set(_BASIS_DTYPES):
-        raise FormatError(f"{path}: missing entries {sorted(set(_BASIS_DTYPES) - set(t))}, "
-                          f"unexpected entries {sorted(set(t) - set(_BASIS_DTYPES))}; "
-                          f"rerun simulate to rewrite it")
-    for name, dtype in _BASIS_DTYPES.items():
-        if t[name].dtype != dtype:
-            raise FormatError(f"{path}: {name} has dtype {t[name].dtype}, "
-                              f"expected {np.dtype(dtype)}")
-    for name in ("L", "bandlimit", "support_radius"):
-        if t[name].shape != ():
-            raise FormatError(f"{path}: {name} has shape {t[name].shape}, expected ()")
-        if t[name] != getattr(config, name):
-            raise FormatError(f"{path}: built for {name} {t[name].item()!r}, but the "
-                              f"config has {getattr(config, name)!r}")
-    counts = t["radial_counts"]
-    if counts.ndim != 1 or counts.size == 0 or (counts < 1).any():
-        raise FormatError(f"{path}: radial_counts must hold one or more positive counts, "
-                          f"got {counts!r}")
-    basis = BasisTables(**{name: t[name].item() if t[name].ndim == 0 else t[name]
-                           for name in _BASIS_DTYPES})
-    n_coeffs, n_inside = basis.n_coeffs, basis.grid_index.size
-    shapes = {"psi_grid": (n_inside, n_coeffs), "coeff_solver": (n_coeffs, n_inside)}
-    for name, shape in shapes.items():
-        if t[name].shape != shape:
-            raise FormatError(f"{path}: {name} has shape {t[name].shape}, expected {shape}; "
-                              f"rerun simulate to rewrite it")
-        if not np.isfinite(t[name]).all():
-            raise FormatError(f"{path}: {name} has a non-finite entry")
-    return basis
 
 
 # the values a field of each annotated type accepts

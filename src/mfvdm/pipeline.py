@@ -89,9 +89,10 @@ def absolute_ctf_coeffs(manifest, profiles, basis, config):
 
 
 def denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config):
-    """Graph-filter the coefficients and the (n, p_0) |CTF| block, then
-    deconvolve each image by its effective CTF C with eps = 1e-2 max(C^2),
-    a block of images at a time. Returns (denoised images, effective CTFs)."""
+    """Graph-filter the coefficients, in place (denoise_stack), and the
+    (n, p_0) |CTF| block, then deconvolve each image by its effective CTF C
+    with eps = 1e-2 max(C^2), a block of images at a time. Returns
+    (denoised images, effective CTFs)."""
     filt = FilterSpec(kind=config.filter_kind, m=config.m)
     da, dc = denoise_stack(coeffs, ctf_coeffs, graph, basis, filt)
     denoised = np.empty((len(da), basis.L, basis.L))
@@ -136,14 +137,10 @@ def _p(outdir, name):
 
 
 def run_simulate(config, outdir):
-    """Generate a dataset and write the basis tables, the clean and noisy
-    stacks, the manifest, and the config echo (the one record of the
-    generation parameters)."""
+    """Generate a dataset and write the clean and noisy stacks, the
+    manifest, and the config echo (the one record of the generation
+    parameters, from which the later stages rebuild the basis)."""
     os.makedirs(outdir, exist_ok=True)
-    # built first, before the stacks exist: the basis's temporaries then
-    # do not add to simulate's peak memory
-    mfio.write_basis(build_basis(config.L, config.bandlimit, config.support_radius),
-                     _p(outdir, "basis.npz"))
     clean, _, noisy, _, manifest = simulate_dataset(
         **{name: getattr(config, name) for name in mfio.SIMULATE_FIELDS})
     mfio.write_stack(clean, _p(outdir, "clean.stack"))
@@ -154,21 +151,24 @@ def run_simulate(config, outdir):
 
 
 def _load_dataset(config, outdir):
-    """The noisy stack (float32), manifest, CTF profiles and basis tables of
-    a run directory, after checking config against its config.json."""
+    """The noisy stack (float32), manifest and CTF profiles of a run
+    directory, after checking config against its config.json, and the
+    basis tables built from config. L, bandlimit and support_radius are
+    SIMULATE_FIELDS, so the check makes them the dataset's; the basis is
+    built before the stack is read, so its temporaries are freed by then."""
     mfio.check_run_config(config, _p(outdir, "config.json"))
+    basis = build_basis(config.L, config.bandlimit, config.support_radius)
     noisy = mfio.read_stack(_p(outdir, "noisy.stack"))
     manifest = mfio.read_manifest(_p(outdir, "manifest.csv"), config)
     profiles = default_defocus_groups(config.n_defocus_groups)
-    basis = mfio.read_basis(_p(outdir, "basis.npz"), config)
     return noisy, manifest, profiles, basis
 
 
 def run_classify(config, outdir):
     """Initial and refined neighbor graphs (with angles) from the noisy stack.
     Raises io.ConfigMismatchError if config disagrees with the run
-    directory's config.json on a simulation field, and io.FormatError if
-    its basis.npz is missing or does not match config."""
+    directory's config.json on a simulation field, and io.FormatError for
+    a malformed noisy.stack or manifest.csv."""
     noisy, manifest, profiles, basis = _load_dataset(config, outdir)
     coeffs, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
     del noisy   # the stack is not read again: release it before the search

@@ -94,7 +94,8 @@ class _Context:
                 coeffs, _, refined = self.classification(snr, shift)
                 cfg = self.config(snr, filter_kind=kind)
                 ctfc = absolute_ctf_coeffs(manifest, profiles, self.basis, cfg)
-                stack, _ = denoise_and_correct(coeffs, ctfc, refined,
+                # the filter overwrites its operand; coeffs is cached
+                stack, _ = denoise_and_correct(coeffs.copy(), ctfc, refined,
                                                self.basis, cfg)
             s_vals, m_vals = [], []
             for img, ref in zip(stack, clean):

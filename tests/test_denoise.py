@@ -107,7 +107,7 @@ def test_denoise_fixed_point_on_rotated_copies(rotated_copies, basis17):
     rc = rotated_copies
     coeffs = rc["coeffs"]
     ctf_coeffs = np.ones((len(coeffs), basis17.k_slice(0).stop), dtype=complex)
-    da, dc = denoise_stack(coeffs, ctf_coeffs, rc["graph"], basis17,
+    da, dc = denoise_stack(coeffs.copy(), ctf_coeffs, rc["graph"], basis17,
                            FilterSpec(kind=4))
     imgs = reconstruct_denoised(coeffs, basis17)
     imgs2 = reconstruct_denoised(da, basis17)
@@ -133,7 +133,7 @@ def test_full_spectrum_kinds_build_each_matrix_once(kind, tiny_dataset, demo_gra
     monkeypatch.setattr(mfvdm.denoise, "build_frequency_matrix", counting)
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
     ctf = _random_block(demo_graph.n, basis17.k_slice(0).stop, seed=7)
-    da, dc = denoise_stack(coeffs, ctf, demo_graph, basis17, FilterSpec(kind=kind))
+    da, dc = denoise_stack(coeffs.copy(), ctf, demo_graph, basis17, FilterSpec(kind=kind))
     assert built == list(range(basis17.k_max + 1))
     assert dc.shape == ctf.shape
     n = demo_graph.n
@@ -233,6 +233,24 @@ def test_denoise_checks_operand_shapes(operand, shape, demo_graph, basis17):
         denoise_stack(ops["coeffs"], ops["ctf_coeffs"], demo_graph, basis17, FilterSpec(kind=4))
 
 
+def test_denoise_filters_coeffs_in_place(demo_graph, basis17):
+    """denoise_stack writes the filtered image blocks into coeffs and
+    returns it; coeffs that it cannot overwrite with complex128 values,
+    read-only or of another dtype, are refused before any solve."""
+    coeffs = _random_block(60, basis17.n_coeffs, seed=11)
+    ctf = _random_block(60, basis17.k_slice(0).stop, seed=12)
+    expected, _ = denoise_stack(coeffs.copy(), ctf, demo_graph, basis17, FilterSpec(kind=4))
+    da, _ = denoise_stack(coeffs, ctf, demo_graph, basis17, FilterSpec(kind=4))
+    assert da is coeffs
+    np.testing.assert_array_equal(coeffs, expected)
+    coeffs.flags.writeable = False
+    for bad, got in [(coeffs, "read-only complex128"), (coeffs.astype(np.complex64),
+                                                        "writeable complex64")]:
+        with pytest.raises(ValueError, match=f"^coeffs must be a writeable complex128 array, "
+                                             f"filtered in place; got {got}$"):
+            denoise_stack(bad, ctf, demo_graph, basis17, FilterSpec(kind=4))
+
+
 def test_ctf_correct_exact_inverse():
     rng = np.random.Generator(np.random.Philox(5))
     img = rng.normal(size=(17, 17))
@@ -303,8 +321,8 @@ def test_denoise_and_correct_matches_per_image_loop(tiny_dataset, demo_graph, ba
     config = RunConfig(n=60, L=17, support_radius=8.0, s=8, m=20, n_defocus_groups=4)
     coeffs = expand_stack(ds["noisy"], basis17)
     ctf = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, config)
-    out, eff = denoise_and_correct(coeffs, ctf, demo_graph, basis17, config)
-    da, dc = denoise_stack(coeffs, ctf, demo_graph, basis17, FilterSpec(kind=2, m=20))
+    out, eff = denoise_and_correct(coeffs.copy(), ctf, demo_graph, basis17, config)
+    da, dc = denoise_stack(coeffs.copy(), ctf, demo_graph, basis17, FilterSpec(kind=2, m=20))
     dc_full = np.zeros_like(da)
     dc_full[:, basis17.k_slice(0)] = dc
     for i in range(coeffs.shape[0]):
@@ -324,8 +342,8 @@ def test_truncation_past_n_keeps_every_eigenpair(tiny_dataset, demo_graph, basis
     at_n, past_n = (RunConfig(n=60, L=17, support_radius=8.0, s=8, m=m, n_defocus_groups=4)
                     for m in (60, 80))
     ctf = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, at_n)
-    expected = denoise_and_correct(coeffs, ctf, demo_graph, basis17, at_n)
-    got = denoise_and_correct(coeffs, ctf, demo_graph, basis17, past_n)
+    expected = denoise_and_correct(coeffs.copy(), ctf, demo_graph, basis17, at_n)
+    got = denoise_and_correct(coeffs.copy(), ctf, demo_graph, basis17, past_n)
     for a, b in zip(got, expected):
         np.testing.assert_array_equal(a, b)
 

@@ -16,25 +16,26 @@ import pytest
 import mfvdm
 from mfvdm import cli
 from mfvdm.cli import build_parser, main
-from mfvdm.graph import ViewGraph, write_graph_csv
+from mfvdm.basis import build_basis
+from mfvdm.graph import ViewGraph, read_graph_csv, write_graph_csv
 from mfvdm.io import (
     SIMULATE_FIELDS,
     FormatError,
     RunConfig,
     atomic_open,
     load_config,
-    read_basis,
     read_csv,
     read_manifest,
     read_stack,
     save_config,
-    write_basis,
     write_csv,
     write_manifest,
     write_stack,
 )
-from mfvdm.simulate import simulate_dataset
+from mfvdm.pipeline import absolute_ctf_coeffs, classify, denoise_and_correct, prepare_coeffs
+from mfvdm.simulate import default_defocus_groups, simulate_dataset
 from mfvdm.pool import set_blas_threads
+from test_spectral import _openblas_threads
 
 
 def test_stack_round_trip(tmp_path):
@@ -245,97 +246,6 @@ def test_read_manifest_rejects_corrupt(tiny_dataset, tmp_path):
             read_manifest(csv_p, dataclasses.replace(config, **changes))
 
 
-def _basis_config(basis, **changes):
-    fields = {"L": basis.L, "bandlimit": basis.bandlimit, "support_radius": basis.support_radius}
-    return RunConfig(**{**fields, **changes})
-
-
-def test_basis_round_trip(basis17, tmp_path):
-    path = tmp_path / "basis.npz"
-    write_basis(basis17, path)
-    with np.load(path) as npz:
-        assert npz.files == ["L", "bandlimit", "support_radius", "radial_counts",
-                             "psi_grid", "coeff_solver"]
-    back = read_basis(path, _basis_config(basis17))
-    for name in [f.name for f in dataclasses.fields(basis17)] + ["k_max", "ks", "grid_index"]:
-        a, b = getattr(back, name), getattr(basis17, name)
-        assert type(a) is type(b), name
-        np.testing.assert_array_equal(a, b, err_msg=name)
-
-
-def _corrupt_basis(t, basis):
-    """Corrupted copies of a basis archive's entries, with the message each
-    must raise."""
-    def edit(**changes):
-        return {**t, **changes}
-
-    counts = t["radial_counts"]
-    nan_psi = t["psi_grid"].copy()
-    nan_psi[3, 1] = np.nan
-    inf_solver = t["coeff_solver"].copy()
-    inf_solver[2, 5] = complex(np.inf, 0.0)
-    # the entries an archive held before k_max, ks, grid_index and norms
-    # became derived or unused
-    parent_format = edit(k_max=np.int64(basis.k_max), ks=basis.ks, grid_index=basis.grid_index,
-                         norms=np.ones(basis.n_coeffs))
-    # the pseudo-inverse of the full +-k grid basis that archives held
-    # before coeff_solver kept only its k >= 0 rows
-    solver = t["coeff_solver"]
-    full_solver = np.concatenate([solver, np.conj(solver[basis.ks > 0])])
-    return {
-        "missing entry": ({k: v for k, v in t.items() if k != "psi_grid"},
-                          r"missing entries \['psi_grid'\]"),
-        "extra entry": (edit(qs=counts), r"unexpected entries \['qs'\]"),
-        "parent format": (parent_format, r"unexpected entries \['grid_index', 'k_max', 'ks', "
-                                         r"'norms'\]; rerun simulate"),
-        "int32 counts": (edit(radial_counts=counts.astype(np.int32)), "radial_counts has dtype int32"),
-        "complex64 psi": (edit(psi_grid=t["psi_grid"].astype(np.complex64)), "psi_grid has dtype"),
-        "transposed psi": (edit(psi_grid=t["psi_grid"].T), "psi_grid has shape"),
-        "short solver": (edit(coeff_solver=t["coeff_solver"][:-1]), "coeff_solver has shape"),
-        "+-k solver": (edit(coeff_solver=full_solver),
-                       rf"coeff_solver has shape \({full_solver.shape[0]}, {solver.shape[1]}\), "
-                       rf"expected \({basis.n_coeffs}, {solver.shape[1]}\); rerun simulate"),
-        "array L": (edit(L=np.array([t["L"]])), "L has shape"),
-        "short counts": (edit(radial_counts=counts[:-1]), "psi_grid has shape"),
-        "zero count": (edit(radial_counts=np.append(counts, 0)), "radial_counts must hold"),
-        "2-D counts": (edit(radial_counts=counts[None]), "radial_counts must hold"),
-        "no counts": (edit(radial_counts=counts[:0]), "radial_counts must hold"),
-        "nan psi": (edit(psi_grid=nan_psi), "psi_grid has a non-finite entry"),
-        "inf solver": (edit(coeff_solver=inf_solver), "coeff_solver has a non-finite entry"),
-    }
-
-
-def test_read_basis_rejects_corrupt(basis17, tmp_path):
-    path = tmp_path / "basis.npz"
-    write_basis(basis17, path)
-    with np.load(path) as npz:
-        tables = dict(npz)
-    config = _basis_config(basis17)
-    for name, (bad, message) in _corrupt_basis(tables, basis17).items():
-        np.savez(tmp_path / "bad.npz", **bad)
-        with pytest.raises(FormatError, match=message):
-            read_basis(tmp_path / "bad.npz", config)
-            pytest.fail(f"accepted a basis with a {name}")
-
-
-@pytest.mark.parametrize("changes", [{"L": 19}, {"bandlimit": 0.4}, {"support_radius": 7.0}])
-def test_read_basis_rejects_other_parameters(basis17, tmp_path, changes):
-    path = tmp_path / "basis.npz"
-    write_basis(basis17, path)
-    (name,) = changes
-    with pytest.raises(FormatError, match=f"built for {name} "):
-        read_basis(path, _basis_config(basis17, **changes))
-
-
-def test_read_basis_missing_or_unreadable(basis17, tmp_path):
-    config = _basis_config(basis17)
-    with pytest.raises(FormatError, match="rerun simulate"):
-        read_basis(tmp_path / "basis.npz", config)
-    (tmp_path / "junk.npz").write_bytes(b"not an archive")
-    with pytest.raises(FormatError, match="not a readable .npz"):
-        read_basis(tmp_path / "junk.npz", config)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(L=32)
@@ -373,20 +283,29 @@ def test_cli_rejects_invalid_simulation_fields(tmp_path, capsys, data):
 
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
+    """A run directory made by the four CLI stages with OpenBLAS on one
+    thread, whose count sets the last bits of the expansion; the previous
+    count is put back after."""
     outdir = str(tmp_path_factory.mktemp("run"))
     cfg = RunConfig(n=30, L=17, support_radius=8.0, snr=0.2, s=5, k_tilde=4,
                     m=10, n_defocus_groups=4, n_blobs=10)
     cfg_path = str(tmp_path_factory.mktemp("cfg") / "cfg.json")
     save_config(cfg, cfg_path)
-    for cmd in ["simulate", "classify", "denoise", "evaluate"]:
-        assert main(["--config", cfg_path, cmd, outdir]) == 0
+    before = _openblas_threads()
+    set_blas_threads(1)
+    try:
+        for cmd in ["simulate", "classify", "denoise", "evaluate"]:
+            assert main(["--config", cfg_path, cmd, outdir]) == 0
+    finally:
+        if before:
+            set_blas_threads(max(before))
     return outdir, cfg, cfg_path
 
 
 def test_cli_artifacts(cli_run):
     outdir, cfg, _ = cli_run
     assert sorted(os.listdir(outdir)) == [
-        "basis.npz", "clean.stack", "config.json", "denoised.stack", "effective_ctf.stack",
+        "clean.stack", "config.json", "denoised.stack", "effective_ctf.stack",
         "eval_report.csv", "eval_summary.json", "initial_graph.csv", "manifest.csv",
         "noisy.stack", "refined_graph.csv"]
     noisy = read_stack(os.path.join(outdir, "noisy.stack"))
@@ -400,18 +319,20 @@ def test_cli_simulate_deterministic(cli_run, tmp_path):
     outdir, _, cfg_path = cli_run
     second = str(tmp_path / "rerun")
     assert main(["--config", cfg_path, "simulate", second]) == 0
-    for name in ["clean.stack", "noisy.stack", "manifest.csv", "basis.npz"]:
+    for name in ["clean.stack", "noisy.stack", "manifest.csv", "config.json"]:
         a = open(os.path.join(outdir, name), "rb").read()
         b = open(os.path.join(second, name), "rb").read()
         assert a == b, name
 
 
-def test_cli_classify_idempotent(cli_run):
+def test_cli_classify_idempotent(cli_run, one_blas_thread):
+    """Classify run again on cli_run's directory, at its one BLAS thread,
+    rewrites both graph files byte for byte."""
     outdir, _, cfg_path = cli_run
-    before = open(os.path.join(outdir, "refined_graph.csv")).read()
+    names = ["initial_graph.csv", "refined_graph.csv"]
+    before = [open(os.path.join(outdir, name)).read() for name in names]
     assert main(["--config", cfg_path, "classify", outdir]) == 0
-    after = open(os.path.join(outdir, "refined_graph.csv")).read()
-    assert before == after
+    assert [open(os.path.join(outdir, name)).read() for name in names] == before
 
 
 def test_cli_eval_report(cli_run):
@@ -489,7 +410,7 @@ def test_config_mismatch_is_named(cli_run, tmp_path, capsys):
     assert set(SIMULATE_FIELDS) == set(inspect.signature(simulate_dataset).parameters)
     d = tmp_path / "run"
     d.mkdir()
-    for name in ["config.json", "basis.npz", "noisy.stack", "manifest.csv", "refined_graph.csv"]:
+    for name in ["config.json", "noisy.stack", "manifest.csv", "refined_graph.csv"]:
         shutil.copy(os.path.join(outdir, name), d / name)
     for stage in ["classify", "denoise"]:
         path = tmp_path / "seed.json"
@@ -622,3 +543,31 @@ def test_threads_one_is_serial_and_identical(cli_run, monkeypatch, tmp_path, one
             pooled = fh.read()
         with open(os.path.join(runs["serial"][0], name), "rb") as fh:
             assert fh.read() == pooled, name
+
+
+def test_cli_matches_in_memory_pipeline(cli_run, one_blas_thread):
+    """The in-memory pipeline on the run directory's own noisy.stack and
+    manifest.csv, with the basis built from the config, gives the graphs
+    and stacks that the CLI stages wrote, bit for bit: the stages lose
+    nothing between them that a later one uses."""
+    outdir, cfg, _ = cli_run
+
+    def path(name):
+        return os.path.join(outdir, name)
+
+    basis = build_basis(cfg.L, cfg.bandlimit, cfg.support_radius)
+    manifest = read_manifest(path("manifest.csv"), cfg)
+    profiles = default_defocus_groups(cfg.n_defocus_groups)
+    coeffs, _ = prepare_coeffs(read_stack(path("noisy.stack")), manifest, profiles, basis, cfg)
+    initial, _, refined = classify(coeffs, basis, cfg)
+    for graph, name in [(initial, "initial_graph.csv"), (refined, "refined_graph.csv")]:
+        back = read_graph_csv(path(name))
+        dists = np.full(graph.indices.size, np.nan) if graph.dists is None else graph.dists
+        for field, value in [("indptr", graph.indptr), ("indices", graph.indices),
+                             ("angles", graph.angles), ("dists", dists)]:
+            got = getattr(back, field)
+            assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), (name, field)
+    ctf = absolute_ctf_coeffs(manifest, profiles, basis, cfg)
+    denoised, effective = denoise_and_correct(coeffs, ctf, refined, basis, cfg)
+    for stack, name in [(denoised, "denoised.stack"), (effective, "effective_ctf.stack")]:
+        assert read_stack(path(name)).tobytes() == stack.astype(np.float32).tobytes(), name

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mfvdm.pool
-from mfvdm import RunConfig, expand_stack, simulate_dataset
+from mfvdm import RunConfig, build_basis, expand_stack, simulate_dataset
 from mfvdm.graph import initial_nn_search, symmetrize, write_graph_csv
 from mfvdm.io import read_stack, write_stack
 from mfvdm.pipeline import (
@@ -55,11 +55,13 @@ def test_classify_peak_allocation_bounded(basis17):
 
 
 # 800 images of 33 x 33 pixels, 6.6 MB as float64. Measured peaks with the
-# 16 MB BLOCK_BYTES: prepare_coeffs 19 MB, denoise_and_correct 35 MB (of
-# which 18 MB are its two output stacks and the filtered coefficients) with
-# the (n, p_0) |CTF| block, 38 MB when the CTF operand and its filtered
-# copy were (n, n_coeffs) matrices (the coefficients stood in for |CTF|).
-# Transforming the whole stack at once they were 67 MB and 81 MB.
+# 16 MB BLOCK_BYTES: prepare_coeffs 17 MB, denoise_and_correct 39 MB (of
+# which 14 MB are its two output stacks) with the coefficients filtered in
+# place and the (n, p_0) |CTF| block. It was 43 MB when the filter wrote
+# into a zeroed copy of the coefficients, and 3 MB more again when the CTF
+# operand and its filtered copy were (n, n_coeffs) matrices (the
+# coefficients stood in for |CTF|). Transforming the whole stack at once
+# they were 67 MB and 81 MB.
 STACK_N = 800
 PREPARE_BOUND_MB = 30
 DENOISE_BOUND_MB = 55
@@ -84,6 +86,17 @@ def test_stack_transforms_peak_allocation_bounded(basis33):
     ctf_coeffs = absolute_ctf_coeffs(manifest, profiles, basis33, config)
     assert _traced_peak_mb(denoise_and_correct, coeffs, ctf_coeffs, graph, basis33,
                            config) < DENOISE_BOUND_MB
+
+
+# Measured peaks of build_basis(33, 0.5, 16.0), the basis of the default
+# config: 16.8 MB assembling each quarter-turn block of the Gram matrix from
+# psi_grid's columns, 29.0 MB when the whole 861 x 608 +-k grid basis was
+# formed first and then split into the blocks.
+BASIS_BOUND_MB = 20
+
+
+def test_build_basis_peak_allocation_bounded():
+    assert _traced_peak_mb(build_basis, 33, 0.5, 16.0) < BASIS_BOUND_MB
 
 
 # Measured peaks of simulate_dataset on STACK_N images with white noise:
@@ -132,7 +145,7 @@ def test_stack_transforms_do_not_depend_on_blocks(with_ctf, tiny_dataset, basis1
         coeffs, _ = prepare_coeffs(ds["noisy"][:n], manifest, ds["profiles"], basis17, config)
         graph = initial_nn_search(coeffs, basis17, config.s)
         ctf = absolute_ctf_coeffs(manifest, ds["profiles"], basis17, config)
-        denoised, effective = denoise_and_correct(coeffs, ctf, graph, basis17, config)
+        denoised, effective = denoise_and_correct(coeffs.copy(), ctf, graph, basis17, config)
         scores, _ = evaluate_stack(denoised, ds["clean"][:n])
         outputs.append((coeffs, denoised, effective, list(scores.values())))
     assert n % rows == 1
