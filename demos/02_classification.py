@@ -33,12 +33,13 @@ coeffs = expand_stack(pre, basis)
 
 # Steerable PCA of the coefficients: after standardization the pixel noise
 # is white with unit variance, so each frequency block's noise covariance
-# is known. The directions above the noise edge are kept and shrunk, in
-# place; the search skips the frequencies left with none.
-ranks = steerable_pca(coeffs, basis)
+# is known. The directions above the noise edge are kept and shrunk; the
+# scores are coordinates in a steerable basis of the kept directions,
+# which has no columns at the frequencies left with none.
+(scores, pca_basis), ranks = steerable_pca(coeffs, basis)
 print(f"steerable PCA kept {ranks.sum()} directions over {np.count_nonzero(ranks)} "
-      f"of {basis.k_max + 1} frequencies")
-initial = initial_nn_search(coeffs, basis, s)
+      f"of {basis.k_max + 1} frequencies: {scores.shape[1]} of {basis.n_coeffs} columns")
+initial = initial_nn_search(scores, pca_basis, s)
 
 bundle = compute_bundle(initial, k_max=10, m=50)
 refined = refine_neighbors(bundle, s)

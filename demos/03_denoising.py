@@ -1,12 +1,11 @@
 """Spectral-graph denoising with CTF correction.
 
-Filters the expansion coefficients, shrunk by the steerable PCA of
-prepare_coeffs, through the refined neighbor graph
-(smooth-then-sharpen filter, truncated spectrum), deconvolves each image by
-its filtered effective CTF, and compares image quality against the clean
-reference before and after.
+Filters the steerable-PCA scores of prepare_coeffs through the refined
+neighbor graph (smooth-then-sharpen filter, truncated spectrum), deconvolves
+each image by its filtered effective CTF, and compares image quality
+against the clean reference before and after.
 
-Run: python demos/03_denoising.py   (a few minutes)
+Run: python demos/03_denoising.py   (about 3 s on a 2-vCPU Xeon at 2.1 GHz)
 """
 
 from mfvdm import RunConfig, build_basis, simulate_dataset
@@ -19,11 +18,11 @@ clean, _, noisy, profiles, manifest = simulate_dataset(
     support_radius=config.support_radius,
 )
 basis = build_basis(config.L, config.bandlimit, config.support_radius)
-coeffs, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
-_, _, refined = classify(coeffs, basis, config)
+expansion, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
+_, _, refined = classify(expansion, basis, config)
 
 ctf_coeffs = absolute_ctf_coeffs(manifest, profiles, basis, config)
-denoised, _ = denoise_and_correct(coeffs, ctf_coeffs, refined, basis, config)
+denoised, _ = denoise_and_correct(expansion, ctf_coeffs, refined, basis, config)
 
 
 # dataset means after each image's affine intensity fit to its reference

@@ -6,6 +6,7 @@ tomographic projection images, plus a synthetic simulator with ground truth.
 
 from .basis import (
     BasisTables,
+    Expansion,
     build_basis,
     expand_disk_function,
     expand_stack,

@@ -13,13 +13,15 @@ solved from its Gram matrix. The column frequencies and the in-disk grid
 points follow from the counts and from (L, bandlimit).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "BasisTables",
+    "Expansion",
     "build_basis",
     "expand_stack",
     "expand_disk_function",
@@ -112,6 +114,25 @@ class BasisTables:
         """Column slice holding the radial coefficients of frequency k."""
         start = int(np.sum(self.radial_counts[:k]))
         return slice(start, start + int(self.radial_counts[k]))
+
+    def restrict(self, frames):
+        """Tables of frequencies k < len(frames): block k whole where frames[k]
+        is None, else its span under F_k = frames[k], real (p_k, r_k) with
+        orthonormal columns: columns psi_k F_k, solver rows F_k^T S_k. F_k
+        mixes the radial indices of one k, so rotation still acts by e^{-ik alpha}."""
+        psi, solver = [], []
+        for k, frame in enumerate(frames):
+            p, s = self.psi_grid[:, self.k_slice(k)], self.coeff_solver[self.k_slice(k)]
+            psi.append(p if frame is None else p @ frame)
+            solver.append(s if frame is None else frame.T @ s)
+        return replace(self, radial_counts=np.array([p.shape[1] for p in psi]),
+                       psi_grid=np.concatenate(psi, axis=1), coeff_solver=np.concatenate(solver))
+
+
+class Expansion(NamedTuple):
+    """An (n, n_coeffs) coefficient matrix and the BasisTables of its columns."""
+    coeffs: np.ndarray
+    basis: BasisTables
 
 
 def build_basis(L, bandlimit, support_radius):
@@ -318,17 +339,14 @@ def reconstruct_grid(coeffs, basis):
     Accepts one coefficient vector or an (n, n_coeffs) stack, giving an
     (L, L) or (n, L, L) grid. Includes the implied negative-k terms; for
     conjugate-symmetric coefficient data the result is the transform of a
-    real image. Only the columns of frequency blocks holding a nonzero entry
-    are multiplied: the other blocks add nothing.
+    real image.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-1] != basis.n_coeffs:
         raise BasisError(f"coefficient width {coeffs.shape[-1]} does not match "
                          f"basis n_coeffs={basis.n_coeffs}")
-    blocks = [coeffs[..., basis.k_slice(k)].any() for k in range(basis.k_max + 1)]
-    cols = np.repeat(blocks, basis.radial_counts)
-    pos = cols & (basis.ks > 0)
-    vals = coeffs[..., cols] @ basis.psi_grid[:, cols].T
+    pos = basis.ks > 0
+    vals = coeffs @ basis.psi_grid.T
     # sum over k<0: a_{-k,q} psi^{-k,q} = (-1)^k conj(a_{k,q} psi^{k,q})
     sign = np.where(basis.ks[pos] % 2 == 0, 1.0, -1.0)
     vals = vals + np.conj(coeffs[..., pos] @ (basis.psi_grid[:, pos] * sign[None, :]).T)
@@ -377,16 +395,19 @@ def noise_covariance(basis, k):
 
 def steerable_pca(coeffs, basis):
     """Shrink the (n, n_coeffs) coefficients of images standardized by
-    preprocess in place, a frequency block at a time; returns the rank kept
-    per k. Each block is whitened by its noise_covariance N_k, the k = 0
-    block centred first. The real part of its sample covariance keeps the
-    eigenvalues above the Marchenko-Pastur edge (1 + sqrt(p_k / n_k))^2,
-    n_k = n real samples at k = 0 and 2n otherwise; each kept direction is
-    weighted by l / (l + 1), l the spiked-model signal eigenvalue of its
-    sample eigenvalue (Zhao, Shkolnisky & Singer 2016; Donoho, Gavish &
-    Johnstone 2018), and the block is mapped back by N_k^(1/2)."""
+    preprocess; returns (Expansion(scores, pca_basis), the rank kept per k).
+    Each block is whitened by its noise_covariance N_k, the k = 0 block
+    centred first. The real part of its sample covariance keeps the
+    eigenvectors V_k above the Marchenko-Pastur edge (1 + sqrt(p_k / n_k))^2,
+    n_k = n real samples at k = 0 and 2n otherwise; each is weighted by
+    l / (l + 1), l the spiked-model signal eigenvalue of its sample
+    eigenvalue (Zhao, Shkolnisky & Singer 2016; Donoho, Gavish & Johnstone
+    2018), and the block is mapped back by N_k^(1/2). The k = 0 block holds
+    the mean and stays whole; a k > 0 block is scored in the orthonormal
+    frame F_k of N_k^(1/2) V_k = F_k R_k, pca_basis = basis.restrict(frames)."""
     n = coeffs.shape[0]
     ranks = np.zeros(basis.k_max + 1, dtype=int)
+    blocks, frames = [], []
     for k in range(basis.k_max + 1):
         sl = basis.k_slice(k)
         mean = coeffs[:, sl].mean(axis=0) if k == 0 else 0.0
@@ -398,7 +419,13 @@ def steerable_pca(coeffs, basis):
         keep = lam > (1.0 + np.sqrt(gamma)) ** 2
         b = lam[keep] - 1.0 - gamma
         ell = 0.5 * (b + np.sqrt(b ** 2 - 4.0 * gamma))
-        shrink = whiten @ (v[:, keep] * (ell / (ell + 1.0))) @ v[:, keep].T @ (u * np.sqrt(d)) @ u.T
-        coeffs[:, sl] = block @ shrink + mean
+        weighted = whiten @ (v[:, keep] * (ell / (ell + 1.0)))
+        if k == 0:
+            frame, shrink = None, weighted @ v[:, keep].T @ (u * np.sqrt(d)) @ u.T
+        else:
+            frame, factor = np.linalg.qr((u * np.sqrt(d)) @ u.T @ v[:, keep])
+            shrink = weighted @ factor.T
+        blocks.append(block @ shrink + mean)
+        frames.append(frame)
         ranks[k] = keep.sum()
-    return ranks
+    return Expansion(np.concatenate(blocks, axis=1), basis.restrict(frames)), ranks

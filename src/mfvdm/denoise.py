@@ -86,13 +86,10 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
     """Filter the (n, n_coeffs) image coefficients and the (n, p_0) k = 0
     block of the absolute-CTF coefficients, the radial |CTF|'s only block.
 
-    The image coefficients are filtered in place: coeffs must be a writeable
-    complex128 array, and each frequency block is overwritten by its
-    filtered values. The filter is linear, so k > 0 is solved only when its
-    image block has a nonzero entry, and an all-zero block is left as it
-    is; k = 0 is always solved, for the CTF. The truncated kinds filter each
-    block as its eigenpairs arrive from frequency_eigs (min(m, n) of them).
-    Returns (coeffs, the (n, p_0) effective-CTF coeffs).
+    The filter acts on the rows of each frequency block: k is solved where
+    the basis has a column, and k = 0 always, for the CTF. The truncated
+    kinds filter each block as its eigenpairs arrive from frequency_eigs
+    (min(m, n) of them). Returns (filtered coeffs, effective-CTF coeffs).
     """
     coeffs, ctf_coeffs = np.asarray(coeffs), np.asarray(ctf_coeffs)
     for name, a, width in (("coeffs", coeffs, basis.n_coeffs),
@@ -100,11 +97,7 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
         if a.shape != (graph.n, width):
             raise ValueError(f"{name} has shape {a.shape}, expected {(graph.n, width)} "
                              "(graph nodes, basis coefficients or their k = 0 block)")
-    if coeffs.dtype != np.complex128 or not coeffs.flags.writeable:
-        raise ValueError(f"coeffs must be a writeable complex128 array, filtered in place; "
-                         f"got {'writeable' if coeffs.flags.writeable else 'read-only'} "
-                         f"{coeffs.dtype}")
-    ks = [k for k in range(basis.k_max + 1) if k == 0 or coeffs[:, basis.k_slice(k)].any()]
+    ks = [k for k in range(basis.k_max + 1) if k == 0 or basis.radial_counts[k]]
     if filt.truncated:
         # this module's own top_eigs binding, so that a wrapper installed
         # here (perfbench/tracing.py) sees the solves made in this process
@@ -115,12 +108,13 @@ def denoise_stack(coeffs, ctf_coeffs, graph, basis, filt):
         order, sqrt_d = 1 if filt.kind == 4 else 2, np.sqrt(graph.degrees)[:, None]
         operators = (build_frequency_matrix(graph, k) for k in ks)
         apply = lambda W, block: _averaging_filter(W, sqrt_d, block, order)
+    out = np.empty(coeffs.shape, dtype=complex)
     for k, op in zip(ks, operators):
         sl = basis.k_slice(k)
-        coeffs[:, sl] = apply(op, coeffs[:, sl])
+        out[:, sl] = apply(op, coeffs[:, sl])
         if k == 0:
             out_c = apply(op, ctf_coeffs)
-    return coeffs, out_c
+    return out, out_c
 
 
 def ctf_correct(image_ft_grid, ctf_grid, eps):

@@ -248,7 +248,7 @@ def initial_nn_search(coeffs, basis, s, fft_size=256):
     """Brute-force all-pairs RID ranking; s smallest distances per node.
 
     Ties broken by smaller index. Returns the symmetrized ViewGraph.
-    Every frequency whose coefficient block is not all zero is ranked.
+    Every frequency at which the basis has a column is ranked.
 
     The correlation of two images over the fft_size-point rotation grid is
     a trigonometric polynomial in the ranked frequencies: the real and
@@ -265,7 +265,7 @@ def initial_nn_search(coeffs, basis, s, fft_size=256):
     finite = np.isfinite(coeffs).all(axis=1)
     if not finite.all():
         raise ValueError(f"image {int(np.flatnonzero(~finite)[0])} has non-finite coefficients")
-    freqs = np.flatnonzero([coeffs[:, basis.k_slice(k)].any() for k in range(basis.k_max + 1)])
+    freqs = np.flatnonzero(basis.radial_counts)
     # column-major: BLAS then sums each row's terms in column order
     sq = np.asfortranarray(np.abs(coeffs) ** 2) @ np.where(basis.ks == 0, 1.0, 2.0)
 

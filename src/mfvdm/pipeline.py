@@ -10,7 +10,8 @@ import os
 import numpy as np
 
 from . import io as mfio
-from .basis import build_basis, expand_disk_function, expand_stack, reconstruct_grid, steerable_pca
+from .basis import (Expansion, build_basis, expand_disk_function, expand_stack, reconstruct_grid,
+                    steerable_pca)
 from .denoise import FilterSpec, ctf_correct, denoise_stack
 from .graph import initial_nn_search, read_graph_csv, write_graph_csv
 from .metrics import fit_to_reference, mse, psnr, ssim_stack
@@ -32,15 +33,14 @@ __all__ = [
 
 
 def prepare_coeffs(images, manifest, profiles, basis, config):
-    """Preprocess a noisy stack and expand it; returns (coeffs, ranks).
+    """Preprocess a noisy stack and expand it; returns (expansion, ranks).
 
     Phase flipping runs exactly when the data were CTF-modulated
     (config.with_ctf). Noisy input (finite SNR) is standardized to unit
-    corner (noise) variance, and its coefficients are shrunk in place by
-    basis.steerable_pca, whose rank kept per k is ranks. Noise-free input
-    gets neither, and ranks is None: clean projections vanish outside the
-    support, so the corner statistics are degenerate there. The stack is
-    transformed in blocks of images (pool.row_blocks).
+    corner (noise) variance, and both values are basis.steerable_pca's.
+    Noise-free input gets neither and gives (Expansion(coeffs, basis), None):
+    clean projections vanish outside the support, so the corner statistics
+    are degenerate there. The stack is transformed in blocks of images.
     """
     noisy_input = np.isfinite(config.snr)
     # preprocess checks each block too, but names images by their index in it
@@ -56,17 +56,17 @@ def prepare_coeffs(images, manifest, profiles, basis, config):
             groups=manifest.defocus_group[rows],
         )
         coeffs[rows] = expand_stack(pre, basis)
-    return coeffs, steerable_pca(coeffs, basis) if noisy_input else None
+    return steerable_pca(coeffs, basis) if noisy_input else (Expansion(coeffs, basis), None)
 
 
-def classify(coeffs, basis, config, noise_var=None):
+def classify(expansion, basis, config, noise_var=None):
     """Initial RID graph, spectral refinement, and eigenvector alignment.
 
-    Returns (initial_graph, bundle, refined_graph); the refined graph carries
-    estimated alignment angles on every edge. noise_var is ignored: it is
-    kept for perfbench/worker.py, which passes prepare_coeffs' second value.
+    Returns (initial_graph, bundle, refined_graph) of an Expansion; the
+    refined graph carries alignment angles on every edge. basis and
+    noise_var are ignored, kept for perfbench/worker.py, which passes them.
     """
-    initial = initial_nn_search(coeffs, basis, config.s)
+    initial = initial_nn_search(*expansion, config.s)
     bundle = compute_bundle(initial, config.k_tilde, config.m)
     refined = refine_neighbors(bundle, config.s)
     align_graph(bundle, refined)
@@ -74,34 +74,32 @@ def classify(coeffs, basis, config, noise_var=None):
 
 
 def absolute_ctf_coeffs(manifest, profiles, basis, config):
-    """Per-image (n, p_0) k = 0 block of the expansion of the absolute CTF
-    radial profile (after phase flipping the effective transfer function is
-    |CTF|). Without CTF simulation the profile is identically one. The
-    profile is radial, so the other blocks of its fit hold just the square
-    grid's 4-fold aliasing, and are dropped."""
-    k0 = basis.k_slice(0)
+    """Per-image (n, p_0) expansion of the absolute CTF radial profile
+    (after phase flipping the effective transfer function is |CTF|; one
+    without CTF simulation) by the k = 0 block of basis, basis.restrict(
+    [None]): its other blocks would hold just the grid's 4-fold aliasing."""
+    radial = basis.restrict([None])
     if config.with_ctf:
         return np.stack([expand_disk_function(
-            lambda xi, theta: np.abs(ctf_value(prof, xi / prof.pixel_size_A)), basis)[k0]
+            lambda xi, theta: np.abs(ctf_value(prof, xi / prof.pixel_size_A)), radial)
             for prof in profiles])[manifest.defocus_group]
-    one = expand_disk_function(lambda xi, theta: np.ones_like(xi), basis)[k0]
+    one = expand_disk_function(lambda xi, theta: np.ones_like(xi), radial)
     return np.tile(one, (manifest.n, 1))
 
 
-def denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config):
-    """Graph-filter the coefficients, in place (denoise_stack), and the
-    (n, p_0) |CTF| block, then deconvolve each image by its effective CTF C
-    with eps = 1e-2 max(C^2), a block of images at a time. Returns
-    (denoised images, effective CTFs)."""
+def denoise_and_correct(expansion, ctf_coeffs, graph, basis, config):
+    """Graph-filter an Expansion's coefficients (denoise_stack) and the
+    (n, p_0) |CTF| block of basis, then deconvolve each image by its
+    effective CTF C with eps = 1e-2 max(C^2), a block of images at a time.
+    Returns (denoised images, effective CTFs)."""
     filt = FilterSpec(kind=config.filter_kind, m=config.m)
-    da, dc = denoise_stack(coeffs, ctf_coeffs, graph, basis, filt)
+    da, dc = denoise_stack(expansion.coeffs, ctf_coeffs, graph, expansion.basis, filt)
+    radial = basis.restrict([None])
     denoised = np.empty((len(da), basis.L, basis.L))
     effective = np.empty_like(denoised)
     for rows in row_blocks(len(da), image_bytes(basis.L)):
-        ctf_block = np.zeros((rows.stop - rows.start, basis.n_coeffs), dtype=dc.dtype)
-        ctf_block[:, basis.k_slice(0)] = dc[rows]
-        C = reconstruct_grid(ctf_block, basis).real
-        denoised[rows] = ctf_correct(reconstruct_grid(da[rows], basis), C,
+        C = reconstruct_grid(dc[rows], radial).real
+        denoised[rows] = ctf_correct(reconstruct_grid(da[rows], expansion.basis), C,
                                      1e-2 * np.max(C**2, axis=(-2, -1)))
         effective[rows] = C
     return denoised, effective
@@ -170,9 +168,9 @@ def run_classify(config, outdir):
     directory's config.json on a simulation field, and io.FormatError for
     a malformed noisy.stack or manifest.csv."""
     noisy, manifest, profiles, basis = _load_dataset(config, outdir)
-    coeffs, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
+    expansion, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
     del noisy   # the stack is not read again: release it before the search
-    initial, _, refined = classify(coeffs, basis, config)
+    initial, _, refined = classify(expansion, basis, config)
     write_graph_csv(initial, _p(outdir, "initial_graph.csv"))
     write_graph_csv(refined, _p(outdir, "refined_graph.csv"))
     return initial, refined
@@ -182,11 +180,11 @@ def run_denoise(config, outdir):
     """Denoised stack and effective CTF grids from the refined graph; checks
     the run directory like run_classify."""
     noisy, manifest, profiles, basis = _load_dataset(config, outdir)
-    coeffs, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
+    expansion, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
     del noisy   # the stack is not read again: release it before the filter
     graph = read_graph_csv(_p(outdir, "refined_graph.csv"))
     ctf_coeffs = absolute_ctf_coeffs(manifest, profiles, basis, config)
-    denoised, eff = denoise_and_correct(coeffs, ctf_coeffs, graph, basis, config)
+    denoised, eff = denoise_and_correct(expansion, ctf_coeffs, graph, basis, config)
     mfio.write_stack(denoised, _p(outdir, "denoised.stack"))
     mfio.write_stack(eff, _p(outdir, "effective_ctf.stack"))
     return denoised

@@ -8,7 +8,7 @@ from scipy.signal import fftconvolve
 from scipy.special import jn_zeros, jv
 
 from mfvdm.basis import (BasisError, BasisTables, _disk_index, expand_stack, freq_grid, ft_grid,
-                         ift_grid, reconstruct_grid)
+                         ift_grid, noise_covariance, reconstruct_grid)
 from mfvdm.graph import viewing_angle
 from mfvdm.simulate import _rng, ctf_grid, default_defocus_groups, make_phantom, preprocess
 from mfvdm.spectral import _affinity_block, _affinity_factors
@@ -140,6 +140,43 @@ def coeff_noise_covariance(basis, draws=4000, block=500):
             ak = a[:, basis.k_slice(k)]
             sums[k] = sums[k] + (np.conj(ak.T) @ ak).real
     return [c / draws for c in sums]
+
+
+def reference_steerable_pca(coeffs, basis):
+    """``mfvdm.steerable_pca`` in the layout of basis itself: each block of
+    the (n, n_coeffs) coefficients is overwritten by its shrunk values,
+    block @ N^(-1/2) V W V^T N^(1/2) (+ the mean at k = 0), and a frequency
+    with no kept direction holds exact zeros. Returns the rank kept per k."""
+    n = coeffs.shape[0]
+    ranks = np.zeros(basis.k_max + 1, dtype=int)
+    for k in range(basis.k_max + 1):
+        sl = basis.k_slice(k)
+        mean = coeffs[:, sl].mean(axis=0) if k == 0 else 0.0
+        block = coeffs[:, sl] - mean
+        d, u = np.linalg.eigh(noise_covariance(basis, k))
+        whiten = (u / np.sqrt(d)) @ u.T
+        lam, v = np.linalg.eigh(whiten @ (np.conj(block.T) @ block).real @ whiten / n)
+        gamma = (sl.stop - sl.start) / (n if k == 0 else 2 * n)
+        keep = lam > (1.0 + np.sqrt(gamma)) ** 2
+        b = lam[keep] - 1.0 - gamma
+        ell = 0.5 * (b + np.sqrt(b ** 2 - 4.0 * gamma))
+        shrink = whiten @ (v[:, keep] * (ell / (ell + 1.0))) @ v[:, keep].T @ (u * np.sqrt(d)) @ u.T
+        coeffs[:, sl] = block @ shrink + mean
+        ranks[k] = keep.sum()
+    return ranks
+
+
+def unfiltered_stack(expansion, ctf_coeffs, basis):
+    """The images of an Expansion without the graph filter, one at a time:
+    each deconvolved as ``mfvdm.pipeline.denoise_and_correct`` does, by its
+    unfiltered |CTF| C ((n, p_0) ctf_coeffs of basis's k = 0 block) with
+    eps = 1e-2 max(C^2)."""
+    radial = basis.restrict([None])
+    out = np.empty((len(ctf_coeffs), basis.L, basis.L))
+    for i, (a, c) in enumerate(zip(expansion.coeffs, ctf_coeffs)):
+        C = reconstruct_grid(c, radial).real
+        out[i] = ift_grid(reconstruct_grid(a, expansion.basis) * C / (C**2 + 1e-2 * np.max(C**2))).real
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from reference import (
     embedding_dot,
     estimate_alignment,
     rid_align,
+    unfiltered_stack,
 )
 
 SEED = 0
@@ -71,10 +72,10 @@ class _Context:
             clean, noisy, profiles, manifest = self.dataset(snr, shift)
             cfg = self.config(snr)
             t0 = time.monotonic()
-            coeffs, _ = prepare_coeffs(noisy, manifest, profiles, self.basis, cfg)
-            initial, bundle, refined = classify(coeffs, self.basis, cfg)
+            expansion, _ = prepare_coeffs(noisy, manifest, profiles, self.basis, cfg)
+            initial, bundle, refined = classify(expansion, self.basis, cfg)
             self.classify_seconds[key] = time.monotonic() - t0
-            self._cls[key] = (coeffs, initial, refined)
+            self._cls[key] = (expansion, initial, refined)
         return self._cls[key]
 
     def neighbor_fractions(self, snr, shift=0.0):
@@ -83,20 +84,22 @@ class _Context:
         return _true_frac(initial, manifest), _true_frac(refined, manifest)
 
     def scores(self, snr, kind=None, shift=0.0):
-        """Dataset-mean (ssim, mse) of the noisy stack (kind None) or the
-        denoised stack under the given filter kind."""
+        """Dataset-mean (ssim, mse) of the noisy stack (kind None), of the
+        steerable-PCA stack without the graph filter (kind "unfiltered"),
+        or of the denoised stack under the given filter kind."""
         key = (snr, kind, shift)
         if key not in self._scores:
             clean, noisy, profiles, manifest = self.dataset(snr, shift)
             if kind is None:
                 stack = noisy
             else:
-                coeffs, _, refined = self.classification(snr, shift)
-                cfg = self.config(snr, filter_kind=kind)
+                expansion, _, refined = self.classification(snr, shift)
+                cfg = self.config(snr, filter_kind=2 if kind == "unfiltered" else kind)
                 ctfc = absolute_ctf_coeffs(manifest, profiles, self.basis, cfg)
-                # the filter overwrites its operand; coeffs is cached
-                stack, _ = denoise_and_correct(coeffs.copy(), ctfc, refined,
-                                               self.basis, cfg)
+                if kind == "unfiltered":
+                    stack = unfiltered_stack(expansion, ctfc, self.basis)
+                else:
+                    stack, _ = denoise_and_correct(expansion, ctfc, refined, self.basis, cfg)
             s_vals, m_vals = [], []
             for img, ref in zip(stack, clean):
                 fitted = fit_to_reference(img, ref)
@@ -283,6 +286,34 @@ def test_criterion_4_refinement_insensitive_to_k_tilde_and_m(ctx):
             f"k_tilde {k_tilde}, m {m}: refined {f:.3f} against the default's {default:.3f}")
 
 
+def test_criterion_4_mfvdm_beats_vdm(ctx):
+    """PAPER.md's central claim: several frequencies (MFVDM) find more true
+    neighbors than one (VDM). At SNR 0.2, refining one initial graph with
+    k_tilde 1 (VDM), 5 and 10 (the default; m = 50 throughout) raises the
+    refined fraction strictly, and k_tilde 10 beats 1 by at least 0.01. It
+    measures 37.60 / 38.55 / 39.37%, a gap of 1.77 points; over other
+    seeds and sizes up to n = 10^4 the gap was 0.9-2.6 points."""
+    _, initial, refined = ctx.classification(0.2)
+    _, _, _, manifest = ctx.dataset(0.2)
+    cfg = ctx.config(0.2)
+    assert (cfg.k_tilde, cfg.m) == (10, 50)
+    fracs = [_true_frac(refine_neighbors(compute_bundle(initial, k_tilde, cfg.m), cfg.s), manifest)
+             for k_tilde in (1, 5)] + [_true_frac(refined, manifest)]
+    assert fracs[0] < fracs[1] < fracs[2] and fracs[2] - fracs[0] >= 0.01, fracs
+
+
+def test_criterion_4_noisy_alignment_accuracy(ctx):
+    """At SNR 0.2 the median alignment error over the refined edges that
+    join views less than 20 degrees apart is at most 2.5 degrees. It
+    measures 1.98 degrees over 22 506 such edges; criterion 3 bounds only
+    the clean case."""
+    _, _, refined = ctx.classification(0.2)
+    _, _, _, manifest = ctx.dataset(0.2)
+    h = neighbor_histograms(refined, manifest)
+    err = np.abs(h["align_err_deg"][h["theta_deg"] < 20.0])
+    assert err.size > 10000 and np.median(err) <= 2.5, (err.size, np.median(err))
+
+
 # --------------------------------------------------------------------------
 # 5. denoising improvement and SNR monotonicity
 
@@ -292,6 +323,20 @@ def test_criterion_5_denoising_improves(ctx, snr):
     s_den, m_den = ctx.scores(snr, kind=2)
     assert s_den > s_noisy
     assert m_den < m_noisy
+
+
+@pytest.mark.parametrize("snr", [1.0, 0.2, 0.05])
+def test_criterion_5_filter_beats_its_input_on_mse(ctx, snr):
+    """The kind-2 graph filter lowers the per-image mean MSE of its own
+    input: the steerable-PCA stack, CTF-corrected by the unfiltered |CTF|
+    (tests/reference.py's unfiltered_stack). Measured, input -> filtered:
+    0.2302 -> 0.2232 at SNR 1, 0.3935 -> 0.3112 at 0.2 and 0.5921 -> 0.5382
+    at 0.05. Mean SSIM, input / filtered: 0.7745 / 0.7599, 0.6344 / 0.6605
+    and 0.4741 / 0.4621. The filter loses on SSIM at SNR 1 and 0.05, so no
+    SSIM ordering is checked here."""
+    _, m_input = ctx.scores(snr, kind="unfiltered")
+    _, m_filtered = ctx.scores(snr, kind=2)
+    assert m_filtered < m_input, (m_input, m_filtered)
 
 
 def test_criterion_5_monotone_in_snr(ctx):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import block_diag
 from scipy.special import jn_zeros, jv
 
 from mfvdm.basis import (
@@ -17,12 +18,15 @@ from mfvdm.basis import (
     ift_grid,
     noise_covariance,
     reconstruct,
+    reconstruct_grid,
     rotate_coeffs,
     steerable_pca,
 )
+from mfvdm.graph import initial_nn_search
 from mfvdm.simulate import preprocess, simulate_dataset
 from reference import (bessel_zeros, coeff_noise_covariance, expand, full_grid_basis, full_sq_norm,
-                       pinv_solver, reference_basis, rid_align, rotate_image)
+                       pinv_solver, reference_basis, reference_steerable_pca, rid_align,
+                       rotate_image)
 
 # (L, bandlimit, support_radius) over which build_basis is checked against
 # the scipy build of tests/reference.py
@@ -331,23 +335,66 @@ def test_steerable_pca_keeps_little_of_white_noise(basis33):
     noise = np.random.Generator(np.random.Philox(0)).normal(size=(1000, 33, 33))
     a = expand_stack(preprocess(noise, 16.0), basis33)
     energy = (np.abs(a) ** 2).sum()
-    ranks = steerable_pca(a, basis33)
+    (scores, pca_basis), ranks = steerable_pca(a, basis33)
     assert ranks.shape == (basis33.k_max + 1,)
     assert ranks.sum() <= 24 and ranks[0] == 0
-    assert (np.abs(a) ** 2).sum() < 1e-3 * energy
-    # denoise_stack skips these frequencies, so they must be exact zeros
+    assert (np.abs(scores) ** 2).sum() < 1e-3 * energy
+    # the steerable basis has a column per kept direction at each k > 0
+    assert pca_basis.k_max == basis33.k_max
     for k in range(1, basis33.k_max + 1):
-        assert ranks[k] > 0 or not a[:, basis33.k_slice(k)].any(), k
+        assert pca_basis.radial_counts[k] == ranks[k], k
 
 
 def test_steerable_pca_commutes_with_rotation(tiny_dataset, basis17):
-    """Rotating every image in-plane, each by its own angle, rotates the
-    shrunk coefficients the same way: each frequency block is mapped by one
-    real matrix, and the sample covariance does not see the rotations."""
+    """Rotating every image in-plane, each by its own angle, gives the same
+    steerable basis and rotates the scores the same way: each frequency
+    block is mapped by one real matrix, and the sample covariance does not
+    see the rotations."""
     a = expand_stack(preprocess(tiny_dataset["noisy"], 8.0), basis17)
     alpha = np.random.Generator(np.random.Philox(5)).uniform(-np.pi, np.pi, size=(len(a), 1))
-    rotated = rotate_coeffs(a, basis17, alpha)
-    ranks = steerable_pca(a, basis17)
-    np.testing.assert_array_equal(steerable_pca(rotated, basis17), ranks)
+    (scores, pca_basis), ranks = steerable_pca(a, basis17)
+    (rotated, rotated_basis), rotated_ranks = steerable_pca(rotate_coeffs(a, basis17, alpha),
+                                                            basis17)
+    np.testing.assert_array_equal(rotated_ranks, ranks)
     assert 0 < ranks.sum() < basis17.n_coeffs
-    np.testing.assert_allclose(rotated, rotate_coeffs(a, basis17, alpha), atol=1e-12)
+    np.testing.assert_allclose(rotated_basis.psi_grid, pca_basis.psi_grid, atol=1e-12)
+    np.testing.assert_allclose(rotated, rotate_coeffs(scores, pca_basis, alpha), atol=1e-12)
+
+
+def test_steerable_pca_matches_shrinking_in_place(tiny_dataset, basis17):
+    """The scores in the steerable basis are the in-place shrink of
+    tests/reference.py in other coordinates: the same ranks, the same
+    Fourier grids to 1e-13 of their largest value, and the same RID graph,
+    its distances to 1e-13 relative."""
+    a = expand_stack(preprocess(tiny_dataset["noisy"], 8.0), basis17)
+    expansion, ranks = steerable_pca(a, basis17)
+    shrunk = a.copy()
+    np.testing.assert_array_equal(reference_steerable_pca(shrunk, basis17), ranks)
+    assert expansion.coeffs.shape == (len(a), ranks[1:].sum() + basis17.radial_counts[0])
+    want = reconstruct_grid(shrunk, basis17)
+    assert np.abs(reconstruct_grid(*expansion) - want).max() <= 1e-13 * np.abs(want).max()
+    got, ref = initial_nn_search(*expansion, s=8), initial_nn_search(shrunk, basis17, s=8)
+    for name in ("indptr", "indices", "angles"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+    np.testing.assert_allclose(got.dists, ref.dists, rtol=1e-13)
+
+
+def test_restrict_maps_through_frames(tiny_dataset, basis17):
+    """A basis restricted to frames F_k expands to the full coefficients
+    times F_k, reconstructs coefficients c as the full basis does c F_k^T,
+    and, as an empty (p_k, 0) frame or None asks, drops or keeps a block."""
+    rng = np.random.Generator(np.random.Philox(13))
+    frames = [None if k == 0 else np.zeros((p, 0)) if k == 2 else
+              np.linalg.qr(rng.normal(size=(p, max(p - 1, 1))))[0]
+              for k, p in enumerate(basis17.radial_counts)]
+    restricted = basis17.restrict(frames)
+    embed = block_diag(*[np.eye(p) if f is None else f
+                         for f, p in zip(frames, basis17.radial_counts)])
+    assert embed.shape == (basis17.n_coeffs, restricted.n_coeffs)
+    np.testing.assert_array_equal(restricted.radial_counts[[0, 1, 2]],
+                                  [basis17.radial_counts[0], basis17.radial_counts[1] - 1, 0])
+    a = expand_stack(tiny_dataset["noisy"], basis17)
+    c = expand_stack(tiny_dataset["noisy"], restricted)
+    np.testing.assert_allclose(c, a @ embed, rtol=0, atol=1e-12 * np.abs(a).max())
+    want = reconstruct_grid(c @ embed.T, basis17)
+    assert np.abs(reconstruct_grid(c, restricted) - want).max() <= 1e-13 * np.abs(want).max()

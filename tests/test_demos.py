@@ -18,7 +18,8 @@ def _run(args, tmp_path):
                           timeout=600)
 
 
-@pytest.mark.parametrize("script", ["01_simulate_and_expand.py", "04_cli_pipeline.py"])
+@pytest.mark.parametrize("script", ["01_simulate_and_expand.py", "02_classification.py",
+                                    "03_denoising.py", "04_cli_pipeline.py"])
 def test_demo_runs(script, tmp_path):
     proc = _run([os.path.join(ROOT, "demos", script)], tmp_path)
     assert proc.returncode == 0, proc.stderr

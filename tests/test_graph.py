@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mfvdm.pool
-from mfvdm.basis import expand_stack
+from mfvdm.basis import Expansion, expand_stack
 from mfvdm.graph import (
     ViewGraph,
     initial_nn_search,
@@ -218,12 +218,13 @@ def test_search_matches_rid_oracle(tiny_dataset, basis17):
 
 @pytest.mark.parametrize("snr", [0.3, float("inf")])
 def test_classify_searches_the_coefficients_as_given(snr, tiny_dataset, basis17):
-    """classify's initial graph is the search of the coefficients it is
-    given, at any SNR, and it ignores noise_var."""
+    """classify's initial graph is the search of the Expansion it is given,
+    at any SNR, and it ignores its basis and noise_var arguments."""
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
     config = RunConfig(n=60, L=17, support_radius=8.0, snr=snr, s=8, k_tilde=3, m=20,
                        n_defocus_groups=4)
-    initial, _, _ = classify(coeffs, basis17, config, noise_var=np.ones(basis17.n_coeffs))
+    initial, _, _ = classify(Expansion(coeffs, basis17), None, config,
+                             noise_var=np.ones(basis17.n_coeffs))
     want = initial_nn_search(coeffs, basis17, s=8)
     for name in ("indptr", "indices", "angles", "dists"):
         np.testing.assert_array_equal(getattr(initial, name), getattr(want, name), err_msg=name)
@@ -252,14 +253,15 @@ def _rid_graph(coeffs, basis, s, fft_size):
                          ids=["all-k", "k-gap", "min-grid"])
 def test_search_matches_all_pairs_oracle(zeroed, fft_size, tiny_dataset, basis17):
     """The whole graph equals the all-pairs rid_align ranking: with every
-    frequency, with the blocks of some frequencies zero, so that the ranked
-    ones (k = 0-7, 9, 12, 14) skip some k, and on the smallest grid allowed,
-    the odd 2 k_max + 1 points."""
-    coeffs = expand_stack(tiny_dataset["noisy"], basis17)
-    coeffs[:, np.isin(basis17.ks, zeroed)] = 0.0
-    assert fft_size >= 2 * basis17.k_max + 1
-    g = initial_nn_search(coeffs, basis17, s=8, fft_size=fft_size)
-    want = _rid_graph(coeffs, basis17, 8, fft_size)
+    frequency, with a basis restricted to empty (p_k, 0) frames at some
+    frequencies, so that the ranked ones (k = 0-7, 9, 12, 14) skip some k,
+    and on the smallest grid allowed, the odd 2 k_max + 1 points."""
+    basis = basis17.restrict([np.zeros((p, 0)) if k in zeroed else None
+                              for k, p in enumerate(basis17.radial_counts)])
+    coeffs = expand_stack(tiny_dataset["noisy"], basis)
+    assert basis.k_max == basis17.k_max and fft_size >= 2 * basis.k_max + 1
+    g = initial_nn_search(coeffs, basis, s=8, fft_size=fft_size)
+    want = _rid_graph(coeffs, basis, 8, fft_size)
     np.testing.assert_array_equal(g.indptr, want.indptr)
     np.testing.assert_array_equal(g.indices, want.indices)
     np.testing.assert_array_equal(g.angles, want.angles)

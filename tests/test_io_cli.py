@@ -558,8 +558,9 @@ def test_cli_matches_in_memory_pipeline(cli_run, one_blas_thread):
     basis = build_basis(cfg.L, cfg.bandlimit, cfg.support_radius)
     manifest = read_manifest(path("manifest.csv"), cfg)
     profiles = default_defocus_groups(cfg.n_defocus_groups)
-    coeffs, _ = prepare_coeffs(read_stack(path("noisy.stack")), manifest, profiles, basis, cfg)
-    initial, _, refined = classify(coeffs, basis, cfg)
+    noisy = read_stack(path("noisy.stack"))
+    expansion, _ = prepare_coeffs(noisy, manifest, profiles, basis, cfg)
+    initial, _, refined = classify(expansion, basis, cfg)
     for graph, name in [(initial, "initial_graph.csv"), (refined, "refined_graph.csv")]:
         back = read_graph_csv(path(name))
         dists = np.full(graph.indices.size, np.nan) if graph.dists is None else graph.dists
@@ -568,6 +569,6 @@ def test_cli_matches_in_memory_pipeline(cli_run, one_blas_thread):
             got = getattr(back, field)
             assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), (name, field)
     ctf = absolute_ctf_coeffs(manifest, profiles, basis, cfg)
-    denoised, effective = denoise_and_correct(coeffs, ctf, refined, basis, cfg)
+    denoised, effective = denoise_and_correct(expansion, ctf, refined, basis, cfg)
     for stack, name in [(denoised, "denoised.stack"), (effective, "effective_ctf.stack")]:
         assert read_stack(path(name)).tobytes() == stack.astype(np.float32).tobytes(), name

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mfvdm.pool
-from mfvdm import RunConfig, build_basis, expand_stack, simulate_dataset
+from mfvdm import Expansion, RunConfig, build_basis, expand_stack, simulate_dataset
 from mfvdm.graph import initial_nn_search, symmetrize, write_graph_csv
 from mfvdm.io import read_stack, write_stack
 from mfvdm.pipeline import (
@@ -50,18 +50,20 @@ def test_classify_peak_allocation_bounded(basis17):
                        n_defocus_groups=4, n_blobs=10)
     _, _, noisy, _, _ = simulate_dataset(n, 17, seed=5, snr=0.3, support_radius=8.0,
                                          n_defocus_groups=4, n_blobs=10)
-    coeffs = expand_stack(noisy, basis17)
-    assert _traced_peak_mb(classify, coeffs, basis17, config) < PEAK_BOUND_MB
+    expansion = Expansion(expand_stack(noisy, basis17), basis17)
+    assert _traced_peak_mb(classify, expansion, basis17, config) < PEAK_BOUND_MB
 
 
 # 800 images of 33 x 33 pixels, 6.6 MB as float64. Measured peaks with the
-# 16 MB BLOCK_BYTES: prepare_coeffs 17 MB, denoise_and_correct 39 MB (of
-# which 14 MB are its two output stacks) with the coefficients filtered in
-# place and the (n, p_0) |CTF| block. It was 43 MB when the filter wrote
-# into a zeroed copy of the coefficients, and 3 MB more again when the CTF
-# operand and its filtered copy were (n, n_coeffs) matrices (the
-# coefficients stood in for |CTF|). Transforming the whole stack at once
-# they were 67 MB and 81 MB.
+# 16 MB BLOCK_BYTES: prepare_coeffs 17 MB, denoise_and_correct 42 MB (of
+# which 14 MB are its two output stacks) with the 800 x 20 steerable-PCA
+# scores and the (n, p_0) |CTF| block; the block-wise reconstruction sets
+# it. Filtering the 800 x 312 shrunk coefficients in place also measured
+# 42 MB on the same machine (39 MB where it was first measured). It was
+# 43 MB when the filter wrote into a zeroed copy of those coefficients, and
+# 3 MB more again when the CTF operand and its filtered copy were (n,
+# n_coeffs) matrices. Transforming the whole stack at once they were 67 MB
+# and 81 MB.
 STACK_N = 800
 PREPARE_BOUND_MB = 30
 DENOISE_BOUND_MB = 55
@@ -79,12 +81,12 @@ def test_stack_transforms_peak_allocation_bounded(basis33):
     profiles = default_defocus_groups(4)
     assert _traced_peak_mb(prepare_coeffs, images, manifest, profiles, basis33,
                            config) < PREPARE_BOUND_MB
-    coeffs, _ = prepare_coeffs(images, manifest, profiles, basis33, config)
+    expansion, _ = prepare_coeffs(images, manifest, profiles, basis33, config)
     src = np.repeat(np.arange(STACK_N), 5)
     dst = (src + np.tile(np.arange(1, 6), STACK_N)) % STACK_N
     graph = symmetrize(STACK_N, src, dst, angles=np.zeros(src.size))
     ctf_coeffs = absolute_ctf_coeffs(manifest, profiles, basis33, config)
-    assert _traced_peak_mb(denoise_and_correct, coeffs, ctf_coeffs, graph, basis33,
+    assert _traced_peak_mb(denoise_and_correct, expansion, ctf_coeffs, graph, basis33,
                            config) < DENOISE_BOUND_MB
 
 
@@ -142,12 +144,12 @@ def test_stack_transforms_do_not_depend_on_blocks(with_ctf, tiny_dataset, basis1
     outputs = []
     for block_bytes in (2**40, rows * image_bytes(17)):
         monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", block_bytes)
-        coeffs, _ = prepare_coeffs(ds["noisy"][:n], manifest, ds["profiles"], basis17, config)
-        graph = initial_nn_search(coeffs, basis17, config.s)
+        expansion, _ = prepare_coeffs(ds["noisy"][:n], manifest, ds["profiles"], basis17, config)
+        graph = initial_nn_search(*expansion, config.s)
         ctf = absolute_ctf_coeffs(manifest, ds["profiles"], basis17, config)
-        denoised, effective = denoise_and_correct(coeffs.copy(), ctf, graph, basis17, config)
+        denoised, effective = denoise_and_correct(expansion, ctf, graph, basis17, config)
         scores, _ = evaluate_stack(denoised, ds["clean"][:n])
-        outputs.append((coeffs, denoised, effective, list(scores.values())))
+        outputs.append((expansion.coeffs, denoised, effective, list(scores.values())))
     assert n % rows == 1
     blocks = row_blocks(n, rows * image_bytes(17))
     assert len(blocks) >= 4 and min(b.stop - b.start for b in blocks) > 1

@@ -268,17 +268,17 @@ def test_preprocess_phase_flip(tiny_dataset):
 def test_prepare_coeffs_flips_phases_with_ctf(with_ctf, tiny_dataset, basis17):
     """prepare_coeffs phase-flips exactly when the data were CTF-modulated.
     Noisy input (finite SNR) is standardized to zero mean and unit variance
-    over the corners, and its coefficients are those of steerable_pca, whose
-    ranks it returns; noise-free input (infinite SNR) gets neither, and its
-    coefficients are returned untouched with None."""
+    over the corners, and both its values are those of steerable_pca;
+    noise-free input (infinite SNR) gets neither, and its coefficients are
+    returned untouched, in the basis given, with None."""
     ds = tiny_dataset
     mask = corner_mask(17, 8.0)
     for snr in (ds["snr"], np.inf):
         noisy_input = bool(np.isfinite(snr))
         config = RunConfig(n=60, L=17, support_radius=8.0, snr=snr, s=8,
                            n_defocus_groups=4, with_ctf=with_ctf)
-        coeffs, ranks = prepare_coeffs(ds["noisy"], ds["manifest"], ds["profiles"],
-                                       basis17, config)
+        (coeffs, coeff_basis), ranks = prepare_coeffs(ds["noisy"], ds["manifest"],
+                                                      ds["profiles"], basis17, config)
         pre = preprocess(ds["noisy"], 8.0, standardize=noisy_input, phase_flip=with_ctf,
                          profiles=ds["profiles"], groups=ds["manifest"].defocus_group)
         want = expand_stack(pre, basis17)
@@ -286,11 +286,13 @@ def test_prepare_coeffs_flips_phases_with_ctf(with_ctf, tiny_dataset, basis17):
         if noisy_input:
             np.testing.assert_allclose(pre[:, mask].mean(axis=1), 0.0, atol=1e-10)
             np.testing.assert_allclose(corner_sd, 1.0, atol=1e-10)
-            np.testing.assert_array_equal(ranks, steerable_pca(want, basis17))
+            (want, want_basis), want_ranks = steerable_pca(want, basis17)
+            np.testing.assert_array_equal(ranks, want_ranks)
+            np.testing.assert_array_equal(coeff_basis.psi_grid, want_basis.psi_grid)
             assert 0 < ranks.sum() < basis17.n_coeffs
         else:
             assert not np.allclose(corner_sd, 1.0, atol=1e-10)
-            assert ranks is None
+            assert ranks is None and coeff_basis is basis17
         np.testing.assert_array_equal(coeffs, want)
 
 
