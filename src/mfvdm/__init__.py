@@ -8,7 +8,6 @@ from .basis import (
     BasisTables,
     Expansion,
     build_basis,
-    expand_disk_function,
     expand_stack,
     ft_grid,
     ift_grid,

@@ -24,7 +24,6 @@ __all__ = [
     "Expansion",
     "build_basis",
     "expand_stack",
-    "expand_disk_function",
     "reconstruct",
     "reconstruct_grid",
     "rotate_coeffs",
@@ -319,18 +318,6 @@ def expand_stack(images, basis):
         raise BasisError(f"image shape {images.shape[-2:]} does not match basis L={basis.L}")
     spectra = ft_grid(images).reshape(images.shape[0], -1)[:, basis.grid_index]
     return spectra @ basis.coeff_solver.T
-
-
-def expand_disk_function(func, basis):
-    """Expand a function of Fourier-domain polar coordinates (xi, theta); used
-    for radial profiles such as absolute CTFs. Evaluated on the in-disk grid
-    points and fitted by coeff_solver like expand_stack, so that
-    reconstruction reproduces the sampled values of a real function."""
-    f1, f2 = freq_grid(basis.L)
-    xi = np.hypot(f1, f2).reshape(-1)[basis.grid_index]
-    theta = np.arctan2(f2, f1).reshape(-1)[basis.grid_index]
-    vals = np.asarray(func(xi, theta), dtype=complex)
-    return vals @ basis.coeff_solver.T
 
 
 def reconstruct_grid(coeffs, basis):

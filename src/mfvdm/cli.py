@@ -2,17 +2,17 @@
 
 Each subcommand reads its inputs from the run directory written by earlier
 stages, so a full run is four commands against one directory. Errors exit
-nonzero with a machine-readable JSON object on stderr.
+nonzero with a machine-readable JSON object on stderr. The CPU affinity caps
+the worker processes and the OpenBLAS threads: `taskset -c 0-(N-1) mfvdm ...`
+runs on N CPUs.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .io import RunConfig, load_config
 from .pipeline import run_classify, run_denoise, run_evaluate, run_simulate
-from .pool import set_threads
 
 __all__ = ["main", "build_parser"]
 
@@ -25,10 +25,6 @@ def build_parser():
                     "image stacks.",
     )
     p.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap the worker processes of the projections, the RID search "
-                        "and the eigensolves, and the OpenBLAS threads, for the whole "
-                        "process (default: the config's threads; 0 is unlimited)")
     p.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     sub = p.add_subparsers(dest="command", required=True)
     for name, desc in [
@@ -42,13 +38,6 @@ def build_parser():
     return p
 
 
-def _resolve_config(args):
-    config = load_config(args.config) if args.config else RunConfig()
-    if args.threads is not None:
-        config = dataclasses.replace(config, threads=args.threads)
-    return config
-
-
 _STAGES = {
     "simulate": run_simulate,
     "classify": run_classify,
@@ -60,10 +49,7 @@ _STAGES = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        if not set_threads(config.threads) and config.threads:
-            print(f"BLAS thread cap of {config.threads} not applied: no OpenBLAS loaded; "
-                  "set the BLAS library's thread variable before start", file=sys.stderr)
+        config = load_config(args.config) if args.config else RunConfig()
         if args.verbose:
             print(f"mfvdm {args.command}: outdir={args.outdir}", file=sys.stderr)
         result = _STAGES[args.command](config, args.outdir)

@@ -203,10 +203,6 @@ class RunConfig:
     m: int = 50
     # denoising
     filter_kind: int = 2
-    # the process-wide cap that the CLI sets with pool.set_threads: on
-    # OpenBLAS threads and on the simulate, search and eigensolve worker
-    # processes; 0: none. In-memory callers call set_threads themselves.
-    threads: int = 0
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -239,8 +235,6 @@ class RunConfig:
             raise ValueError("filter_kind must be 1..5")
         if self.n_defocus_groups < 1:
             raise ValueError("n_defocus_groups must be >= 1")
-        if self.threads < 0:
-            raise ValueError("threads must be >= 0")
 
 
 def _read_config(path):

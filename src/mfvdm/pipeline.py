@@ -10,13 +10,12 @@ import os
 import numpy as np
 
 from . import io as mfio
-from .basis import (Expansion, build_basis, expand_disk_function, expand_stack, reconstruct_grid,
-                    steerable_pca)
+from .basis import Expansion, build_basis, expand_stack, reconstruct_grid, steerable_pca
 from .denoise import FilterSpec, ctf_correct, denoise_stack
 from .graph import initial_nn_search, read_graph_csv, write_graph_csv
 from .metrics import fit_to_reference, mse, psnr, ssim_stack
 from .pool import image_bytes, row_blocks
-from .simulate import check_finite, ctf_value, default_defocus_groups, preprocess, simulate_dataset
+from .simulate import check_finite, ctf_grid, default_defocus_groups, preprocess, simulate_dataset
 from .spectral import align_graph, compute_bundle, refine_neighbors
 
 __all__ = [
@@ -74,17 +73,20 @@ def classify(expansion, basis, config, noise_var=None):
 
 
 def absolute_ctf_coeffs(manifest, profiles, basis, config):
-    """Per-image (n, p_0) expansion of the absolute CTF radial profile
-    (after phase flipping the effective transfer function is |CTF|; one
-    without CTF simulation) by the k = 0 block of basis, basis.restrict(
-    [None]): its other blocks would hold just the grid's 4-fold aliasing."""
+    """Per-image (n, p_0) fit of the absolute CTF (after phase flipping the
+    effective transfer function is |CTF|; one without CTF simulation) at the
+    in-disk grid points, by the k = 0 block of basis, basis.restrict([None]):
+    its other blocks would hold just the grid's 4-fold aliasing."""
     radial = basis.restrict([None])
+
+    def fit(grid):
+        # one profile a product: stacked profiles round differently
+        return grid.ravel()[radial.grid_index] @ radial.coeff_solver.T
+
     if config.with_ctf:
-        return np.stack([expand_disk_function(
-            lambda xi, theta: np.abs(ctf_value(prof, xi / prof.pixel_size_A)), radial)
-            for prof in profiles])[manifest.defocus_group]
-    one = expand_disk_function(lambda xi, theta: np.ones_like(xi), radial)
-    return np.tile(one, (manifest.n, 1))
+        return np.stack([fit(np.abs(ctf_grid(prof, basis.L)))
+                         for prof in profiles])[manifest.defocus_group]
+    return np.tile(fit(np.ones((basis.L, basis.L))), (manifest.n, 1))
 
 
 def denoise_and_correct(expansion, ctf_coeffs, graph, basis, config):

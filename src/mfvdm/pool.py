@@ -1,12 +1,12 @@
-"""Order-preserving map over a fork process pool, the process-wide worker
-and OpenBLAS thread cap, and the sizes of row blocks.
+"""Order-preserving map over a fork process pool, the OpenBLAS thread
+setter, and the sizes of row blocks.
 
 The projections of the simulator, the row-block pairs of the initial RID
 search and of the affinity ranking, and the per-frequency eigensolves are
 independent tasks. `fork_map` runs such tasks on worker processes that
 inherit the large shared operands by fork, so only the small task
-descriptions and the results are pickled. `set_threads` caps the workers of
-every later `fork_map` call in the process.
+descriptions and the results are pickled. The process's CPU affinity caps
+the workers.
 
 Work over the images of a stack (the simulator's and preprocessing's image
 transforms) runs in `row_blocks`, sized so that one block's temporaries stay
@@ -25,7 +25,7 @@ import signal
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["fork_map", "set_threads", "set_blas_threads", "BLOCK_BYTES", "CACHE_BYTES",
+__all__ = ["fork_map", "set_blas_threads", "BLOCK_BYTES", "CACHE_BYTES",
            "row_blocks", "pair_blocks", "cache_blocks", "image_bytes"]
 
 # Byte budget for the temporaries of one block of rows or images, or of one
@@ -41,37 +41,24 @@ _PR_SET_PDEATHSIG = 1   # linux/prctl.h
 _OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
 
-# the cap on fork_map's workers; written only by set_threads (0: no cap)
-_threads = 0
 # set in each pool worker by _start_worker: (func, shared), handed over by
 # fork rather than pickled
 _worker_job = None
 
 
-def set_threads(n):
-    """Cap the workers of every later fork_map call in this process at n
-    (0: no cap). For n > 0, also run every OpenBLAS loaded in the process on
-    n threads. Returns the number of OpenBLAS libraries set."""
-    global _threads
-    if n < 0:
-        raise ValueError(f"thread cap must be >= 0, got {n}")
-    _threads = n
-    return set_blas_threads(n) if n else 0
-
-
 def fork_map(func, items, *, shared):
     """Yield func(*shared, item) for each item, in item order.
 
-    The calls run on a fork pool of min(usable CPUs, len(items), the
-    set_threads cap) worker processes. The workers inherit func and
-    shared when they are forked, run OpenBLAS on one thread and die with the
-    caller; each item and each result is pickled. With one worker the calls
-    run in this process, and no child is started. At most two results per
-    worker wait to be consumed; a worker's error raises here with its type,
-    and a worker's death raises BrokenProcessPool.
+    The calls run on a fork pool of min(usable CPUs, len(items)) worker
+    processes, the usable CPUs being the process's affinity. The workers
+    inherit func and shared when they are forked, run OpenBLAS on one thread
+    and die with the caller; each item and each result is pickled. With one
+    worker the calls run in this process, and no child is started. At most
+    two results per worker wait to be consumed; a worker's error raises here
+    with its type, and a worker's death raises BrokenProcessPool.
     """
     items = list(items)
-    workers = min(len(os.sched_getaffinity(0)), len(items), _threads or len(items))
+    workers = min(len(os.sched_getaffinity(0)), len(items))
     if workers <= 1:
         for item in items:
             yield func(*shared, item)
@@ -99,8 +86,8 @@ def _start_worker(parent, *job):
     if os.getppid() != parent:
         os._exit(1)
     _worker_job = job
-    # the pool already gives each CPU a worker; BLAS threads on top of that
-    # made the 44 denoise solves 3.5x slower than the serial loop on 2 CPUs
+    # the pool already gives each usable CPU a worker: more BLAS threads
+    # per worker would oversubscribe the CPUs it was sized for
     set_blas_threads(1)
 
 
@@ -111,7 +98,9 @@ def _run_in_worker(item):
 
 def set_blas_threads(n):
     """Run every OpenBLAS loaded in this process on n threads; returns the
-    number of libraries set. Other BLAS libraries keep their thread count."""
+    number of libraries set. Other BLAS libraries keep their thread count.
+    OpenBLAS sizes itself from the affinity when it loads, so a caller that
+    narrows the affinity after importing numpy calls this too."""
     with open("/proc/self/maps") as fh:
         paths = {line.split()[-1] for line in fh if "openblas" in line}
     count = 0

@@ -101,17 +101,11 @@ def make_phantom(L, seed, n_blobs=30, support_radius=None):
     x = np.arange(L) - c
     X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
     vol = np.zeros((L, L, L))
-    if n_blobs == 1:
-        centers = np.zeros((1, 3))
-    else:
-        centers = rng.uniform(-0.6 * support_radius, 0.6 * support_radius, size=(n_blobs, 3))
-        centers -= centers.mean(axis=0)
+    centers = rng.uniform(-0.6 * support_radius, 0.6 * support_radius, size=(n_blobs, 3))
+    centers -= centers.mean(axis=0)
     for i in range(n_blobs):
-        if n_blobs == 1:
-            cov = np.eye(3) * (support_radius / 4.0) ** 2
-        else:
-            A = rng.normal(size=(3, 3)) * support_radius * 0.06
-            cov = A @ A.T + np.eye(3) * (support_radius * 0.036) ** 2
+        A = rng.normal(size=(3, 3)) * support_radius * 0.06
+        cov = A @ A.T + np.eye(3) * (support_radius * 0.036) ** 2
         d = np.stack([X - centers[i, 0], Y - centers[i, 1], Z - centers[i, 2]])
         prec = np.linalg.inv(cov)
         quad = np.einsum("iabc,ij,jabc->abc", d, prec, d)

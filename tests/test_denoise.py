@@ -7,15 +7,15 @@ import pytest
 
 import mfvdm.denoise
 from mfvdm import RunConfig
-from mfvdm.basis import (BasisError, Expansion, expand_disk_function, expand_stack, ft_grid,
-                         ift_grid, reconstruct_grid)
+from mfvdm.basis import (BasisError, Expansion, expand_stack, freq_grid, ft_grid, ift_grid,
+                         reconstruct_grid)
 from mfvdm.denoise import (FilterSpec, _averaging_filter, apply_spectral_filter, ctf_correct,
                            denoise_stack)
 from mfvdm.pipeline import absolute_ctf_coeffs, denoise_and_correct
-from mfvdm.pool import set_threads
 from mfvdm.simulate import ctf_value, default_defocus_groups
 from mfvdm.spectral import build_frequency_matrix, top_eigs
 from reference import reconstruct_denoised
+from test_spectral import _one_cpu
 
 
 def _random_block(n, p, seed):
@@ -165,7 +165,7 @@ def test_denoise_solves_only_frequencies_with_content(kind, tiny_dataset, demo_g
     and 18, so none of them is solved. The output block of a skipped k is
     empty, and the image output equals a per-k loop over every frequency
     bit for bit, the CTF output the k = 0 step of that loop."""
-    set_threads(1)  # the solves run in this process, where the counters see them
+    _one_cpu(monkeypatch)  # the solves run in this process, where the counters see them
     ds, g = tiny_dataset, demo_graph
     config = RunConfig(n=60, L=17, support_radius=8.0, s=8, n_defocus_groups=4)
     basis = basis17.restrict([np.zeros((p, 0)) if k in (3, 4, 7, 18) else None
@@ -262,12 +262,13 @@ def test_ctf_correct_rejects_nan_eps(eps):
         ctf_correct(ft_grid(img), np.ones_like(img), eps=eps)
 
 
-def _abs_ctf(prof, with_ctf):
-    """|CTF| of one defocus group as a function of (xi, theta), or one
-    without CTF."""
-    if not with_ctf:
-        return lambda xi, theta: np.ones_like(xi)
-    return lambda xi, theta: np.abs(ctf_value(prof, xi / prof.pixel_size_A))
+def _abs_ctf_fit(prof, with_ctf, basis):
+    """The fit by the whole basis of |CTF| of one defocus group, or of one
+    without CTF, evaluated at the radii of the in-disk grid points."""
+    f1, f2 = freq_grid(basis.L)
+    xi = np.hypot(f1, f2).reshape(-1)[basis.grid_index]
+    vals = np.abs(ctf_value(prof, xi / prof.pixel_size_A)) if with_ctf else np.ones_like(xi)
+    return vals.astype(complex) @ basis.coeff_solver.T
 
 
 @pytest.mark.parametrize("with_ctf", [True, False])
@@ -280,7 +281,7 @@ def test_absolute_ctf_coeffs_per_image(with_ctf, tiny_dataset, basis17):
     got = absolute_ctf_coeffs(ds["manifest"], ds["profiles"], basis17, config)
     assert got.shape == (60, basis17.k_slice(0).stop)
     for i, g in enumerate(ds["manifest"].defocus_group):
-        expected = expand_disk_function(_abs_ctf(ds["profiles"][g], with_ctf), basis17)
+        expected = _abs_ctf_fit(ds["profiles"][g], with_ctf, basis17)
         np.testing.assert_array_equal(got[i], expected[basis17.k_slice(0)])
 
 
@@ -333,8 +334,8 @@ def test_truncation_past_n_keeps_every_eigenpair(tiny_dataset, demo_graph, basis
 @pytest.mark.parametrize("L", [17, 33])
 def test_absolute_ctf_coeffs_are_radial(L, with_ctf, basis17, basis33):
     """|CTF| (or one) is radial: the operand holds only the (n, p_0) k = 0
-    block, and it is the k = 0 block of expand_disk_function's fit by the
-    whole basis, bit for bit."""
+    block, and it is the k = 0 block of the fit by the whole basis, bit for
+    bit."""
     basis = basis17 if L == 17 else basis33
     groups = 20
     manifest = SimpleNamespace(n=groups, defocus_group=np.arange(groups))
@@ -343,7 +344,7 @@ def test_absolute_ctf_coeffs_are_radial(L, with_ctf, basis17, basis33):
     ctf = absolute_ctf_coeffs(manifest, profiles, basis, config)
     assert ctf.shape == (groups, basis.k_slice(0).stop)
     for row, prof in zip(ctf, profiles):
-        fit = expand_disk_function(_abs_ctf(prof, with_ctf), basis)
+        fit = _abs_ctf_fit(prof, with_ctf, basis)
         np.testing.assert_array_equal(row, fit[basis.k_slice(0)])
 
 

@@ -19,11 +19,11 @@ from mfvdm.graph import (
 )
 from mfvdm import RunConfig
 from mfvdm.io import FormatError
-from mfvdm.pool import set_threads
 from mfvdm.pipeline import classify
 from mfvdm.simulate import sample_rotations
 from reference import angle, neighbors, rid_align
 from reference import true_alignment as true_alignment_ref
+from test_spectral import _one_cpu
 
 
 def _rz(gamma):
@@ -80,7 +80,7 @@ def test_search_blocks_never_hold_one_row(tiny_dataset, basis17, monkeypatch):
 
 
 @pytest.mark.parametrize("bytes_per_pair", [search_pair_bytes(17), 64])
-def test_rank_pairs_scores_each_pair_once(bytes_per_pair):
+def test_rank_pairs_scores_each_pair_once(bytes_per_pair, monkeypatch):
     """At the default block budget, 1000 rows in 5 blocks (the search's
     pair size) or 2 (the affinity's), the score function sees at most
     1.05 n(n - 1) / 2 pairs, and the ranking is the first s columns of a
@@ -96,7 +96,7 @@ def test_rank_pairs_scores_each_pair_once(bytes_per_pair):
         seen.append((rows.stop - rows.start) * (cols.stop - cols.start))
         return (keys[rows, cols],)
 
-    set_threads(1)   # the counting must run in this process
+    _one_cpu(monkeypatch)   # the counting must run in this process
     got, cols = rank_pairs(n, s, bytes_per_pair, score, (keys,))
     assert sum(seen) <= 1.05 * n * (n - 1) / 2
     full = keys.copy()

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import mfvdm
-from mfvdm import cli
-from mfvdm.cli import build_parser, main
+from mfvdm.cli import main
 from mfvdm.basis import build_basis
 from mfvdm.graph import ViewGraph, read_graph_csv, write_graph_csv
 from mfvdm.io import (
@@ -172,18 +171,8 @@ def test_config_unknown_key(tmp_path):
         load_config(path)
 
 
-def test_threads_zero_lifts_config_cap(tmp_path):
-    """--threads 0 overrides a config's cap with no cap; without --threads
-    the config's cap holds."""
-    path = tmp_path / "cfg.json"
-    save_config(RunConfig(threads=4), path)
-    for opts, threads in [(["--threads", "0"], 0), ([], 4), (["--threads", "2"], 2)]:
-        args = build_parser().parse_args(opts + ["--config", str(path), "simulate", "out"])
-        assert cli._resolve_config(args).threads == threads
-
-
 @pytest.mark.parametrize("data", [
-    {"with_ctf": "no"}, {"with_ctf": 1}, {"s": 50.0}, {"threads": 1.5}, {"L": "33"},
+    {"with_ctf": "no"}, {"with_ctf": 1}, {"s": 50.0}, {"L": "33"},
     {"n": True}, {"snr": "0.1"}, {"snr": False}, {"noise_model": 1}, {"with_ctf": None},
 ])
 def test_config_rejects_wrong_types(tmp_path, data):
@@ -371,36 +360,37 @@ def test_cli_error_is_json(tmp_path, capsys):
 
 
 def test_cli_threads_caps_openblas(cli_run, tmp_path):
-    """--threads 1 leaves every OpenBLAS in the CLI process on one thread,
-    from a start of two."""
+    """The CPU affinity is the thread cap: with the affinity narrowed to one
+    CPU before mfvdm (and so numpy) is imported, a CLI stage runs every
+    OpenBLAS in the process on one thread; on two CPUs OpenBLAS starts on
+    two."""
     _, _, cfg_path = cli_run
     script = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[1])])\n"
         "import json; from mfvdm.cli import main; from test_spectral import _openblas_threads\n"
         "before = _openblas_threads()\n"
-        f"assert main(['--threads', '1', '--config', {cfg_path!r}, 'simulate', "
-        f"{str(tmp_path / 'threaded')!r}]) == 0\n"
+        "assert main(['--config', sys.argv[2], 'simulate', sys.argv[3]]) == 0\n"
         "print(json.dumps([before, _openblas_threads()]))\n"
     )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(mfvdm.__file__)), os.path.dirname(__file__)]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    before, after = json.loads(out)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(mfvdm.__file__)), os.path.dirname(__file__)])
+
+    def run(cpus):
+        out = subprocess.run([sys.executable, "-c", script, str(cpus), cfg_path,
+                              str(tmp_path / f"cpus{cpus}")],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        return json.loads(out)
+
+    before, after = run(1)
     if not before:
         pytest.skip("numpy is not linked against OpenBLAS")
-    assert set(before) == {2}
+    assert set(before) == {1}
     assert set(after) == {1}
-
-
-def test_threads_not_applied_warns_once(cli_run, monkeypatch, tmp_path, capsys):
-    """Without an OpenBLAS to set, a thread cap is reported once on stderr;
-    with no cap nothing is printed."""
-    _, _, cfg_path = cli_run
-    monkeypatch.setattr(mfvdm.pool, "set_blas_threads", lambda n: 0)
-    assert main(["--config", cfg_path, "simulate", str(tmp_path / "a")]) == 0
-    assert capsys.readouterr().err == ""
-    assert main(["--threads", "3", "--config", cfg_path, "simulate", str(tmp_path / "b")]) == 0
-    assert capsys.readouterr().err.count("BLAS thread cap of 3 not applied") == 1
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert set(run(2)[0]) == {2}
 
 
 def test_config_mismatch_is_named(cli_run, tmp_path, capsys):
@@ -428,14 +418,15 @@ def test_removed_config_keys_are_named(cli_run, tmp_path, capsys):
     """A run directory whose config.json holds keys RunConfig no longer has
     (phase_flip, energy_fraction, initial_fft_size, t, fft_size, eps,
     standardize, whiten and wiener, written before those settings were
-    removed) is refused by file and key, with the advice to rerun simulate;
+    removed, and threads) is refused by file and key, with the advice to
+    rerun simulate;
     a --config file holding them names them as unknown keys."""
     outdir, _, cfg_path = cli_run
     d = tmp_path / "run"
     shutil.copytree(outdir, d)
     old = dict(json.loads((d / "config.json").read_text()), phase_flip=True,
                energy_fraction=0.9, initial_fft_size=256, t=1, fft_size=1024, eps=0.0,
-               standardize=True, whiten=False, wiener=True)
+               standardize=True, whiten=False, wiener=True, threads=1)
     (d / "config.json").write_text(json.dumps(old))
     for stage in ["classify", "denoise"]:
         assert main(["--config", cfg_path, stage, str(d)]) == 1
@@ -443,13 +434,13 @@ def test_removed_config_keys_are_named(cli_run, tmp_path, capsys):
         assert err["error"] == "ConfigMismatchError"
         assert err["message"] == (f"{d / 'config.json'} holds keys RunConfig does not have: "
                                   "energy_fraction, eps, fft_size, initial_fft_size, "
-                                  "phase_flip, standardize, t, whiten, wiener; "
+                                  "phase_flip, standardize, t, threads, whiten, wiener; "
                                   "rerun simulate to rewrite it")
     path = tmp_path / "old.json"
     path.write_text(json.dumps({"n": 30, "energy_fraction": 0.9, "standardize": True,
-                                "whiten": False, "wiener": True}))
+                                "threads": 0, "whiten": False, "wiener": True}))
     with pytest.raises(ValueError, match="^unknown config keys: energy_fraction, "
-                                         "standardize, whiten, wiener$"):
+                                         "standardize, threads, whiten, wiener$"):
         load_config(path)
 
 
@@ -509,18 +500,19 @@ def test_every_config_field_is_read():
 
 @pytest.fixture
 def one_blas_thread():
-    """OpenBLAS on one thread in this process for the test, as --threads 1
-    leaves it; conftest's _restore_threads puts back the previous count."""
+    """OpenBLAS on one thread in this process for the test, as it starts
+    under a one-CPU affinity; conftest's _restore_threads puts back the
+    previous count."""
     set_blas_threads(1)
 
 
 def test_threads_one_is_serial_and_identical(cli_run, monkeypatch, tmp_path, one_blas_thread):
-    """The default run solves its eigenproblems on a process pool; --threads 1
-    starts no child process, and both write the same graphs and stacks. Both
-    run OpenBLAS on one thread: the expansion's last bits depend on the BLAS
-    thread count, which --threads also sets."""
+    """The default run solves its eigenproblems on a process pool; a run on
+    one usable CPU starts no child process, and both write the same graphs
+    and stacks. Both run OpenBLAS on one thread: the expansion's last bits
+    depend on the BLAS thread count, which the affinity also sets when
+    OpenBLAS loads."""
     _, _, cfg_path = cli_run
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     real_fork, forks = os.fork, []
 
     def counting_fork():
@@ -529,11 +521,12 @@ def test_threads_one_is_serial_and_identical(cli_run, monkeypatch, tmp_path, one
 
     monkeypatch.setattr(os, "fork", counting_fork)
     runs = {}
-    for label, opts in [("pooled", []), ("serial", ["--threads", "1"])]:
+    for label, cpus in [("pooled", {0, 1}), ("serial", {0})]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         outdir = str(tmp_path / label)
         before = len(forks)
         for cmd in ["simulate", "classify", "denoise", "evaluate"]:
-            assert main(opts + ["--config", cfg_path, cmd, outdir]) == 0
+            assert main(["--config", cfg_path, cmd, outdir]) == 0
         runs[label] = (outdir, len(forks) - before)
     assert runs["pooled"][1] > 0
     assert runs["serial"][1] == 0

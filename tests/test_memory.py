@@ -21,8 +21,9 @@ from mfvdm.pipeline import (
     evaluate_stack,
     prepare_coeffs,
 )
-from mfvdm.pool import image_bytes, row_blocks, set_threads
+from mfvdm.pool import image_bytes, row_blocks
 from mfvdm.simulate import DatasetManifest, default_defocus_groups
+from test_spectral import _one_cpu
 
 # Peak traced allocation of classify on the 200-image stack below: 19 MB
 # with 16 MB blocks, 151 MB when the RID search held a 64 x n x 256 complex
@@ -41,11 +42,11 @@ def _traced_peak_mb(fn, *args):
     return peak / 2**20
 
 
-def test_classify_peak_allocation_bounded(basis17):
+def test_classify_peak_allocation_bounded(basis17, monkeypatch):
     n = 200
     # one worker: the search and the solves run in this process, where
     # tracemalloc sees them, not in untraced pool workers
-    set_threads(1)
+    _one_cpu(monkeypatch)
     config = RunConfig(n=n, L=17, support_radius=8.0, s=10, m=20,
                        n_defocus_groups=4, n_blobs=10)
     _, _, noisy, _, _ = simulate_dataset(n, 17, seed=5, snr=0.3, support_radius=8.0,
@@ -69,8 +70,8 @@ PREPARE_BOUND_MB = 30
 DENOISE_BOUND_MB = 55
 
 
-def test_stack_transforms_peak_allocation_bounded(basis33):
-    set_threads(1)
+def test_stack_transforms_peak_allocation_bounded(basis33, monkeypatch):
+    _one_cpu(monkeypatch)
     rng = np.random.Generator(np.random.Philox(3))
     images = rng.normal(size=(STACK_N, 33, 33)).astype(np.float32)
     manifest = DatasetManifest(rotations=np.tile(np.eye(3), (STACK_N, 1, 1)),
@@ -108,10 +109,10 @@ def test_build_basis_peak_allocation_bounded():
 SIMULATE_BOUND_MB = 40
 
 
-def test_simulate_peak_allocation_bounded():
+def test_simulate_peak_allocation_bounded(monkeypatch):
     # one worker: the projections run in this process, where tracemalloc
     # sees them; scipy.ndimage is imported before tracing starts
-    set_threads(1)
+    _one_cpu(monkeypatch)
     simulate_dataset(2, 33, seed=0, snr=0.1)
     assert _traced_peak_mb(simulate_dataset, STACK_N, 33, 0, 0.1) < SIMULATE_BOUND_MB
 

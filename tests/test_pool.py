@@ -1,5 +1,5 @@
 """The fork pool: order, errors, worker death, the serial path, the
-process-wide worker cap, and bitwise agreement of the pooled projections,
+cap by the usable CPUs, and bitwise agreement of the pooled projections,
 RID search and affinity ranking with their serial runs."""
 
 import os
@@ -12,10 +12,10 @@ import pytest
 import mfvdm.pool
 from mfvdm.basis import expand_stack
 from mfvdm.graph import initial_nn_search, search_pair_bytes
-from mfvdm.pool import fork_map, set_threads
+from mfvdm.pool import fork_map
 from mfvdm.simulate import PROJECT_BLOCK, make_phantom, project, project_stack, sample_rotations
 from mfvdm.spectral import compute_bundle, frequency_eigs, refine_neighbors
-from test_spectral import _two_cpus
+from test_spectral import _one_cpu, _two_cpus
 
 
 @pytest.fixture
@@ -72,12 +72,12 @@ def test_fork_map_worker_death_raises(forks):
     assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool)
 
 
-def test_project_stack_pooled_matches_serial(forks):
+def test_project_stack_pooled_matches_serial(monkeypatch, forks):
     vol = make_phantom(17, 3, n_blobs=10, support_radius=8.0)
     rotations = sample_rotations(2 * PROJECT_BLOCK + 3, 4)
-    set_threads(1)
+    _one_cpu(monkeypatch)
     serial = project_stack(vol, rotations)
-    set_threads(0)
+    _two_cpus(monkeypatch)
     assert np.array_equal(serial, np.stack([project(vol, R) for R in rotations]))
     # one block: no child
     assert np.array_equal(project_stack(vol, rotations[:PROJECT_BLOCK]), serial[:PROJECT_BLOCK])
@@ -103,7 +103,7 @@ def test_search_pooled_matches_serial(tiny_dataset, basis17, monkeypatch, forks)
     _ragged_blocks(monkeypatch, basis17)
     pooled = initial_nn_search(coeffs, basis17, s=8)
     assert len(forks) == 2
-    set_threads(1)
+    _one_cpu(monkeypatch)
     in_process = initial_nn_search(coeffs, basis17, s=8)
     for g in (pooled, in_process):
         for name in ("indptr", "indices", "angles", "dists"):
@@ -121,21 +121,22 @@ def test_refine_pooled_matches_serial(demo_graph, basis17, monkeypatch, forks):
     _ragged_blocks(monkeypatch, basis17)
     pooled = refine_neighbors(bundle, 6)
     assert len(forks) == 2
-    set_threads(1)
+    _one_cpu(monkeypatch)
     in_process = refine_neighbors(bundle, 6)
     for g in (pooled, in_process):
         np.testing.assert_array_equal(g.indptr, serial.indptr)
         np.testing.assert_array_equal(g.indices, serial.indices)
 
 
-def test_set_threads_caps_every_pool(tiny_dataset, basis17, demo_graph, monkeypatch, forks):
-    """set_threads(1) runs the projections, the RID search, the affinity
-    ranking and the eigensolves in this process; set_threads(0) lifts the
-    cap, and each of them forks its pool again."""
+def test_one_cpu_runs_every_pool_in_process(tiny_dataset, basis17, demo_graph, monkeypatch,
+                                            forks):
+    """One usable CPU runs the projections, the RID search, the affinity
+    ranking and the eigensolves in this process; with two, each of them
+    forks its pool again."""
     vol = make_phantom(17, 3, n_blobs=10, support_radius=8.0)
     rotations = sample_rotations(2 * PROJECT_BLOCK, 4)
     coeffs = expand_stack(tiny_dataset["noisy"], basis17)
-    set_threads(1)
+    _one_cpu(monkeypatch)
     bundle = compute_bundle(demo_graph, 2, 10)
     _ragged_blocks(monkeypatch, basis17)
     loops = [lambda: project_stack(vol, rotations),
@@ -143,10 +144,10 @@ def test_set_threads_caps_every_pool(tiny_dataset, basis17, demo_graph, monkeypa
              lambda: refine_neighbors(bundle, 6),
              lambda: list(frequency_eigs(demo_graph, range(4), 10))]
     for loop in loops:
-        set_threads(1)
+        _one_cpu(monkeypatch)
         loop()
         assert forks == []
-        set_threads(0)
+        _two_cpus(monkeypatch)
         loop()
         assert len(forks) == 2
         forks.clear()

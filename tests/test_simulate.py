@@ -83,9 +83,10 @@ def test_default_defocus_groups():
     assert np.all(np.diff(dz) > 0)
 
 
-def test_phantom_support_and_determinism():
-    vol = make_phantom(17, seed=3, support_radius=8.0)
-    vol2 = make_phantom(17, seed=3, support_radius=8.0)
+@pytest.mark.parametrize("n_blobs", [30, 1])
+def test_phantom_support_and_determinism(n_blobs):
+    vol = make_phantom(17, seed=3, n_blobs=n_blobs, support_radius=8.0)
+    vol2 = make_phantom(17, seed=3, n_blobs=n_blobs, support_radius=8.0)
     np.testing.assert_array_equal(vol, vol2)
     c = 8.0
     x = np.arange(17) - c

@@ -19,7 +19,7 @@ import mfvdm.spectral
 from mfvdm import expand_stack, simulate_dataset
 from mfvdm.denoise import FilterSpec, denoise_stack
 from mfvdm.graph import ViewGraph, _upper_tiles, initial_nn_search
-from mfvdm.pool import set_threads
+from mfvdm.pool import set_blas_threads
 from mfvdm.spectral import (
     EigsError,
     SpectralBundle,
@@ -140,14 +140,21 @@ def _two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
+def _one_cpu(monkeypatch):
+    """Pretend there is one usable CPU: every pool runs in this process, and
+    OpenBLAS runs on the one thread it sizes itself to under that affinity
+    (conftest's _restore_threads puts its count back)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    set_blas_threads(1)
+
+
 def test_pooled_eigs_match_serial(graph600, monkeypatch):
     """The pooled solves run in child processes and return the serial
     loop's eigenpairs bitwise, in k order."""
-    _two_cpus(monkeypatch)
     ks = range(6)
-    set_threads(1)
+    _one_cpu(monkeypatch)
     serial = list(frequency_eigs(graph600, ks, 40))
-    set_threads(0)
+    _two_cpus(monkeypatch)
 
     def solve_with_pid(W, m):
         return top_eigs(W, m), os.getpid()
@@ -463,7 +470,7 @@ def test_refine_and_align_leave_no_one_row_block(demo_graph, monkeypatch):
         return real_block(factors, rows, cols)
 
     monkeypatch.setattr(mfvdm.spectral, "_affinity_block", recording)
-    set_threads(1)   # the recording must run in this process
+    _one_cpu(monkeypatch)   # the recording must run in this process
     graphs = []
     for block_bytes in (2**40, 64 * (n - 1) ** 2):
         monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", block_bytes)
