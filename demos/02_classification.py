@@ -12,6 +12,7 @@ import numpy as np
 
 from mfvdm import (
     build_basis,
+    ctf_grid,
     expand_stack,
     initial_nn_search,
     neighbor_histograms,
@@ -25,8 +26,9 @@ L, n, s = 33, 600, 30
 clean, _, noisy, profiles, manifest = simulate_dataset(
     n, L, seed=3, snr=0.2, support_radius=16.0
 )
-pre = preprocess(noisy, 16.0, standardize=True, phase_flip=True,
-                 profiles=profiles, groups=manifest.defocus_group)
+# phase flipping by the sign of each image's CTF, then standardization
+ctf = np.stack([ctf_grid(profile, L) for profile in profiles])[manifest.defocus_group]
+pre = preprocess(noisy, 16.0, standardize=True, ctf=ctf)
 
 basis = build_basis(L, 0.5, 16.0)
 coeffs = expand_stack(pre, basis)

@@ -332,11 +332,13 @@ def reconstruct_grid(coeffs, basis):
     if coeffs.shape[-1] != basis.n_coeffs:
         raise BasisError(f"coefficient width {coeffs.shape[-1]} does not match "
                          f"basis n_coeffs={basis.n_coeffs}")
-    pos = basis.ks > 0
+    # the k > 0 columns follow the k = 0 block
+    pos = slice(basis.radial_counts[0], None)
     vals = coeffs @ basis.psi_grid.T
-    # sum over k<0: a_{-k,q} psi^{-k,q} = (-1)^k conj(a_{k,q} psi^{k,q})
+    # sum over k<0: a_{-k,q} psi^{-k,q} = (-1)^k conj(a_{k,q} psi^{k,q}); the
+    # sign goes on the coefficients, so no signed copy of psi_grid is made
     sign = np.where(basis.ks[pos] % 2 == 0, 1.0, -1.0)
-    vals = vals + np.conj(coeffs[..., pos] @ (basis.psi_grid[:, pos] * sign[None, :]).T)
+    vals = vals + np.conj((coeffs[..., pos] * sign) @ basis.psi_grid[:, pos].T)
     grid = np.zeros(coeffs.shape[:-1] + (basis.L * basis.L,), dtype=complex)
     grid[..., basis.grid_index] = vals
     return grid.reshape(coeffs.shape[:-1] + (basis.L, basis.L))

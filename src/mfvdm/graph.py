@@ -180,7 +180,7 @@ def _upper_tiles(block, depth):
     holds 1 / 2^depth of the block's rows, so scoring the squares whole
     adds about 1 / 2^depth to the block's n(n - 1) / 2 pairs. A square of
     fewer than 4 rows is not halved: no tile has a single row (see
-    pool.row_blocks)."""
+    pool.cache_blocks)."""
     n = block.stop - block.start
     if depth == 0 or n < 4:
         return [(block, block)]
@@ -334,13 +334,14 @@ def write_graph_csv(graph, path):
                unset if graph.dists is None else graph.dists])
 
 
-def read_graph_csv(path):
-    """Graph from an edge-list CSV as written by write_graph_csv.
+def read_graph_csv(path, n=None):
+    """Graph from an edge-list CSV as written by write_graph_csv, on n nodes
+    (by default one past the largest node id).
 
     The file must hold each undirected edge in both directions with
-    alpha_ji = -alpha_ij, finite angles, non-negative node ids, no
-    self-loops and no repeated rows; d_rid may be nan. Raises FormatError
-    otherwise.
+    alpha_ji = -alpha_ij, finite angles, node ids in [0, n), an edge at
+    each of the n nodes, no self-loops and no repeated rows; d_rid may be
+    nan. Raises FormatError naming path otherwise.
     """
     edges = read_csv(path, [("i", int), ("j", int), ("alpha", float), ("d", float)])
     if edges.size == 0:
@@ -348,11 +349,14 @@ def read_graph_csv(path):
     i, j, alpha = edges["i"], edges["j"], edges["alpha"]
     if (i < 0).any() or (j < 0).any():
         raise FormatError(f"{path}: negative node id")
+    top = int(max(i.max(), j.max()))
+    n = top + 1 if n is None else n
+    if top >= n:
+        raise FormatError(f"{path}: node id {top} outside [0, {n})")
     if (i == j).any():
         raise FormatError(f"{path}: self-loop at node {i[i == j][0]}")
     if not np.isfinite(alpha).all():
         raise FormatError(f"{path}: non-finite angle")
-    n = int(max(i.max(), j.max())) + 1
     order = np.argsort(i * n + j)
     key = (i * n + j)[order]
     if (key[1:] == key[:-1]).any():
@@ -362,4 +366,8 @@ def read_graph_csv(path):
         raise FormatError(f"{path}: an edge has no reverse row")
     if (alpha[order[rev]] != -alpha).any():
         raise FormatError(f"{path}: alpha_ji != -alpha_ij")
+    unlinked = np.flatnonzero(np.bincount(i, minlength=n) == 0)
+    if unlinked.size:
+        raise FormatError(f"{path}: {unlinked.size} of the {n} nodes have no edge, "
+                          f"node {unlinked[0]} first")
     return symmetrize(n, i, j, alpha, edges["d"])

@@ -18,12 +18,13 @@ import struct
 
 import numpy as np
 
-from .pool import row_blocks
+from .pool import cache_blocks
 from .simulate import DatasetManifest
 
 __all__ = [
     "RunConfig",
     "write_stack",
+    "stack_writer",
     "read_stack",
     "write_manifest",
     "read_manifest",
@@ -68,16 +69,41 @@ def atomic_open(path, mode="w", **kwargs):
 
 def write_stack(images, path):
     """Write an (n, L, L) stack as little-endian float32, converting a block
-    of images (pool.row_blocks) at a time: no float32 copy of the whole
+    of images (pool.cache_blocks) at a time: no float32 copy of the whole
     stack is made."""
     images = np.asarray(images)
     if images.ndim != 3 or images.shape[1] != images.shape[2]:
         raise FormatError(f"expected (n, L, L) stack, got shape {images.shape}")
     n, L, _ = images.shape
+    with stack_writer(path, n, L) as write:
+        for rows in cache_blocks(n, 4 * L * L):
+            write(images[rows])
+
+
+@contextlib.contextmanager
+def stack_writer(path, n, L):
+    """Write a stack of n L x L images to path a block at a time: yields
+    write(block), which appends a (b, L, L) block of images as little-endian
+    float32 after the header, written first. Raises FormatError, and path
+    keeps its previous contents (atomic_open), when a block is not (b, L, L),
+    when more than n images are written, or when fewer are by the exit."""
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(STACK_MAGIC, STACK_VERSION, n, L, _DTYPE_F32, b"\0" * 8))
-        for rows in row_blocks(n, 4 * L * L):
-            fh.write(np.ascontiguousarray(images[rows], dtype="<f4"))
+        written = 0
+
+        def write(block):
+            nonlocal written
+            block = np.asarray(block)
+            if block.ndim != 3 or block.shape[1:] != (L, L):
+                raise FormatError(f"{path}: expected ({L} x {L}) images, got shape {block.shape}")
+            if written + len(block) > n:
+                raise FormatError(f"{path}: more than the {n} images its header declares")
+            fh.write(np.ascontiguousarray(block, dtype="<f4"))
+            written += len(block)
+
+        yield write
+        if written != n:
+            raise FormatError(f"{path}: {written} images written, but its header declares {n}")
 
 
 def read_stack(path):
@@ -102,11 +128,11 @@ def read_stack(path):
 
 
 def write_csv(path, header, columns):
-    """Write the 1-D columns under header, a row block (pool.row_blocks) at a
-    time so that the text is never held whole: a header line, then one line
-    per row, ints as digits and floats by repr (a read returns their float64
-    bits), every line ending in \\r\\n. Raises ValueError, before path is
-    replaced, unless the columns are 1-D, of one length and one per name."""
+    """Write the 1-D columns under header, a block of rows (pool.cache_blocks)
+    at a time so that the text is never held whole: a header line, then one
+    line per row, ints as digits and floats by repr (a read returns their
+    float64 bits), every line ending in \\r\\n. Raises ValueError, before path
+    is replaced, unless the columns are 1-D, of one length and one per name."""
     columns = [np.asarray(c) for c in columns]
     n = columns[0].size if columns else 0
     if len(columns) != len(header) or any(c.ndim != 1 or c.size != n for c in columns):
@@ -116,7 +142,7 @@ def write_csv(path, header, columns):
     with atomic_open(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         # about 100 bytes a value: its Python object, its row tuple's slot, its text
-        for rows in row_blocks(n, 100 * len(columns)):
+        for rows in cache_blocks(n, 100 * len(columns)):
             fh.write("".join([line % row for row in zip(*(c[rows].tolist() for c in columns))]))
 
 

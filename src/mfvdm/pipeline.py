@@ -14,7 +14,7 @@ from .basis import Expansion, build_basis, expand_stack, reconstruct_grid, steer
 from .denoise import FilterSpec, ctf_correct, denoise_stack
 from .graph import initial_nn_search, read_graph_csv, write_graph_csv
 from .metrics import fit_to_reference, mse, psnr, ssim_stack
-from .pool import image_bytes, row_blocks
+from .pool import cache_blocks, image_bytes
 from .simulate import check_finite, ctf_grid, default_defocus_groups, preprocess, simulate_dataset
 from .spectral import align_graph, compute_bundle, refine_neighbors
 
@@ -39,21 +39,20 @@ def prepare_coeffs(images, manifest, profiles, basis, config):
     corner (noise) variance, and both values are basis.steerable_pca's.
     Noise-free input gets neither and gives (Expansion(coeffs, basis), None):
     clean projections vanish outside the support, so the corner statistics
-    are degenerate there. The stack is transformed in blocks of images.
+    are degenerate there. The stack is transformed in blocks of images
+    (pool.cache_blocks); the CTF grids of the defocus groups are evaluated
+    once, for every block.
     """
     noisy_input = np.isfinite(config.snr)
     # preprocess checks each block too, but names images by their index in it
     check_finite(images)
+    grids = None
+    if config.with_ctf:
+        grids = np.stack([ctf_grid(profile, basis.L) for profile in profiles])
     coeffs = np.empty((len(images), basis.n_coeffs), dtype=complex)
-    for rows in row_blocks(len(images), image_bytes(basis.L)):
-        pre = preprocess(
-            images[rows],
-            config.support_radius,
-            standardize=noisy_input,
-            phase_flip=config.with_ctf,
-            profiles=profiles,
-            groups=manifest.defocus_group[rows],
-        )
+    for rows in cache_blocks(len(images), image_bytes(basis.L)):
+        pre = preprocess(images[rows], config.support_radius, standardize=noisy_input,
+                         ctf=None if grids is None else grids[manifest.defocus_group[rows]])
         coeffs[rows] = expand_stack(pre, basis)
     return steerable_pca(coeffs, basis) if noisy_input else (Expansion(coeffs, basis), None)
 
@@ -94,17 +93,23 @@ def denoise_and_correct(expansion, ctf_coeffs, graph, basis, config):
     (n, p_0) |CTF| block of basis, then deconvolve each image by its
     effective CTF C with eps = 1e-2 max(C^2), a block of images at a time.
     Returns (denoised images, effective CTFs)."""
+    denoised = np.empty((len(expansion.coeffs), basis.L, basis.L))
+    effective = np.empty_like(denoised)
+    for rows, images, ctfs in _corrected_blocks(expansion, ctf_coeffs, graph, basis, config):
+        denoised[rows], effective[rows] = images, ctfs
+    return denoised, effective
+
+
+def _corrected_blocks(expansion, ctf_coeffs, graph, basis, config):
+    """denoise_and_correct's output a block of images (pool.cache_blocks) at
+    a time: yields (rows, denoised images, effective CTFs)."""
     filt = FilterSpec(kind=config.filter_kind, m=config.m)
     da, dc = denoise_stack(expansion.coeffs, ctf_coeffs, graph, expansion.basis, filt)
     radial = basis.restrict([None])
-    denoised = np.empty((len(da), basis.L, basis.L))
-    effective = np.empty_like(denoised)
-    for rows in row_blocks(len(da), image_bytes(basis.L)):
+    for rows in cache_blocks(len(da), image_bytes(basis.L)):
         C = reconstruct_grid(dc[rows], radial).real
-        denoised[rows] = ctf_correct(reconstruct_grid(da[rows], expansion.basis), C,
-                                     1e-2 * np.max(C**2, axis=(-2, -1)))
-        effective[rows] = C
-    return denoised, effective
+        yield rows, ctf_correct(reconstruct_grid(da[rows], expansion.basis), C,
+                                1e-2 * np.max(C**2, axis=(-2, -1))), C
 
 
 def evaluate_stack(denoised, reference):
@@ -113,14 +118,14 @@ def evaluate_stack(denoised, reference):
 
     The affine fit removes the arbitrary scale and offset introduced by
     standardization; without it MSE comparisons are meaningless. The stacks
-    may be float32: each block of images (pool.row_blocks) is converted to
+    may be float32: each block of images (pool.cache_blocks) is converted to
     float64 on its own, so no float64 copy of a whole stack is made.
     """
     if denoised.shape != reference.shape:
         raise ValueError(f"shape mismatch {denoised.shape} vs {reference.shape}")
     n, L = len(reference), reference.shape[-1]
     scores = {name: np.empty(n) for name in ("mse", "psnr", "ssim")}
-    for block in row_blocks(n, image_bytes(L)):
+    for block in cache_blocks(n, image_bytes(L)):
         ref = reference[block].astype(float)
         fitted = fit_to_reference(denoised[block], ref)
         scores["mse"][block] = mse(fitted, ref)
@@ -172,24 +177,30 @@ def run_classify(config, outdir):
     noisy, manifest, profiles, basis = _load_dataset(config, outdir)
     expansion, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
     del noisy   # the stack is not read again: release it before the search
-    initial, _, refined = classify(expansion, basis, config)
+    initial, bundle, refined = classify(expansion, basis, config)
+    del expansion, bundle   # not read again: release them before the CSVs are formatted
     write_graph_csv(initial, _p(outdir, "initial_graph.csv"))
     write_graph_csv(refined, _p(outdir, "refined_graph.csv"))
     return initial, refined
 
 
 def run_denoise(config, outdir):
-    """Denoised stack and effective CTF grids from the refined graph; checks
-    the run directory like run_classify."""
+    """Denoised stack and effective CTF grids from the refined graph, written
+    a block of images at a time (io.stack_writer), so neither stack is held
+    whole; checks the run directory like run_classify, and raises
+    io.FormatError for a refined_graph.csv that is not a graph on config.n
+    nodes."""
     noisy, manifest, profiles, basis = _load_dataset(config, outdir)
     expansion, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
     del noisy   # the stack is not read again: release it before the filter
-    graph = read_graph_csv(_p(outdir, "refined_graph.csv"))
+    graph = read_graph_csv(_p(outdir, "refined_graph.csv"), config.n)
     ctf_coeffs = absolute_ctf_coeffs(manifest, profiles, basis, config)
-    denoised, eff = denoise_and_correct(expansion, ctf_coeffs, graph, basis, config)
-    mfio.write_stack(denoised, _p(outdir, "denoised.stack"))
-    mfio.write_stack(eff, _p(outdir, "effective_ctf.stack"))
-    return denoised
+    blocks = _corrected_blocks(expansion, ctf_coeffs, graph, basis, config)
+    with (mfio.stack_writer(_p(outdir, "denoised.stack"), config.n, config.L) as write_denoised,
+          mfio.stack_writer(_p(outdir, "effective_ctf.stack"), config.n, config.L) as write_ctf):
+        for _, images, ctfs in blocks:
+            write_denoised(images)
+            write_ctf(ctfs)
 
 
 def run_evaluate(config, outdir):

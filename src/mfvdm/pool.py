@@ -1,5 +1,5 @@
 """Order-preserving map over a fork process pool, the OpenBLAS thread
-setter, and the sizes of row blocks.
+setter, and the sizes of blocks of rows.
 
 The projections of the simulator, the row-block pairs of the initial RID
 search and of the affinity ranking, and the per-frequency eigensolves are
@@ -8,13 +8,14 @@ inherit the large shared operands by fork, so only the small task
 descriptions and the results are pickled. The process's CPU affinity caps
 the workers.
 
-Work over the images of a stack (the simulator's and preprocessing's image
-transforms) runs in `row_blocks`, sized so that one block's temporaries stay
-within BLOCK_BYTES, and work over pairs of images or nodes (the RID search,
-the affinity ranking) in pairs of `pair_blocks`, sized alike: peak memory
-then grows with neither n nor n^2. Work whose temporaries are written and at
-once read back (the correlations over a rotation grid, the edge alignment)
-runs in `cache_blocks`, within CACHE_BYTES.
+Work over pairs of images or nodes (the RID search, the affinity ranking)
+runs in pairs of `pair_blocks`, sized so that the temporaries of one pair
+of blocks stay within BLOCK_BYTES: peak memory then does not grow with n^2.
+Work over the images of a stack or the rows of a table (the image
+transforms, the stack and CSV writers) and work whose temporaries are
+written and at once read back (the correlations over a rotation grid, the
+edge alignment) runs in `cache_blocks`, within CACHE_BYTES, so that a
+block's temporaries stay in cache and peak memory does not grow with n.
 """
 
 import ctypes
@@ -26,13 +27,13 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["fork_map", "set_blas_threads", "BLOCK_BYTES", "CACHE_BYTES",
-           "row_blocks", "pair_blocks", "cache_blocks", "image_bytes"]
+           "pair_blocks", "cache_blocks", "image_bytes"]
 
-# Byte budget for the temporaries of one block of rows or images, or of one
-# pair of row blocks; it sets the block sizes of row_blocks and pair_blocks.
+# Byte budget for the temporaries of one pair of row blocks; it sets the
+# block sizes of pair_blocks.
 BLOCK_BYTES = 16 * 2**20
-# Byte budget for temporaries that are written and at once read back, so
-# that they stay in cache; it sets the block sizes of cache_blocks.
+# Byte budget for the temporaries of one block of images, table rows or
+# edges, which then stay in cache; it sets the block sizes of cache_blocks.
 CACHE_BYTES = 2**20
 
 _PR_SET_PDEATHSIG = 1   # linux/prctl.h
@@ -113,26 +114,21 @@ def set_blas_threads(n):
     return count
 
 
-def row_blocks(n, bytes_per_row):
+def cache_blocks(n, bytes_per_row):
     """Slices covering range(n) in order, in blocks of at most
-    max(BLOCK_BYTES // bytes_per_row, 2) rows whose sizes differ by at most
-    one. No block holds a single row unless n is 1: BLAS multiplies one row
-    by its vector path, whose last bits differ from those of the matrix path
-    that larger blocks take."""
-    return _blocks(n, BLOCK_BYTES // bytes_per_row)
+    max(CACHE_BYTES // bytes_per_row, 2) rows whose sizes differ by at most
+    one, so that the temporaries of a block, bytes_per_row a row, stay
+    within CACHE_BYTES. No block holds a single row unless n is 1: BLAS
+    multiplies one row by its vector path, whose last bits differ from
+    those of the matrix path that larger blocks take."""
+    return _blocks(n, CACHE_BYTES // bytes_per_row)
 
 
 def pair_blocks(n, bytes_per_pair):
-    """Square blocks of range(n), cut as row_blocks, so that the
+    """Square blocks of range(n), cut as cache_blocks, so that the
     temporaries of a pair of blocks, bytes_per_pair for each pair of their
     rows, stay within BLOCK_BYTES."""
     return _blocks(n, math.isqrt(BLOCK_BYTES // bytes_per_pair))
-
-
-def cache_blocks(n, bytes_per_row):
-    """Blocks of range(n), cut as row_blocks, whose temporaries,
-    bytes_per_row a row, stay within CACHE_BYTES."""
-    return _blocks(n, CACHE_BYTES // bytes_per_row)
 
 
 def _blocks(n, rows):
@@ -145,7 +141,8 @@ def _blocks(n, rows):
 def image_bytes(L):
     """Bytes of the temporaries per image of a block of Fourier transforms:
     about five complex L x L grids, the transforms and their fftshift copies
-    (tracemalloc: 75-85 KB per image at L = 33 for preprocess +
-    expand_stack, or reconstruct_grid + ctf_correct). The simulator's CTF
-    and noise passes and evaluate_stack's fit and SSIM need less."""
+    (tracemalloc, alike in blocks of 12 and of 192 images: 87 KB per image
+    at L = 33 for preprocess + expand_stack, 105 KB for reconstruct_grid +
+    ctf_correct). The simulator's CTF and noise passes and evaluate_stack's
+    fit and SSIM (56-60 KB) need less."""
     return 5 * 16 * L * L

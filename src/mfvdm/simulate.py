@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from .basis import corner_mask, freq_grid, ft_grid, ift_grid
-from .pool import fork_map, image_bytes, row_blocks
+from .pool import cache_blocks, fork_map, image_bytes
 
 __all__ = [
     "CTFProfile",
@@ -266,7 +266,7 @@ def add_noise(images, snr, seed, model="white"):
         f1, f2 = freq_grid(L)
         filt = np.sqrt(1.0 / (1.0 + (np.hypot(f1, f2) / 0.1) ** 2))
         stack = noise.reshape(-1, L, L)
-        for rows in row_blocks(len(stack), image_bytes(L)):
+        for rows in cache_blocks(len(stack), image_bytes(L)):
             stack[rows] = ift_grid(ft_grid(stack[rows]) * filt).real
         noise *= np.sqrt(sigma2 / noise.var())
     else:
@@ -282,24 +282,21 @@ def check_finite(images):
         raise ValueError(f"image {int(np.flatnonzero(~finite)[0])} has non-finite pixels")
 
 
-def preprocess(images, support_radius, *, standardize=True, phase_flip=False,
-               profiles=None, groups=None):
+def preprocess(images, support_radius, *, standardize=True, ctf=None):
     """Optional phase flipping, then optional standardization.
 
-    Phase flipping multiplies by sign(CTF) of the image's defocus group.
-    Standardization scales each image to zero mean and unit variance over
-    its corners, outside support_radius. Raises ValueError naming the first
-    image with a non-finite pixel.
+    Phase flipping, when ctf is given, multiplies each image's spectrum by
+    sign(ctf): ctf holds each image's CTF grid (ctf_grid of its defocus
+    group), or one grid for all. Standardization scales each image to zero
+    mean and unit variance over its corners, outside support_radius.
+    Raises ValueError naming the first image with a non-finite pixel.
     """
     images = np.asarray(images, dtype=float).copy()
     check_finite(images)
     L = images.shape[-1]
-    if phase_flip:
-        if profiles is None or groups is None:
-            raise ValueError("phase flipping requires CTF profiles and group ids")
-        signs = np.sign(np.stack([ctf_grid(profile, L) for profile in profiles]))
+    if ctf is not None:
         spectra = ft_grid(images)
-        spectra *= signs[groups]
+        spectra *= np.sign(ctf)
         images = ift_grid(spectra).real
     if standardize:
         mask = corner_mask(L, support_radius)
@@ -338,7 +335,7 @@ def simulate_dataset(n, L, seed, snr, *, support_radius=None, bandlimit=0.5,
     ctf_clean: CTF-modulated but noise-free; noisy: with additive noise.
     Optional shift_px injects uniform per-image translations in [-shift_px, shift_px].
     The shift and CTF passes transform a block of images at a time
-    (pool.row_blocks) into the preallocated stacks; each image's transform
+    (pool.cache_blocks) into the preallocated stacks; each image's transform
     is independent of the others, so the blocks do not change the result.
     Raises ValueError naming snr or shift_px when it is NaN or out of range.
     """
@@ -351,7 +348,7 @@ def simulate_dataset(n, L, seed, snr, *, support_radius=None, bandlimit=0.5,
     vol = make_phantom(L, seed, n_blobs=n_blobs, support_radius=support_radius)
     rotations = sample_rotations(n, seed + 1)
     clean = project_stack(vol, rotations)
-    blocks = row_blocks(n, image_bytes(L))
+    blocks = cache_blocks(n, image_bytes(L))
     if shift_px:
         rng = _rng(seed + 4)
         shifts = rng.uniform(-shift_px, shift_px, size=(n, 2))

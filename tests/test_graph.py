@@ -1,5 +1,7 @@
 """Initial neighbor graph: RID search, symmetrization, ground-truth angles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -295,8 +297,9 @@ def test_true_alignment_batched_matches_scalar():
     assert np.abs((got - ref + np.pi) % (2 * np.pi) - np.pi).max() < 1e-12
 
 
-def _corrupt(lines):
-    """Corrupted copies of a graph CSV (header + rows), one per defect."""
+def _corrupt(lines, n):
+    """Corrupted copies of a graph CSV (header + rows) of a graph on n
+    nodes, one per defect."""
     rows = [line.split(",") for line in lines[1:]]
     i0, j0 = rows[0][0], rows[0][1]
 
@@ -304,6 +307,9 @@ def _corrupt(lines):
         out = [r[:] for r in rows]
         out[t][col] = value
         return out
+
+    def renamed(r, old, new):
+        return [new if col < 2 and v == old else v for col, v in enumerate(r)]
 
     return {
         "negative id": edit(0, 0, "-1"),
@@ -314,19 +320,30 @@ def _corrupt(lines):
         "inf angle": edit(0, 2, "inf"),
         "asymmetric angle": edit(0, 2, repr(float(rows[0][2]) + 1e-3)),
         "malformed": edit(0, 0, "zero"),
+        # node i0 renamed n in both rows of one of its edges
+        "node id n": [renamed(r, i0, str(n)) if {r[0], r[1]} == {i0, j0} else r for r in rows],
+        "node without edges": [r for r in rows if str(n - 1) not in r[:2]],
     }
 
 
 def test_read_graph_csv_rejects_corrupt(demo_graph, tmp_path):
+    """Each defect raises FormatError naming the file. A node id of n or
+    more, and a graph with fewer than n nodes (the last node's rows
+    dropped), are rejected when the node count n is given."""
     path = tmp_path / "graph.csv"
     write_graph_csv(demo_graph, path)
     lines = path.read_text().splitlines()
-    for name, rows in _corrupt(lines).items():
-        bad = tmp_path / "bad.csv"
+    bad = tmp_path / "bad.csv"
+    cases = _corrupt(lines, demo_graph.n)
+    for name, rows in cases.items():
         bad.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
-        with pytest.raises(FormatError):
-            read_graph_csv(bad)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: "):
+            read_graph_csv(bad, demo_graph.n)
             pytest.fail(f"accepted a CSV with a {name}")
+    # without n, the dropped node's graph reads as one on n - 1 nodes
+    rows = cases["node without edges"]
+    bad.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    assert read_graph_csv(bad).n == demo_graph.n - 1
 
 
 def test_graph_csv_unset_dists(demo_graph, tmp_path):

@@ -27,6 +27,7 @@ from mfvdm.io import (
     read_manifest,
     read_stack,
     save_config,
+    stack_writer,
     write_csv,
     write_manifest,
     write_stack,
@@ -75,6 +76,43 @@ def test_stack_errors(tmp_path):
         (tmp_path / "long.stack").write_bytes(data + extra)
         with pytest.raises(FormatError, match="past"):
             read_stack(tmp_path / "long.stack")
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_stack_writer_checks_the_image_count(tmp_path, count):
+    """A stack writer whose header declares 3 images raises FormatError
+    when 2 or 4 are written, and leaves neither the stack nor a temporary
+    file behind."""
+    path, block = tmp_path / "s.stack", np.zeros((1, 5, 5), dtype=np.float32)
+    with pytest.raises(FormatError, match="its header declares"):
+        with stack_writer(path, 3, 5) as write:
+            for _ in range(count):
+                write(block)
+    assert os.listdir(tmp_path) == []
+
+
+def test_stack_writer_failure_keeps_the_previous_file(tmp_path):
+    """A stack writer that raises mid-stream, on a block of the wrong image
+    size or in its caller, leaves the previous file byte for byte; written
+    a block at a time, a stack reads back whole."""
+    rng = np.random.Generator(np.random.Philox(2))
+    stack = rng.normal(size=(6, 5, 5)).astype(np.float32)
+    path = tmp_path / "s.stack"
+    with stack_writer(path, 6, 5) as write:
+        for rows in (slice(0, 2), slice(2, 5), slice(5, 6)):
+            write(stack[rows])
+    np.testing.assert_array_equal(read_stack(path), stack)
+    before = path.read_bytes()
+    with pytest.raises(FormatError, match="5 x 5"):
+        with stack_writer(path, 6, 5) as write:
+            write(-stack[:2])
+            write(np.zeros((2, 4, 4)))
+    with pytest.raises(RuntimeError):
+        with stack_writer(path, 6, 5) as write:
+            write(-stack[:4])
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["s.stack"]
 
 
 def _manifest_config(manifest):
@@ -134,8 +172,8 @@ def test_read_csv_returns_the_written_bits(tmp_path, monkeypatch):
     x = np.concatenate([rng.normal(size=500) * 10.0 ** rng.integers(-300, 300, 500),
                         [0.1, -0.0, 5e-324, np.nan, np.inf, -np.inf]])
     i = rng.integers(-2**62, 2**62, x.size)
-    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", 100 * 2 * 100)
-    assert len(mfvdm.pool.row_blocks(x.size, 100 * 2)) > 1
+    monkeypatch.setattr(mfvdm.pool, "CACHE_BYTES", 100 * 2 * 100)
+    assert len(mfvdm.pool.cache_blocks(x.size, 100 * 2)) > 1
     path = tmp_path / "t.csv"
     write_csv(path, ["i", "x"], [i, x])
     back = read_csv(path, [("i", int), ("x", float)])

@@ -2,26 +2,30 @@
 edge blocks instead of growing with n^2, and the transforms of the stack
 (simulation, preprocess and expand, reconstruct and CTF correction,
 evaluation) within a few image blocks instead of growing with n, with
-outputs that do not depend on the block size."""
+outputs that do not depend on the block size. The denoise stage streams
+its output stacks to disk."""
 
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mfvdm.pipeline
 import mfvdm.pool
 from mfvdm import Expansion, RunConfig, build_basis, expand_stack, simulate_dataset
 from mfvdm.graph import initial_nn_search, symmetrize, write_graph_csv
-from mfvdm.io import read_stack, write_stack
+from mfvdm.io import read_stack, save_config, write_manifest, write_stack
 from mfvdm.pipeline import (
     absolute_ctf_coeffs,
     classify,
     denoise_and_correct,
     evaluate_stack,
     prepare_coeffs,
+    run_denoise,
 )
-from mfvdm.pool import image_bytes, row_blocks
+from mfvdm.pool import cache_blocks, image_bytes
 from mfvdm.simulate import DatasetManifest, default_defocus_groups
 from test_spectral import _one_cpu
 
@@ -55,19 +59,20 @@ def test_classify_peak_allocation_bounded(basis17, monkeypatch):
     assert _traced_peak_mb(classify, expansion, basis17, config) < PEAK_BOUND_MB
 
 
-# 800 images of 33 x 33 pixels, 6.6 MB as float64. Measured peaks with the
-# 16 MB BLOCK_BYTES: prepare_coeffs 17 MB, denoise_and_correct 42 MB (of
-# which 14 MB are its two output stacks) with the 800 x 20 steerable-PCA
-# scores and the (n, p_0) |CTF| block; the block-wise reconstruction sets
-# it. Filtering the 800 x 312 shrunk coefficients in place also measured
-# 42 MB on the same machine (39 MB where it was first measured). It was
-# 43 MB when the filter wrote into a zeroed copy of those coefficients, and
-# 3 MB more again when the CTF operand and its filtered copy were (n,
-# n_coeffs) matrices. Transforming the whole stack at once they were 67 MB
-# and 81 MB.
+# 800 images of 33 x 33 pixels, 6.6 MB as float64. Measured peaks in
+# blocks of 12 images (the 1 MB CACHE_BYTES): prepare_coeffs 5.3 MB,
+# denoise_and_correct 27.6 MB (of which 14 MB are its two output stacks)
+# with the 800 x 20 steerable-PCA scores and the (n, p_0) |CTF| block. In
+# blocks of 192 images (the 16 MB BLOCK_BYTES) they were 17.3 MB and
+# 41.9 MB, the block-wise transforms setting both. Filtering the 800 x 312
+# shrunk coefficients in place also measured 42 MB on the same machine (39
+# MB where it was first measured). It was 43 MB when the filter wrote into
+# a zeroed copy of those coefficients, and 3 MB more again when the CTF
+# operand and its filtered copy were (n, n_coeffs) matrices. Transforming
+# the whole stack at once they were 67 MB and 81 MB.
 STACK_N = 800
-PREPARE_BOUND_MB = 30
-DENOISE_BOUND_MB = 55
+PREPARE_BOUND_MB = 10
+DENOISE_BOUND_MB = 40
 
 
 def test_stack_transforms_peak_allocation_bounded(basis33, monkeypatch):
@@ -91,6 +96,40 @@ def test_stack_transforms_peak_allocation_bounded(basis33, monkeypatch):
                            config) < DENOISE_BOUND_MB
 
 
+def test_run_denoise_streams_its_outputs(tmp_path, monkeypatch):
+    """run_denoise writes its two float64-computed stacks a block at a time.
+    On a run directory of 2000 images of 33 x 33 pixels (one float64 stack
+    is 16.6 MB) its traced peak from the graph read on, once the noisy
+    stack is released, stays below one output stack: 14.3 MB measured, 64
+    MB when both stacks were held and written whole. Its whole peak,
+    preprocessing included, stays below two: 29.1 MB, set by prepare_coeffs
+    (the noisy stack, the basis and the n x 312 expansion), 64 MB before."""
+    _one_cpu(monkeypatch)
+    n, rng = 2000, np.random.Generator(np.random.Philox(9))
+    stack_mb = n * 33 * 33 * 8 / 2**20
+    config = RunConfig(n=n, snr=0.1, n_defocus_groups=4, filter_kind=4)
+    save_config(config, tmp_path / "config.json")
+    write_stack(rng.normal(size=(n, 33, 33)).astype(np.float32), tmp_path / "noisy.stack")
+    write_manifest(DatasetManifest(rotations=np.tile(np.eye(3), (n, 1, 1)),
+                                   defocus_group=rng.integers(0, 4, size=n)),
+                   tmp_path / "manifest.csv")
+    src = np.repeat(np.arange(n), 5)
+    dst = (src + np.tile(np.arange(1, 6), n)) % n
+    write_graph_csv(symmetrize(n, src, dst, angles=np.zeros(src.size)),
+                    tmp_path / "refined_graph.csv")
+    assert _traced_peak_mb(run_denoise, config, str(tmp_path)) < 2 * stack_mb
+
+    def read_graph(*args):
+        tracemalloc.reset_peak()
+        return read(*args)
+
+    read = mfvdm.pipeline.read_graph_csv
+    monkeypatch.setattr(mfvdm.pipeline, "read_graph_csv", read_graph)
+    assert _traced_peak_mb(run_denoise, config, str(tmp_path)) < stack_mb
+    for name in ("denoised.stack", "effective_ctf.stack"):
+        assert os.path.getsize(tmp_path / name) == 24 + n * 33 * 33 * 4
+
+
 # Measured peaks of build_basis(33, 0.5, 16.0), the basis of the default
 # config: 16.8 MB assembling each quarter-turn block of the Gram matrix from
 # psi_grid's columns, 29.0 MB when the whole 861 x 608 +-k grid basis was
@@ -103,10 +142,11 @@ def test_build_basis_peak_allocation_bounded():
 
 
 # Measured peaks of simulate_dataset on STACK_N images with white noise:
-# 24.5 MB in image blocks (the clean, CTF-modulated and noise stacks, and
-# the temporaries of one block), 60.3 MB when the CTF and noise passes
-# transformed and copied whole stacks.
-SIMULATE_BOUND_MB = 40
+# 20.7 MB in blocks of 12 images (the clean, CTF-modulated and noise
+# stacks, and the temporaries of one block), 24.5 MB in blocks of 192,
+# 60.3 MB when the CTF and noise passes transformed and copied whole
+# stacks.
+SIMULATE_BOUND_MB = 30
 
 
 def test_simulate_peak_allocation_bounded(monkeypatch):
@@ -118,10 +158,11 @@ def test_simulate_peak_allocation_bounded(monkeypatch):
 
 
 # 2000 float32 images of 33 x 33 pixels, 8.3 MB a stack. Measured peaks of
-# evaluate_stack: 10 MB in blocks of images, 38 MB when it fitted the whole
-# stack and converted the reference to float64 before SSIM.
+# evaluate_stack: 0.84 MB in blocks of 12 images, 9.8 MB in blocks of 192,
+# 38 MB when it fitted the whole stack and converted the reference to
+# float64 before SSIM.
 EVAL_N = 2000
-EVAL_BOUND_MB = 20
+EVAL_BOUND_MB = 2
 
 
 def test_evaluate_peak_allocation_bounded():
@@ -143,8 +184,8 @@ def test_stack_transforms_do_not_depend_on_blocks(with_ctf, tiny_dataset, basis1
     config = RunConfig(n=n, L=17, support_radius=8.0, s=8, m=20, n_defocus_groups=4,
                        with_ctf=with_ctf)
     outputs = []
-    for block_bytes in (2**40, rows * image_bytes(17)):
-        monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", block_bytes)
+    for cache_bytes in (2**40, rows * image_bytes(17)):
+        monkeypatch.setattr(mfvdm.pool, "CACHE_BYTES", cache_bytes)
         expansion, _ = prepare_coeffs(ds["noisy"][:n], manifest, ds["profiles"], basis17, config)
         graph = initial_nn_search(*expansion, config.s)
         ctf = absolute_ctf_coeffs(manifest, ds["profiles"], basis17, config)
@@ -152,7 +193,7 @@ def test_stack_transforms_do_not_depend_on_blocks(with_ctf, tiny_dataset, basis1
         scores, _ = evaluate_stack(denoised, ds["clean"][:n])
         outputs.append((expansion.coeffs, denoised, effective, list(scores.values())))
     assert n % rows == 1
-    blocks = row_blocks(n, rows * image_bytes(17))
+    blocks = cache_blocks(n, image_bytes(17))
     assert len(blocks) >= 4 and min(b.stop - b.start for b in blocks) > 1
     for one, many in zip(*outputs):
         np.testing.assert_array_equal(many, one)
@@ -179,17 +220,18 @@ def test_read_stack_peak_allocation_bounded(tmp_path, monkeypatch):
     stack, and the stack reads back bit for bit."""
     stack = np.random.Generator(np.random.Philox(5)).normal(size=(2000, 33, 33))
     path, mb = tmp_path / "s.stack", stack.size * 4 / 2**20
-    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", 300 * 4 * 33 * 33)
-    assert len(row_blocks(2000, 4 * 33 * 33)) > 1
+    monkeypatch.setattr(mfvdm.pool, "CACHE_BYTES", 300 * 4 * 33 * 33)
+    assert len(cache_blocks(2000, 4 * 33 * 33)) > 1
     assert _traced_peak_mb(write_stack, stack, path) < 0.25 * mb
     assert _traced_peak_mb(read_stack, path) <= 1.1 * mb
     np.testing.assert_array_equal(read_stack(path), stack.astype(np.float32))
 
 
 # A graph of 200 000 directed edges, a 9.6 MB CSV. Measured peaks of
-# write_graph_csv: 12.7 MB formatting a row block at a time, 49 MB when the
-# whole file's text was built before it was written.
-GRAPH_BOUND_MB = 24
+# write_graph_csv: 3.7 MB formatting 2621 rows (the 1 MB CACHE_BYTES) at a
+# time, 12.7 MB formatting 16 MB row blocks, 49 MB when the whole file's
+# text was built before it was written.
+GRAPH_BOUND_MB = 8
 
 
 def test_write_graph_csv_peak_allocation_bounded(tmp_path):

@@ -1,10 +1,12 @@
 """Simulator: CTF, projections, noise, preprocessing, determinism."""
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
+import mfvdm.pipeline
 import mfvdm.pool
 import mfvdm.simulate
 from mfvdm.simulate import (
@@ -254,15 +256,13 @@ def test_preprocess_phase_flip(tiny_dataset):
     from mfvdm.basis import ft_grid
 
     man = tiny_dataset["manifest"]
+    grids = np.stack([ctf_grid(profile, 17) for profile in tiny_dataset["profiles"]])
     out = preprocess(tiny_dataset["noisy"], 8.0, standardize=False,
-                     phase_flip=True, profiles=tiny_dataset["profiles"],
-                     groups=man.defocus_group)
+                     ctf=grids[man.defocus_group])
     for i, group in enumerate(man.defocus_group):
         g = np.sign(ctf_grid(tiny_dataset["profiles"][group], 17))
         np.testing.assert_allclose(ft_grid(out[i]), ft_grid(tiny_dataset["noisy"][i]) * g,
                                    atol=1e-8)
-    with pytest.raises(ValueError):
-        preprocess(tiny_dataset["noisy"], 8.0, phase_flip=True)
 
 
 @pytest.mark.parametrize("with_ctf", [True, False])
@@ -280,8 +280,9 @@ def test_prepare_coeffs_flips_phases_with_ctf(with_ctf, tiny_dataset, basis17):
                            n_defocus_groups=4, with_ctf=with_ctf)
         (coeffs, coeff_basis), ranks = prepare_coeffs(ds["noisy"], ds["manifest"],
                                                       ds["profiles"], basis17, config)
-        pre = preprocess(ds["noisy"], 8.0, standardize=noisy_input, phase_flip=with_ctf,
-                         profiles=ds["profiles"], groups=ds["manifest"].defocus_group)
+        grids = np.stack([ctf_grid(profile, 17) for profile in ds["profiles"]])
+        pre = preprocess(ds["noisy"], 8.0, standardize=noisy_input,
+                         ctf=grids[ds["manifest"].defocus_group] if with_ctf else None)
         want = expand_stack(pre, basis17)
         corner_sd = pre[:, mask].std(axis=1)
         if noisy_input:
@@ -295,6 +296,24 @@ def test_prepare_coeffs_flips_phases_with_ctf(with_ctf, tiny_dataset, basis17):
             assert not np.allclose(corner_sd, 1.0, atol=1e-10)
             assert ranks is None and coeff_basis is basis17
         np.testing.assert_array_equal(coeffs, want)
+
+
+def test_prepare_coeffs_evaluates_each_ctf_grid_once(tiny_dataset, basis17, monkeypatch):
+    """The defocus groups' CTF grids are constants of a call: over 60 images
+    in blocks of at most 7, prepare_coeffs evaluates each group's once."""
+    ds, calls = tiny_dataset, []
+
+    def counted(profile, L):
+        calls.append(profile)
+        return ctf_grid(profile, L)
+
+    monkeypatch.setattr(mfvdm.simulate, "ctf_grid", counted)
+    monkeypatch.setattr(mfvdm.pipeline, "ctf_grid", counted)
+    monkeypatch.setattr(mfvdm.pool, "CACHE_BYTES", 7 * image_bytes(17))
+    assert len(mfvdm.pool.cache_blocks(60, image_bytes(17))) >= 2
+    config = RunConfig(n=60, L=17, support_radius=8.0, s=8, n_defocus_groups=4)
+    prepare_coeffs(ds["noisy"], ds["manifest"], ds["profiles"], basis17, config)
+    assert collections.Counter(calls) == collections.Counter(ds["profiles"])
 
 
 def test_preprocess_rejects_non_finite(tiny_dataset):
@@ -334,7 +353,8 @@ def test_simulate_blocks_match_whole_stack(case, monkeypatch):
     """The simulator's passes over blocks of images give the three stacks
     of whole-stack passes bit for bit. 45 images in blocks of at most 7,
     and projection tasks of 16 views, so that the blocks do not line up."""
-    monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", 7 * image_bytes(17))
+    monkeypatch.setattr(mfvdm.pool, "CACHE_BYTES", 7 * image_bytes(17))
+    assert len(mfvdm.pool.cache_blocks(45, image_bytes(17))) > 1
     monkeypatch.setattr(mfvdm.simulate, "PROJECT_BLOCK", 16)
     kw = {"snr": 0.2, "support_radius": 8.0, "n_defocus_groups": 4, "n_blobs": 10, **case}
     got = simulate_dataset(45, 17, seed=21, **kw)
