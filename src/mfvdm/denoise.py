@@ -1,9 +1,10 @@
 """Spectral graph filtering of expansion coefficients and CTF correction.
 
 Coefficient blocks A^(k) (one row per image) are filtered through the graph's
-normalized frequency matrices: A_hat = D^{-1/2} U h(L) U* D^{1/2} A. The five
-filter kinds pair h(lambda) in {lambda, 2*lambda - lambda^2,
-lambda^3 - 3*lambda^2 + 3*lambda} with truncated or full spectra. The same
+normalized frequency matrices W_k: kinds 1-3 as D^{-1/2} U h(L) U* D^{1/2} A
+on the top m eigenpairs, h(lambda) in {lambda, 2*lambda - lambda^2,
+lambda^3 - 3*lambda^2 + 3*lambda}, and kinds 4-5, kind 1's and 2's h on the
+full spectrum, as one or two products with W_k. The same
 filter applied to absolute-CTF coefficients yields per-image effective CTFs
 used for deconvolution; |CTF| is radial, so only its k = 0 block is filtered.
 """
@@ -53,19 +54,19 @@ class FilterSpec:
 
 
 def apply_spectral_filter(coeff_block, eigenvalues, eigenvectors, degrees, filt):
-    """A_hat = D^{-1/2} U h(L) U* D^{1/2} A for one frequency block.
-
-    eigenvalues/eigenvectors are the retained spectrum of the normalized
-    frequency matrix (all n pairs for the untruncated kinds).
-    """
-    filt_vals = filt.response(eigenvalues)
-    if filt.truncated:
-        if filt.m > len(eigenvalues):
-            raise ValueError(
-                f"filter truncation m={filt.m} exceeds {len(eigenvalues)} available eigenpairs"
-            )
-        filt_vals = filt_vals[: filt.m]
-        eigenvectors = eigenvectors[:, : filt.m]
+    """A_hat = D^{-1/2} U h(L) U* D^{1/2} A for one frequency block, with the
+    top filt.m of the given eigenpairs of the normalized frequency matrix.
+    Kinds 1-3 only: kinds 4-5 are applied without eigenpairs
+    (denoise_stack)."""
+    if not filt.truncated:
+        raise ValueError(f"filter kind {filt.kind} is applied without eigenpairs, "
+                         "by denoise_stack")
+    if filt.m > len(eigenvalues):
+        raise ValueError(
+            f"filter truncation m={filt.m} exceeds {len(eigenvalues)} available eigenpairs"
+        )
+    filt_vals = filt.response(eigenvalues)[: filt.m]
+    eigenvectors = eigenvectors[:, : filt.m]
     sqrt_d = np.sqrt(degrees)
     inner = np.conj(eigenvectors.T) @ (sqrt_d[:, None] * coeff_block)
     return (eigenvectors @ (filt_vals[:, None] * inner)) / sqrt_d[:, None]

@@ -150,27 +150,21 @@ def _rank_block_pair(score, shared, s, mirror, pair):
 
 def _score_square(score, shared, mirror, block):
     """[keys, *payload] of the pairs block x block, each pair's values
-    taken on the side of its smaller index: a rectangle of _upper_tiles is
-    scored and mirrored to the other side of the diagonal, and a square on
-    the diagonal is scored whole and its upper triangle mirrored to its
-    lower one."""
+    taken on the side of its smaller index: the tiles of _upper_tiles fill
+    the upper triangle, and its mirror image fills the strict lower one."""
     start, n = block.start, block.stop - block.start
     out = None
     for rows, cols in _upper_tiles(block, 4):
-        keys, *payload = score(*shared, rows, cols)
-        values = [keys, *payload]
-        mirrored = [keys.T, *(mirror(p.T) for p in payload)]
+        values = score(*shared, rows, cols)
         if out is None:
             out = [np.empty((n, n), v.dtype) for v in values]
         r = slice(rows.start - start, rows.stop - start)
         c = slice(cols.start - start, cols.stop - start)
-        lower = np.tri(len(keys), k=-1, dtype=bool) if rows == cols else None
-        for o, v, m in zip(out, values, mirrored):
-            if lower is not None:
-                o[r, r] = np.where(lower, m, v)
-            else:
-                o[r, c], o[c, r] = v, m
-    return out
+        for o, v in zip(out, values):
+            o[r, c] = v
+    lower = np.tri(n, k=-1, dtype=bool)
+    keys, *payload = out
+    return [np.where(lower, keys.T, keys), *(np.where(lower, mirror(p.T), p) for p in payload)]
 
 
 def _upper_tiles(block, depth):
@@ -260,8 +254,8 @@ def initial_nn_search(coeffs, basis, s, fft_size=256):
     """
     coeffs = np.asarray(coeffs)
     n = coeffs.shape[0]
-    if fft_size < 2 * basis.k_max + 1:
-        raise ValueError(f"fft_size must be >= {2 * basis.k_max + 1}")
+    if fft_size < 1:
+        raise ValueError(f"fft_size must be >= 1, got {fft_size}")
     finite = np.isfinite(coeffs).all(axis=1)
     if not finite.all():
         raise ValueError(f"image {int(np.flatnonzero(~finite)[0])} has non-finite coefficients")
@@ -334,9 +328,8 @@ def write_graph_csv(graph, path):
                unset if graph.dists is None else graph.dists])
 
 
-def read_graph_csv(path, n=None):
-    """Graph from an edge-list CSV as written by write_graph_csv, on n nodes
-    (by default one past the largest node id).
+def read_graph_csv(path, n):
+    """Graph on n nodes from an edge-list CSV as written by write_graph_csv.
 
     The file must hold each undirected edge in both directions with
     alpha_ji = -alpha_ij, finite angles, node ids in [0, n), an edge at
@@ -350,7 +343,6 @@ def read_graph_csv(path, n=None):
     if (i < 0).any() or (j < 0).any():
         raise FormatError(f"{path}: negative node id")
     top = int(max(i.max(), j.max()))
-    n = top + 1 if n is None else n
     if top >= n:
         raise FormatError(f"{path}: node id {top} outside [0, {n})")
     if (i == j).any():

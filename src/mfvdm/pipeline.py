@@ -155,18 +155,20 @@ def run_simulate(config, outdir):
     return outdir
 
 
-def _load_dataset(config, outdir):
-    """The noisy stack (float32), manifest and CTF profiles of a run
-    directory, after checking config against its config.json, and the
-    basis tables built from config. L, bandlimit and support_radius are
-    SIMULATE_FIELDS, so the check makes them the dataset's; the basis is
-    built before the stack is read, so its temporaries are freed by then."""
+def _load_expansion(config, outdir):
+    """The expansion of a run directory's noisy stack (prepare_coeffs), its
+    manifest and CTF profiles, and the basis tables built from config,
+    after checking config against its config.json. L, bandlimit and
+    support_radius are SIMULATE_FIELDS, so the check makes them the
+    dataset's; the basis is built before the stack is read, so its
+    temporaries are freed by then, and the stack is released on return."""
     mfio.check_run_config(config, _p(outdir, "config.json"))
     basis = build_basis(config.L, config.bandlimit, config.support_radius)
     noisy = mfio.read_stack(_p(outdir, "noisy.stack"))
     manifest = mfio.read_manifest(_p(outdir, "manifest.csv"), config)
     profiles = default_defocus_groups(config.n_defocus_groups)
-    return noisy, manifest, profiles, basis
+    expansion, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
+    return expansion, manifest, profiles, basis
 
 
 def run_classify(config, outdir):
@@ -174,9 +176,7 @@ def run_classify(config, outdir):
     Raises io.ConfigMismatchError if config disagrees with the run
     directory's config.json on a simulation field, and io.FormatError for
     a malformed noisy.stack or manifest.csv."""
-    noisy, manifest, profiles, basis = _load_dataset(config, outdir)
-    expansion, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
-    del noisy   # the stack is not read again: release it before the search
+    expansion, _, _, basis = _load_expansion(config, outdir)
     initial, bundle, refined = classify(expansion, basis, config)
     del expansion, bundle   # not read again: release them before the CSVs are formatted
     write_graph_csv(initial, _p(outdir, "initial_graph.csv"))
@@ -190,9 +190,7 @@ def run_denoise(config, outdir):
     whole; checks the run directory like run_classify, and raises
     io.FormatError for a refined_graph.csv that is not a graph on config.n
     nodes."""
-    noisy, manifest, profiles, basis = _load_dataset(config, outdir)
-    expansion, _ = prepare_coeffs(noisy, manifest, profiles, basis, config)
-    del noisy   # the stack is not read again: release it before the filter
+    expansion, manifest, profiles, basis = _load_expansion(config, outdir)
     graph = read_graph_csv(_p(outdir, "refined_graph.csv"), config.n)
     ctf_coeffs = absolute_ctf_coeffs(manifest, profiles, basis, config)
     blocks = _corrected_blocks(expansion, ctf_coeffs, graph, basis, config)

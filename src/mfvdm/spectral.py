@@ -189,12 +189,10 @@ class SpectralBundle:
     k_list: np.ndarray
     eigenvalues: tuple        # per k: (m,) real, descending
     eigenvectors: tuple       # per k: (n, m) complex, orthonormal
-    degrees: np.ndarray
-    m: int = 50
 
     @property
     def n(self):
-        return self.degrees.size
+        return self.eigenvectors[0].shape[0]
 
 
 def compute_bundle(graph, k_max, m):
@@ -202,21 +200,21 @@ def compute_bundle(graph, k_max, m):
     ks = np.arange(1, k_max + 1)
     pairs = list(frequency_eigs(graph, ks, min(m, graph.n)))
     return SpectralBundle(k_list=ks, eigenvalues=tuple(v for v, _ in pairs),
-                          eigenvectors=tuple(u for _, u in pairs), degrees=graph.degrees,
-                          m=m)
+                          eigenvectors=tuple(u for _, u in pairs))
 
 
 def _affinity_factors(bundle):
-    """Per frequency k: (lambda^2, U, usable-node mask, normalizer) with
-    the normalizer |P_k(i, i)| (1 where it vanishes); also returns the
-    number of dropped (node, frequency) pairs."""
+    """Per frequency k: (lambda^2, U, normalizer) with the normalizer
+    |P_k(i, i)|, +inf where it is at most 1e-300, so that a pair with such
+    a node adds exactly 0; also returns the number of these dropped
+    (node, frequency) pairs."""
     factors, dropped = [], 0
     for lam, U in zip(bundle.eigenvalues, bundle.eigenvectors):
         lam = lam ** 2
         self_p = np.abs((np.abs(U) ** 2) @ lam)
         ok = self_p > 1e-300
         dropped += int((~ok).sum())
-        factors.append((lam, U, ok, np.where(ok, self_p, 1.0)))
+        factors.append((lam, U, np.where(ok, self_p, np.inf)))
     return factors, dropped
 
 
@@ -224,11 +222,10 @@ def _affinity_block(factors, rows, cols):
     """The affinities of the node pairs rows x cols, from the rank-m factors
     of each P_k; only a block of pairs is ever formed."""
     A = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
-    for lam, U, ok, norm in factors:
+    for lam, U, norm in factors:
         # conj(P_k[rows, cols]), which has the same |P|^2
         P = block_product(np.conj(U[rows]) * lam[None, :], U[cols])
-        A += np.where(ok[rows, None] & ok[None, cols],
-                      np.abs(P) ** 2 / (norm[rows, None] * norm[None, cols]), 0.0)
+        A += np.abs(P) ** 2 / (norm[rows, None] * norm[None, cols])
     return A
 
 
@@ -244,7 +241,7 @@ def refine_neighbors(bundle, s):
     pairs once and ranks it for the nodes on both sides; no n x n matrix is
     held."""
     factors, _ = _affinity_factors(bundle)
-    # per pair: P (complex), |P|^2 and its quotient, the mask, A, sort keys
+    # per pair: P (complex), |P|^2, its normalizer and quotient, A, sort keys
     _, nb = rank_pairs(bundle.n, s, 64, _affinity_keys, (factors,))
     return symmetrize(bundle.n, np.repeat(np.arange(bundle.n), s), nb.ravel())
 
@@ -269,14 +266,14 @@ def align_graph(bundle, graph, fft_size=1024):
     the stored angle convention. Vectorized over cache-sized chunks of edges
     (pool.cache_blocks); fills graph.angles in place, with alpha_ji = -alpha_ij.
     """
-    if fft_size <= bundle.k_list.max():
-        raise ValueError("fft_size must exceed the largest frequency")
+    if fft_size < 1:
+        raise ValueError(f"fft_size must be >= 1, got {fft_size}")
     src, dst = graph.rows, graph.indices
     ii, jj = src[src < dst], dst[src < dst]
     K = bundle.k_list.size
     table = rotation_table(bundle.k_list, fft_size, np.ones(K))
     alpha = np.empty(ii.size)
-    for rows in cache_blocks(ii.size, align_edge_bytes(K, bundle.m)):
+    for rows in cache_blocks(ii.size, align_edge_bytes(K, bundle.eigenvectors[0].shape[1])):
         a, b = ii[rows], jj[rows]
         Z = np.empty((2 * K, a.size))
         for r, (lam, U) in enumerate(zip(bundle.eigenvalues, bundle.eigenvectors)):

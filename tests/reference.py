@@ -11,7 +11,6 @@ from mfvdm.basis import (BasisError, BasisTables, _disk_index, expand_stack, fre
                          ift_grid, noise_covariance, reconstruct_grid)
 from mfvdm.graph import viewing_angle
 from mfvdm.simulate import _rng, ctf_grid, default_defocus_groups, make_phantom, preprocess
-from mfvdm.spectral import _affinity_block, _affinity_factors
 
 
 # --------------------------------------------------------------------------
@@ -103,20 +102,32 @@ def cross_spectrum(basis, coeffs_i, coeffs_j):
     return c
 
 
-def rid_align(coeffs_i, coeffs_j, basis, fft_size=256):
+def grid_correlation(z, fft_size):
+    """Re sum_k z(k) e^{2 pi i k t / N} at each grid point t = 0..N-1
+    (N = fft_size), term by term: exact on any grid, where an N-point FFT
+    of z drops the frequencies k >= N."""
+    k = np.arange(z.size)
+    return np.array([np.real(np.sum(z * np.exp(2j * np.pi * k * t / fft_size)))
+                     for t in range(fft_size)])
+
+
+def rid_align(coeffs_i, coeffs_j, basis, fft_size=256, direct=False):
     """Rotationally invariant distance and optimal alignment angle.
 
     Returns (d, alpha) with alpha the grid angle by which image j is rotated
     counter-clockwise to best match image i, minimizing the coefficient-space
-    L2 distance over the fft_size-point rotation grid.
+    L2 distance over the fft_size-point rotation grid. The correlation is a
+    zero-padded FFT, on at least 2 k_max + 1 points, or with direct, the
+    grid_correlation on any grid.
     """
     if coeffs_i.shape != coeffs_j.shape or coeffs_i.size != basis.n_coeffs:
         raise BasisError("coefficient vectors do not share this basis")
-    if fft_size < 2 * basis.k_max + 1:
+    if not direct and fft_size < 2 * basis.k_max + 1:
         raise BasisError(f"fft_size must be >= {2 * basis.k_max + 1}")
     z = cross_spectrum(basis, coeffs_i, coeffs_j)
     z[1:] *= 2.0  # fold in negative frequencies (conjugate pairs)
-    corr = fft_size * np.real(np.fft.ifft(z, n=fft_size))
+    corr = (grid_correlation(z, fft_size) if direct
+            else fft_size * np.real(np.fft.ifft(z, n=fft_size)))
     t = int(np.argmax(corr))
     d2 = full_sq_norm(basis, coeffs_i) + full_sq_norm(basis, coeffs_j) - 2.0 * corr[t]
     alpha = 2.0 * np.pi * t / fft_size
@@ -350,11 +361,20 @@ def affinity(bundle, i, j):
 
 
 def affinity_matrix(bundle):
-    """Normalized multi-frequency affinity A (n x n), summed over k >= 1, from
-    the row-block routine of ``refine_neighbors`` run over all rows; returns
-    (A, dropped_count)."""
-    factors, dropped = _affinity_factors(bundle)
-    return _affinity_block(factors, slice(0, bundle.n), slice(0, bundle.n)), dropped
+    """Normalized multi-frequency affinity A (n x n), summed over the
+    bundle's frequencies, from each dense P_k = U diag(lambda^2) U^H, with
+    the scalar ``affinity``'s rule: a pair skips a frequency at which
+    |P_k(i, i)| or |P_k(j, j)| is at most 1e-300. Returns (A, the number of
+    such (node, frequency) pairs)."""
+    A, dropped = np.zeros((bundle.n, bundle.n)), 0
+    for lam, U in zip(bundle.eigenvalues, bundle.eigenvectors):
+        P = (U * lam**2) @ np.conj(U.T)
+        self_p = np.abs(np.diag(P))
+        ok = self_p > 1e-300
+        dropped += int((~ok).sum())
+        both = np.outer(ok, ok)
+        A[both] += (np.abs(P) ** 2)[both] / np.outer(self_p, self_p)[both]
+    return A, dropped
 
 
 def alignment_spectrum(bundle, i, j):
@@ -366,13 +386,15 @@ def alignment_spectrum(bundle, i, j):
     return z
 
 
-def estimate_alignment(bundle, i, j, fft_size=1024):
+def estimate_alignment(bundle, i, j, fft_size=1024, direct=False):
     """Alignment angle of one edge: the grid argmax of
-    Re sum_k z(k) e^{ik alpha} with z(k) = P_k(i, j), zero-padded."""
-    if fft_size <= bundle.k_list.max():
+    Re sum_k z(k) e^{ik alpha} with z(k) = P_k(i, j), by a zero-padded FFT
+    on more than k_max points, or with direct, the grid_correlation on any
+    grid."""
+    if not direct and fft_size <= bundle.k_list.max():
         raise ValueError("fft_size must exceed the largest frequency")
     z = alignment_spectrum(bundle, i, j)
-    obj = np.real(np.fft.fft(np.conj(z), n=fft_size))
+    obj = grid_correlation(z, fft_size) if direct else np.real(np.fft.fft(np.conj(z), n=fft_size))
     alpha = 2.0 * np.pi * int(np.argmax(obj)) / fft_size
     if alpha > np.pi:
         alpha -= 2.0 * np.pi

@@ -13,7 +13,7 @@ import pytest
 
 from mfvdm import RunConfig, build_basis, simulate_dataset
 from mfvdm.basis import rotate_coeffs
-from mfvdm.denoise import FilterSpec, apply_spectral_filter
+from mfvdm.denoise import FilterSpec, _averaging_filter, apply_spectral_filter
 from mfvdm.graph import true_alignment
 from mfvdm.metrics import fit_to_reference, mse, neighbor_histograms, ssim, wrap_degrees
 from mfvdm.pipeline import (
@@ -177,28 +177,38 @@ def test_criterion_2a_embedding_vs_matrix_power(demo_graph):
 
 
 def test_criterion_2b_linear_filter_vs_transport_average(demo_graph):
+    """h = lambda on all n eigenpairs (kind 1 at m = n), and kind 4's
+    product with W_k, equal the transport average S_k A."""
     rng = np.random.Generator(np.random.Philox(31))
     n = demo_graph.n
     block = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+    sqrt_d = np.sqrt(demo_graph.degrees)[:, None]
     for k in [0, 1, 3]:
-        vals, vecs = top_eigs(build_frequency_matrix(demo_graph, k), n)
-        got = apply_spectral_filter(block, vals, vecs, demo_graph.degrees,
-                                    FilterSpec(kind=4))
+        W = build_frequency_matrix(demo_graph, k)
+        vals, vecs = top_eigs(W, n)
         S = _dense_connection(demo_graph, k) / demo_graph.degrees[:, None]
-        assert np.abs(got - S @ block).max() < 1e-10
+        for got in (apply_spectral_filter(block, vals, vecs, demo_graph.degrees,
+                                          FilterSpec(kind=1, m=n)),
+                    _averaging_filter(W, sqrt_d, block, 1)):
+            assert np.abs(got - S @ block).max() < 1e-10
 
 
 def test_criterion_2c_quadratic_filter_vs_two_step(demo_graph):
+    """h = 2 lambda - lambda^2 on all n eigenpairs (kind 2 at m = n), and
+    kind 5's two products with W_k, equal 2 S_k A - S_k^2 A."""
     rng = np.random.Generator(np.random.Philox(37))
     n = demo_graph.n
     block = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+    sqrt_d = np.sqrt(demo_graph.degrees)[:, None]
     for k in [1, 2]:
-        vals, vecs = top_eigs(build_frequency_matrix(demo_graph, k), n)
-        got = apply_spectral_filter(block, vals, vecs, demo_graph.degrees,
-                                    FilterSpec(kind=5))
+        W = build_frequency_matrix(demo_graph, k)
+        vals, vecs = top_eigs(W, n)
         S = _dense_connection(demo_graph, k) / demo_graph.degrees[:, None]
         expected = 2.0 * (S @ block) - S @ (S @ block)
-        assert np.abs(got - expected).max() < 1e-10
+        for got in (apply_spectral_filter(block, vals, vecs, demo_graph.degrees,
+                                          FilterSpec(kind=2, m=n)),
+                    _averaging_filter(W, sqrt_d, block, 2)):
+            assert np.abs(got - expected).max() < 1e-10
 
 
 def test_criterion_2d_alignment_vs_brute_force(demo_graph, basis17):

@@ -54,51 +54,66 @@ def test_filter_responses():
 
 
 def test_full_linear_filter_equals_transport_average(demo_graph, basis17):
-    """Full-spectrum h = lambda equals one step of the degree-weighted
-    transport average S_k A."""
+    """h = lambda on all n eigenpairs (kind 1 at m = n), and kind 4's
+    product with W_k, equal one step of the degree-weighted transport
+    average S_k A."""
     n = demo_graph.n
     block = _random_block(n, 4, seed=1)
+    deg = demo_graph.degrees
     for k in [0, 2, 5]:
-        vals, vecs = top_eigs(build_frequency_matrix(demo_graph, k), n)
-        deg = demo_graph.degrees
-        got = apply_spectral_filter(block, vals, vecs, deg, FilterSpec(kind=4))
+        Wk = build_frequency_matrix(demo_graph, k)
+        vals, vecs = top_eigs(Wk, n)
         # direct route: S_k = D^{-1} W_k acting on the raw block; transporting
         # frequency-k coefficients across an edge applies e^{-ik alpha}
         W = np.zeros((n, n), dtype=complex)
         W[demo_graph.rows, demo_graph.indices] = np.exp(-1j * k * demo_graph.angles)
         expected = (W @ block) / deg[:, None]
-        assert np.abs(got - expected).max() < 1e-10
+        for got in (apply_spectral_filter(block, vals, vecs, deg, FilterSpec(kind=1, m=n)),
+                    _averaging_filter(Wk, np.sqrt(deg)[:, None], block, 1)):
+            assert np.abs(got - expected).max() < 1e-10
 
 
 def test_full_quadratic_filter_equals_two_step(demo_graph):
+    """h = 2 lambda - lambda^2 on all n eigenpairs (kind 2 at m = n), and
+    kind 5's two products with W_k, equal 2 S_k A - S_k^2 A."""
     n = demo_graph.n
     block = _random_block(n, 3, seed=2)
     k = 3
-    vals, vecs = top_eigs(build_frequency_matrix(demo_graph, k), n)
+    Wk = build_frequency_matrix(demo_graph, k)
+    vals, vecs = top_eigs(Wk, n)
     deg = demo_graph.degrees
-    got = apply_spectral_filter(block, vals, vecs, deg, FilterSpec(kind=5))
     W = np.zeros((n, n), dtype=complex)
     W[demo_graph.rows, demo_graph.indices] = np.exp(-1j * k * demo_graph.angles)
     S = W / deg[:, None]
     expected = 2.0 * (S @ block) - S @ (S @ block)
-    assert np.abs(got - expected).max() < 1e-10
+    for got in (apply_spectral_filter(block, vals, vecs, deg, FilterSpec(kind=2, m=n)),
+                _averaging_filter(Wk, np.sqrt(deg)[:, None], block, 2)):
+        assert np.abs(got - expected).max() < 1e-10
 
 
 def test_truncated_matches_full_when_m_equals_n(demo_graph):
+    """Kind 1 on all n eigenpairs equals kind 4's product with W_k."""
     n = demo_graph.n
     block = _random_block(n, 3, seed=3)
     deg = demo_graph.degrees
-    vals, vecs = top_eigs(build_frequency_matrix(demo_graph, 1), n)
+    W = build_frequency_matrix(demo_graph, 1)
+    vals, vecs = top_eigs(W, n)
     t1 = apply_spectral_filter(block, vals, vecs, deg, FilterSpec(kind=1, m=n))
-    t4 = apply_spectral_filter(block, vals, vecs, deg, FilterSpec(kind=4))
+    t4 = _averaging_filter(W, np.sqrt(deg)[:, None], block, 1)
     assert np.abs(t1 - t4).max() < 1e-10
 
 
 def test_truncation_bound(demo_graph):
+    """The eigenpair filter refuses a truncation beyond the eigenpairs it is
+    given, and kinds 4-5, whose one implementation is denoise_stack's
+    products with W_k."""
     vals, vecs = top_eigs(build_frequency_matrix(demo_graph, 1), 10)
-    with pytest.raises(ValueError):
-        apply_spectral_filter(_random_block(demo_graph.n, 2, seed=4), vals, vecs,
-                              demo_graph.degrees, FilterSpec(kind=1, m=20))
+    for filt, message in ((FilterSpec(kind=1, m=20), "filter truncation m=20 exceeds"),
+                          (FilterSpec(kind=4), "filter kind 4 is applied without eigenpairs"),
+                          (FilterSpec(kind=5), "filter kind 5 is applied without eigenpairs")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            apply_spectral_filter(_random_block(demo_graph.n, 2, seed=4), vals, vecs,
+                                  demo_graph.degrees, filt)
 
 
 def test_denoise_fixed_point_on_rotated_copies(rotated_copies, basis17):

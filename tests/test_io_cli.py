@@ -593,7 +593,7 @@ def test_cli_matches_in_memory_pipeline(cli_run, one_blas_thread):
     expansion, _ = prepare_coeffs(noisy, manifest, profiles, basis, cfg)
     initial, _, refined = classify(expansion, basis, cfg)
     for graph, name in [(initial, "initial_graph.csv"), (refined, "refined_graph.csv")]:
-        back = read_graph_csv(path(name))
+        back = read_graph_csv(path(name), cfg.n)
         dists = np.full(graph.indices.size, np.nan) if graph.dists is None else graph.dists
         for field, value in [("indptr", graph.indptr), ("indices", graph.indices),
                              ("angles", graph.angles), ("dists", dists)]:

@@ -428,7 +428,7 @@ def _integer_bundle(n, m, seed):
         vecs.append(np.concatenate([V, V]))
     vecs[0][7] = 0.0
     return SpectralBundle(k_list=np.array([1, 2]), eigenvalues=(np.ones(m), np.ones(m)),
-                          eigenvectors=tuple(vecs), degrees=np.ones(n), m=m)
+                          eigenvectors=tuple(vecs))
 
 
 @pytest.mark.parametrize("block_bytes", [1, 64 * 5 * 24, 2**30])
@@ -476,7 +476,7 @@ def test_refine_and_align_leave_no_one_row_block(demo_graph, monkeypatch):
         monkeypatch.setattr(mfvdm.pool, "BLOCK_BYTES", block_bytes)
         graphs.append(refine_neighbors(bundle, 6))
     n_edges = graphs[0].indices.size // 2
-    for g, cache_bytes in zip(graphs, (2**40, (n_edges - 1) * align_edge_bytes(4, bundle.m))):
+    for g, cache_bytes in zip(graphs, (2**40, (n_edges - 1) * align_edge_bytes(4, n))):
         monkeypatch.setattr(mfvdm.pool, "CACHE_BYTES", cache_bytes)
         align_graph(bundle, g, fft_size=1024)
     assert n_edges % (n_edges - 1) == 1
@@ -495,14 +495,16 @@ def test_refine_and_align_leave_no_one_row_block(demo_graph, monkeypatch):
 def _check_align_blocks(demo_graph, monkeypatch, fft_size):
     bundle = _full_bundle(demo_graph, 5)
     g = refine_neighbors(bundle, 6)
-    # a few dozen edges per chunk
-    monkeypatch.setattr(mfvdm.pool, "CACHE_BYTES", 40 * align_edge_bytes(5, bundle.m))
-    chunks = mfvdm.pool.cache_blocks(g.indices.size // 2, align_edge_bytes(5, bundle.m))
+    # a few dozen edges per chunk; the full bundle's eigenvectors have n columns
+    monkeypatch.setattr(mfvdm.pool, "CACHE_BYTES", 40 * align_edge_bytes(5, bundle.n))
+    chunks = mfvdm.pool.cache_blocks(g.indices.size // 2, align_edge_bytes(5, bundle.n))
     assert len(chunks) > 1 and max(c.stop - c.start for c in chunks) <= 40
     align_graph(bundle, g, fft_size=fft_size)
+    # on at most k_max = 5 points the oracle's FFT would drop frequencies
+    direct = fft_size <= 5
     for i, j, alpha in g.edges():
         if i < j:
-            assert alpha == estimate_alignment(bundle, i, j, fft_size=fft_size)
+            assert alpha == estimate_alignment(bundle, i, j, fft_size=fft_size, direct=direct)
         else:
             assert alpha == -angle(g, j, i)
 
@@ -511,11 +513,34 @@ def test_align_graph_blocks_match_estimate_alignment(demo_graph, monkeypatch):
     _check_align_blocks(demo_graph, monkeypatch, 1024)
 
 
-@pytest.mark.parametrize("fft_size", [6, 11])
+@pytest.mark.parametrize("fft_size", [3, 5, 6, 11])
 def test_align_graph_small_grids_match_estimate_alignment(fft_size, demo_graph, monkeypatch):
-    """k_max + 1 = 6 points, where the oracle's FFT wraps the frequencies
-    around the grid, and the odd 2 k_max + 1 = 11."""
+    """3 and k_max = 5 points, fewer than the frequencies, where the oracle
+    sums the objective at each grid angle; k_max + 1 = 6 points, where the
+    oracle's FFT wraps the frequencies around the grid; and the odd
+    2 k_max + 1 = 11."""
     _check_align_blocks(demo_graph, monkeypatch, fft_size)
+
+
+def test_align_graph_validation(demo_graph):
+    bundle = _full_bundle(demo_graph, 2)
+    g = refine_neighbors(bundle, 6)
+    with pytest.raises(ValueError, match="^fft_size must be >= 1, got 0$"):
+        align_graph(bundle, g, fft_size=0)
+
+
+def test_affinity_blocks_match_dense_oracle(demo_graph):
+    """refine_neighbors' affinity blocks equal the dense oracle, and count
+    the same dropped (node, frequency) pairs: none in the graph's bundle,
+    one in the integer bundle, whose node 7 has no k = 1 component, so
+    that its pairs take no k = 1 term."""
+    for bundle, n_dropped in ((_full_bundle(demo_graph, 4), 0), (_integer_bundle(24, 3, 3), 1)):
+        factors, dropped = mfvdm.spectral._affinity_factors(bundle)
+        whole = slice(0, bundle.n)
+        got = mfvdm.spectral._affinity_block(factors, whole, whole)
+        want, want_dropped = affinity_matrix(bundle)
+        assert dropped == want_dropped == n_dropped
+        assert np.abs(got - want).max() < 1e-10 * want.max()
 
 
 def test_refine_validation(demo_graph):

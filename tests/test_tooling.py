@@ -1,6 +1,8 @@
 """The benchmark harness's layer wrappers find every function they wrap;
-the simulate stage loads no module it does not need."""
+the simulate stage loads no module it does not need; the test oracles do
+not call the code they check."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -66,3 +68,16 @@ def test_simulate_does_not_import_ndimage():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_reference_imports_no_private_graph_spectral_or_denoise_name():
+    """tests/reference.py, the scalar oracles, takes no private name from
+    the modules it checks (mfvdm.graph, mfvdm.spectral, mfvdm.denoise), so
+    that an oracle does not compare their code with itself."""
+    with open(os.path.join(ROOT, "tests", "reference.py")) as f:
+        tree = ast.parse(f.read())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("mfvdm.graph", "mfvdm.spectral", "mfvdm.denoise")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, private
